@@ -18,10 +18,9 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.stats
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
-from scipy.optimize import minimize
-from scipy.special import expit, logit
+from numpy.linalg import LinAlgError
+from scipy.linalg import cho_factor, cho_solve
+from scipy.special import expit, logit, ndtr
 
 from .errors import (
     BoundaryError,
@@ -32,6 +31,7 @@ from .errors import (
     InsufficientDataError,
 )
 from .models import (
+    _LAMBDA_TOL,
     DEFAULT_TRUNCATION,
     ModelFamily,
     ParamVector,
@@ -62,7 +62,6 @@ _ALPHA0, _BETA0, _D0, _NU0 = 0.05, 0.90, 0.5, 8.0
 _GNORM_CONVERGED = 1e-4     # gradient norm bound entering `converged`
 _GNORM_INVARIANT = 1e-3     # documented guarantee for converged fits
 _PERSISTENCE_FLAG = 0.98    # strict threshold on alpha + beta
-_LAMBDA_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -360,6 +359,8 @@ def fit(series, config: FitConfig) -> FitResult:
     n = returns.size
     if n < 50:
         raise InsufficientDataError(f"need at least 50 observations to fit, got {n}")
+    # Imported here so that importing the package does not pay for scipy.optimize.
+    from scipy.optimize import minimize
 
     total_ll = _make_total_loglik(returns, config)
     quality_failures = 0
@@ -523,7 +524,7 @@ def standard_errors(params: ParamVector, series, config: FitConfig) -> StdErrRep
     est = _params_to_vector(params, names)
     with np.errstate(divide="ignore", invalid="ignore"):
         z = np.where(se > 0, est / se, np.inf)
-    pvals = 2.0 * scipy.stats.norm.sf(np.abs(z))
+    pvals = 2.0 * ndtr(-np.abs(z))
 
     return StdErrReport(
         stderr=dict(zip(names, se.tolist())),

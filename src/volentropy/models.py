@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.signal import convolve, lfilter
+from scipy import fft as sp_fft
 from scipy.special import gammaln
 
 from .errors import DataQualityError, DomainError, InfeasibleParamsError
@@ -54,6 +54,8 @@ _DIRECT_CONV_LIMIT = 4096
 
 # Numerical slack when checking nonnegativity of the ARCH(inf) weights.
 _LAMBDA_TOL = 1e-12
+
+_SMALLEST_NORMAL = float(np.finfo(float).tiny)
 
 
 class ModelFamily(enum.Enum):
@@ -154,11 +156,17 @@ def frac_weights(d: float, T: int, alpha: float = 0.0, beta: float = 0.0) -> Fra
 
     j = np.arange(1, T + 1, dtype=float)
     pi = np.concatenate(([1.0], np.cumprod((j - 1.0 - d) / j)))
+    if 0.0 < d < 1.0 and abs(pi[-1]) < _SMALLEST_NORMAL:
+        # |pi_j| falls with j, so the tail is subnormal (d below about
+        # T * 2.2e-308); there cumprod's rounding order drifts from the stated
+        # recursion by whole ulps, so replay the recursion in its own order.
+        for k in range(1, T + 1):
+            pi[k] = pi[k - 1] * (k - 1 - d) / k
 
     phi = alpha + beta
     x = phi * pi[:-1] - pi[1:]
     x[0] -= beta  # folds the leading beta*lambda_0 term out of the recursion
-    lam = lfilter([1.0], [1.0, -beta], x)
+    lam = _ar1_filter(x, beta)
     return FracWeights(pi=pi, lam=lam, T=T)
 
 
@@ -210,6 +218,17 @@ def validate_params(family: ModelFamily, params: ParamVector,
         raise DomainError(f"unknown family {family!r}")
 
 
+def _ar1_filter(x: np.ndarray, beta: float, state: float | None = None) -> np.ndarray:
+    """``y_t = x_t + beta*y_{t-1}``, with ``beta*y_{-1} = state`` (0 if None)."""
+    # Imported here: scipy.signal costs over a second of import time that
+    # paths without a variance recursion (--help, entropy) never need.
+    from scipy.signal import lfilter
+
+    if state is None:
+        return lfilter([1.0], [1.0, -beta], x)
+    return lfilter([1.0], [1.0, -beta], x, zi=np.array([state]))[0]
+
+
 def _demean(returns: np.ndarray) -> tuple[np.ndarray, float]:
     e = returns - returns.mean()
     e2 = e * e
@@ -223,8 +242,7 @@ def _garch_recursion(omega: float, alpha: float, beta: float,
     # engine reproduces this path to machine precision.
     x = omega + alpha * np.concatenate(([backcast], e2[:-1]))
     s_pre = (omega + alpha * backcast) / (1.0 - beta)
-    sig2, _ = lfilter([1.0], [1.0, -beta], x, zi=np.array([beta * s_pre]))
-    return sig2
+    return _ar1_filter(x, beta, beta * s_pre)
 
 
 def _arch_inf_path(omega: float, beta: float, lam: np.ndarray,
@@ -233,9 +251,18 @@ def _arch_inf_path(omega: float, beta: float, lam: np.ndarray,
     n = e2.size
     e2_ext = np.concatenate((np.full(T, backcast), e2))
     kernel = np.concatenate(([0.0], lam))
-    method = "direct" if n <= _DIRECT_CONV_LIMIT else "fft"
-    acc = convolve(e2_ext, kernel, method=method)
+    if n <= _DIRECT_CONV_LIMIT:
+        acc = np.convolve(e2_ext, kernel)
+    else:
+        size = sp_fft.next_fast_len(e2_ext.size + kernel.size - 1, True)
+        acc = sp_fft.irfft(sp_fft.rfft(e2_ext, size) * sp_fft.rfft(kernel, size), size)
     return omega / (1.0 - beta) + acc[T:T + n]
+
+
+def _student_log_norm(nu: float) -> float:
+    """Log normalising constant of the standardized Student-t density."""
+    return (gammaln((nu + 1.0) / 2.0) - gammaln(nu / 2.0)
+            - 0.5 * math.log(math.pi * (nu - 2.0)))
 
 
 def student_logpdf(z: np.ndarray | float, nu: float) -> np.ndarray | float:
@@ -248,9 +275,7 @@ def student_logpdf(z: np.ndarray | float, nu: float) -> np.ndarray | float:
     if not nu > 2:
         raise DomainError(f"nu must exceed 2, got {nu}")
     z = np.asarray(z, dtype=float)
-    const = (gammaln((nu + 1.0) / 2.0) - gammaln(nu / 2.0)
-             - 0.5 * math.log(math.pi * (nu - 2.0)))
-    out = const - ((nu + 1.0) / 2.0) * np.log1p(z * z / (nu - 2.0))
+    out = _student_log_norm(nu) - ((nu + 1.0) / 2.0) * np.log1p(z * z / (nu - 2.0))
     return out if out.ndim else float(out)
 
 
@@ -261,9 +286,7 @@ def _loglik_from_path(sigma2: np.ndarray, e2: np.ndarray, nu: float | None) -> f
                      + np.log(sigma2).sum()
                      + (e2 / sigma2).sum())
     else:
-        const = (gammaln((nu + 1.0) / 2.0) - gammaln(nu / 2.0)
-                 - 0.5 * math.log(math.pi * (nu - 2.0)))
-        ll = (n * const
+        ll = (n * _student_log_norm(nu)
               - 0.5 * np.log(sigma2).sum()
               - ((nu + 1.0) / 2.0) * np.log1p(e2 / ((nu - 2.0) * sigma2)).sum())
     return float(ll)

@@ -222,3 +222,28 @@ def test_simulate_fit_entropy_pipeline(tmp_path):
     ent_proc = run("entropy", "--input", str(data), "--returns", "--format", "tree")
     assert ent_proc.returncode == 0
     assert json.loads(ent_proc.stdout)["results"][0]["n_obs"] == 1200
+
+
+# --------------------------------------------------------------- import graph
+
+_IMPORT_PROBE = """
+import sys
+import volentropy
+import volentropy.cli
+try:
+    volentropy.cli.main(["--help"])
+except SystemExit:
+    pass
+heavy = ("scipy.signal", "scipy.stats", "scipy.optimize")
+print(sorted(m for m in heavy if m in sys.modules))
+"""
+
+
+def test_import_and_help_load_no_heavy_scipy_modules():
+    """Importing the package and printing help leave scipy.signal, scipy.stats
+    and scipy.optimize unloaded; they are imported where a fit needs them."""
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert "usage:" in proc.stdout
+    assert proc.stdout.splitlines()[-1] == "[]"

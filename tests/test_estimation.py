@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
@@ -286,6 +287,16 @@ def test_stderr_present_and_positive_at_optimum():
     assert all(v >= 0 for v in res.stderr.values())
     assert all(0 <= p <= 1 for p in res.pvalues.values())
     assert set(res.significance.values()) <= {"1%", "5%", "none"}
+
+
+def test_pvalues_are_two_sided_normal_tail_probabilities():
+    series = sim_garch(n=5000, seed=14)
+    res = fit(series, FitConfig(GARCH, innovation="gaussian", restarts=0))
+    assert res.pvalues is not None
+    for name in res.names:
+        z = getattr(res.params, name) / res.stderr[name]
+        assert res.pvalues[name] == pytest.approx(2.0 * scipy.stats.norm.sf(abs(z)),
+                                                  rel=1e-14, abs=0)
 
 
 # ------------------------------------------------------------------ concavity

@@ -20,6 +20,7 @@ from volentropy import (
     validate_params,
     variance_path,
 )
+from volentropy.models import _DIRECT_CONV_LIMIT
 
 GARCH, IGARCH, FIGARCH = ModelFamily.GARCH, ModelFamily.IGARCH, ModelFamily.FIGARCH
 
@@ -170,6 +171,14 @@ def test_figarch_path_matches_loop_reference():
     r = rng_returns(n=120)
     vp = variance_path(FIGARCH, ParamVector(5e-5, 0.2, 0.4, d=0.6), r, T=60)
     assert_allclose(vp.sigma2, ref_figarch_path(5e-5, 0.2, 0.4, 0.6, r, 60), rtol=1e-12)
+
+
+def test_figarch_fft_path_matches_loop_reference():
+    n = 5000  # just above the direct-summation limit: the FFT convolution path
+    assert n > _DIRECT_CONV_LIMIT
+    r = rng_returns(n=n, seed=4)
+    vp = variance_path(FIGARCH, ParamVector(5e-5, 0.2, 0.4, d=0.6), r, T=100)
+    assert_allclose(vp.sigma2, ref_figarch_path(5e-5, 0.2, 0.4, 0.6, r, 100), rtol=1e-12)
 
 
 def test_igarch_path_is_d1_slice():
