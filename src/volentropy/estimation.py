@@ -31,12 +31,10 @@ from .errors import (
     InsufficientDataError,
 )
 from .models import (
-    _LAMBDA_TOL,
     DEFAULT_TRUNCATION,
     ModelFamily,
     ParamVector,
-    frac_weights,
-    log_likelihood,
+    _Likelihood,
     validate_params,
 )
 
@@ -301,23 +299,15 @@ def _extract_returns(series) -> np.ndarray:
     return np.asarray(getattr(series, "returns", series), dtype=float)
 
 
-def _make_total_loglik(returns: np.ndarray, config: FitConfig):
-    """Total log-likelihood as a function of unconstrained coordinates.
+def _make_engine(returns: np.ndarray, config: FitConfig) -> _Likelihood:
+    """The engine of a fit or of its standard errors: negative FIGARCH weights are rejected."""
+    return _Likelihood(config.family, returns, config.T, reject_negative_weights=True)
 
-    Infeasible points (non-positive variances, negative ARCH(inf) weights
-    for FIGARCH) raise the usual feasibility signals.
-    """
-    family, T, d_fixed = config.family, config.T, config.d_fixed
 
-    def total(u: np.ndarray) -> float:
-        params = transform_from_unconstrained(u, family, config.innovation, d_fixed)
-        if family is ModelFamily.FIGARCH:
-            lam = frac_weights(params.d, T, params.alpha, params.beta).lam
-            if (lam < -_LAMBDA_TOL).any():
-                raise InfeasibleParamsError("negative ARCH(inf) weight")
-        return log_likelihood(family, params, returns, T=T)
-
-    return total
+def _total_loglik(engine: _Likelihood, u: np.ndarray, config: FitConfig) -> float:
+    """Total log-likelihood at unconstrained coordinates ``u``."""
+    params = transform_from_unconstrained(u, config.family, config.innovation, config.d_fixed)
+    return engine.loglik(params)
 
 
 def _initial_params(returns: np.ndarray, config: FitConfig,
@@ -359,16 +349,16 @@ def fit(series, config: FitConfig) -> FitResult:
     n = returns.size
     if n < 50:
         raise InsufficientDataError(f"need at least 50 observations to fit, got {n}")
+    engine = _make_engine(returns, config)
     # Imported here so that importing the package does not pay for scipy.optimize.
     from scipy.optimize import minimize
 
-    total_ll = _make_total_loglik(returns, config)
     quality_failures = 0
 
     def objective(u: np.ndarray) -> float:
         nonlocal quality_failures
         try:
-            return -total_ll(u) / n
+            return -_total_loglik(engine, u, config) / n
         except InfeasibleParamsError:
             return np.inf
         except DataQualityError:
@@ -437,7 +427,7 @@ def fit(series, config: FitConfig) -> FitResult:
     params = transform_from_unconstrained(best["u"], config.family,
                                           config.innovation, config.d_fixed)
     validate_params(config.family, params, T=config.T)
-    loglik = total_ll(best["u"])  # re-evaluated at the returned optimum
+    loglik = _total_loglik(engine, best["u"], config)  # re-evaluated at the returned optimum
     names = param_names(config.family, config.innovation, config.d_fixed)
 
     if best["converged"]:
@@ -488,12 +478,11 @@ def standard_errors(params: ParamVector, series, config: FitConfig) -> StdErrRep
     constrained space through the Jacobian of the inverse transform.
     A non-positive-definite Hessian yields an absent-but-flagged report.
     """
-    returns = _extract_returns(series)
-    total_ll = _make_total_loglik(returns, config)
+    engine = _make_engine(_extract_returns(series), config)
 
     def safe_total(u: np.ndarray) -> float:
         try:
-            return total_ll(u)
+            return _total_loglik(engine, u, config)
         except (InfeasibleParamsError, DataQualityError):
             return np.nan
 

@@ -57,6 +57,12 @@ _LAMBDA_TOL = 1e-12
 
 _SMALLEST_NORMAL = float(np.finfo(float).tiny)
 
+# Convolutions a likelihood engine keeps.  A central-difference Hessian of
+# the FIGARCH-t likelihood visits 19 distinct (alpha, beta, d) keys: the
+# centre, 2 shifts of each of the 3 weight parameters and 4 corners of each
+# of their 3 pairs, 1 + 2*3 + 4*3 = 19; shifts of omega or nu reuse one.
+_CONV_MEMO_SIZE = 19
+
 
 class ModelFamily(enum.Enum):
     """The three supported conditional-variance families."""
@@ -229,34 +235,15 @@ def _ar1_filter(x: np.ndarray, beta: float, state: float | None = None) -> np.nd
     return lfilter([1.0], [1.0, -beta], x, zi=np.array([state]))[0]
 
 
-def _demean(returns: np.ndarray) -> tuple[np.ndarray, float]:
-    e = returns - returns.mean()
-    e2 = e * e
-    return e2, float(e2.mean())
-
-
 def _garch_recursion(omega: float, alpha: float, beta: float,
-                     e2: np.ndarray, backcast: float) -> np.ndarray:
+                     e2_lag: np.ndarray, backcast: float) -> np.ndarray:
     # sigma2_t = omega + alpha*e2_{t-1} + beta*sigma2_{t-1}, seeded at the
     # ARCH(inf)-implied pre-sample level so the d=0 slice of the fractional
-    # engine reproduces this path to machine precision.
-    x = omega + alpha * np.concatenate(([backcast], e2[:-1]))
+    # engine reproduces this path to machine precision.  ``e2_lag`` is e2
+    # shifted one step, with the backcast in front.
+    x = omega + alpha * e2_lag
     s_pre = (omega + alpha * backcast) / (1.0 - beta)
     return _ar1_filter(x, beta, beta * s_pre)
-
-
-def _arch_inf_path(omega: float, beta: float, lam: np.ndarray,
-                   e2: np.ndarray, backcast: float) -> np.ndarray:
-    T = lam.size
-    n = e2.size
-    e2_ext = np.concatenate((np.full(T, backcast), e2))
-    kernel = np.concatenate(([0.0], lam))
-    if n <= _DIRECT_CONV_LIMIT:
-        acc = np.convolve(e2_ext, kernel)
-    else:
-        size = sp_fft.next_fast_len(e2_ext.size + kernel.size - 1, True)
-        acc = sp_fft.irfft(sp_fft.rfft(e2_ext, size) * sp_fft.rfft(kernel, size), size)
-    return omega / (1.0 - beta) + acc[T:T + n]
 
 
 def _student_log_norm(nu: float) -> float:
@@ -292,6 +279,98 @@ def _loglik_from_path(sigma2: np.ndarray, e2: np.ndarray, nu: float | None) -> f
     return float(ll)
 
 
+class _Likelihood:
+    """Log-likelihood of one return series under one family and horizon.
+
+    The returns are validated and demeaned once.  For IGARCH and FIGARCH the
+    engine also keeps the backcast-padded e^2 and, on the FFT path, its rFFT,
+    so each evaluation transforms only the kernel.  Since
+    ``sigma2 = omega/(1-beta) + conv``, the convolution slice is memoised on
+    the exact floats (alpha, beta, d): points that move only omega or nu,
+    as most finite-difference neighbours do, reuse it, and the lambda
+    weights are built once per distinct key.
+
+    With ``reject_negative_weights`` a FIGARCH point whose ARCH(inf) weights
+    fall below ``-_LAMBDA_TOL`` raises :class:`InfeasibleParamsError` (the
+    estimation objective's feasibility rule); otherwise only non-positive
+    conditional variances are rejected.
+    """
+
+    def __init__(self, family: ModelFamily, returns: np.ndarray,
+                 T: int = DEFAULT_TRUNCATION, reject_negative_weights: bool = False):
+        r = np.asarray(returns, dtype=float)
+        if r.ndim != 1 or r.size == 0:
+            raise DomainError("returns must be a nonempty one-dimensional vector")
+        if not np.isfinite(r).all():
+            raise DomainError("returns contain NaN or infinite entries")
+        e = r - r.mean()
+        self.family, self.T, self.n = family, T, r.size
+        self.e2 = e * e
+        self.backcast = float(self.e2.mean())
+        self._check_weights = reject_negative_weights and family is ModelFamily.FIGARCH
+        self._memo: dict[tuple[float, float, float], np.ndarray | None] = {}
+        if family is ModelFamily.GARCH:
+            self._e2_lag = np.concatenate(([self.backcast], self.e2[:-1]))
+            return
+        e2_ext = np.concatenate((np.full(T, self.backcast), self.e2))
+        if self.n <= _DIRECT_CONV_LIMIT:
+            self._e2_ext = e2_ext
+        else:
+            # full linear-convolution length of e2_ext (n+T) and the kernel (T+1)
+            self._fft_size = sp_fft.next_fast_len(self.n + 2 * T, True)
+            self._e2_fft = sp_fft.rfft(e2_ext, self._fft_size)
+
+    def _convolution(self, alpha: float, beta: float, d: float) -> np.ndarray:
+        """``sum_j lambda_j e2_{t-j}`` for t = 0..n-1, memoised per key."""
+        key = (alpha, beta, d)
+        if key not in self._memo:
+            lam = frac_weights(d, self.T, alpha, beta).lam
+            acc = None
+            if not (self._check_weights and (lam < -_LAMBDA_TOL).any()):
+                kernel = np.concatenate(([0.0], lam))
+                if self.n <= _DIRECT_CONV_LIMIT:
+                    full = np.convolve(self._e2_ext, kernel)
+                else:
+                    size = self._fft_size
+                    full = sp_fft.irfft(self._e2_fft * sp_fft.rfft(kernel, size), size)
+                # a copy, so the memo does not pin the padded buffer
+                acc = full[self.T:self.T + self.n].copy()
+            if len(self._memo) >= _CONV_MEMO_SIZE:
+                del self._memo[next(iter(self._memo))]
+            self._memo[key] = acc
+        acc = self._memo[key]
+        if acc is None:
+            raise InfeasibleParamsError("negative ARCH(inf) weight")
+        return acc
+
+    def variance_path(self, params: ParamVector) -> VariancePath:
+        if params.beta >= 1.0 - 1e-12:
+            raise InfeasibleParamsError(
+                f"beta = {params.beta} too close to 1 for the ARCH(inf) engine"
+            )
+        if self.family is ModelFamily.GARCH:
+            sig2 = _garch_recursion(params.omega, params.alpha, params.beta,
+                                    self._e2_lag, self.backcast)
+        else:
+            d = 1.0 if self.family is ModelFamily.IGARCH else params.d
+            sig2 = (params.omega / (1.0 - params.beta)
+                    + self._convolution(params.alpha, params.beta, d))
+
+        if not np.isfinite(sig2).all() or (sig2 <= 0.0).any():
+            worst = float(np.nanmin(sig2))
+            raise InfeasibleParamsError(
+                f"non-positive conditional variance encountered (min sigma2 = {worst:.3e})"
+            )
+
+        ll = _loglik_from_path(sig2, self.e2, params.nu)
+        if not math.isfinite(ll):
+            raise DataQualityError("log-likelihood is not finite on this series")
+        return VariancePath(sigma2=sig2, loglik=ll)
+
+    def loglik(self, params: ParamVector) -> float:
+        return self.variance_path(params).loglik
+
+
 def variance_path(family: ModelFamily, params: ParamVector,
                   returns: np.ndarray, T: int = DEFAULT_TRUNCATION) -> VariancePath:
     """Conditional-variance path and total log-likelihood for a return vector.
@@ -305,35 +384,7 @@ def variance_path(family: ModelFamily, params: ParamVector,
     The innovation law is selected by ``params.nu`` (``None`` = Gaussian,
     otherwise standardized Student-t).
     """
-    r = np.asarray(returns, dtype=float)
-    if r.ndim != 1 or r.size == 0:
-        raise DomainError("returns must be a nonempty one-dimensional vector")
-    if not np.isfinite(r).all():
-        raise DomainError("returns contain NaN or infinite entries")
-    if params.beta >= 1.0 - 1e-12:
-        raise InfeasibleParamsError(
-            f"beta = {params.beta} too close to 1 for the ARCH(inf) engine"
-        )
-
-    e2, backcast = _demean(r)
-
-    if family is ModelFamily.GARCH:
-        sig2 = _garch_recursion(params.omega, params.alpha, params.beta, e2, backcast)
-    else:
-        d = 1.0 if family is ModelFamily.IGARCH else params.d
-        lam = frac_weights(d, T, params.alpha, params.beta).lam
-        sig2 = _arch_inf_path(params.omega, params.beta, lam, e2, backcast)
-
-    if not np.isfinite(sig2).all() or (sig2 <= 0.0).any():
-        worst = float(np.nanmin(sig2))
-        raise InfeasibleParamsError(
-            f"non-positive conditional variance encountered (min sigma2 = {worst:.3e})"
-        )
-
-    ll = _loglik_from_path(sig2, e2, params.nu)
-    if not math.isfinite(ll):
-        raise DataQualityError("log-likelihood is not finite on this series")
-    return VariancePath(sigma2=sig2, loglik=ll)
+    return _Likelihood(family, returns, T).variance_path(params)
 
 
 def log_likelihood(family: ModelFamily, params: ParamVector,

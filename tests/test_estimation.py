@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,16 +8,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+import volentropy.estimation as estimation
+import volentropy.models as models
 from volentropy import (
     BoundaryError,
     DomainError,
     FitConfig,
     FitResult,
+    InfeasibleParamsError,
     InsufficientDataError,
     ModelFamily,
     ParamVector,
     SimConfig,
     fit,
+    frac_weights,
     log_likelihood,
     param_names,
     persistence_check,
@@ -30,7 +35,10 @@ from volentropy.estimation import (
     _covariance_from_hessian,
     _fd_gradient,
     _fd_hessian,
+    _make_engine,
+    _total_loglik,
 )
+from volentropy.models import _CONV_MEMO_SIZE, _DIRECT_CONV_LIMIT, _LAMBDA_TOL
 
 GARCH, IGARCH, FIGARCH = ModelFamily.GARCH, ModelFamily.IGARCH, ModelFamily.FIGARCH
 
@@ -176,6 +184,37 @@ def test_fit_requires_fifty_observations():
         fit(np.zeros(49) + 0.01 * np.arange(49), FitConfig(GARCH))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("family", [GARCH, FIGARCH])
+def test_fit_rejects_non_finite_returns_with_domain_error(family, bad):
+    r = sim_garch(n=300, seed=1).returns.copy()
+    r[17] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="NaN or infinite"):
+            fit(r, FitConfig(family))
+        with pytest.raises(DomainError, match="NaN or infinite"):
+            standard_errors(ParamVector(1e-5, 0.1, 0.5, d=0.4, nu=8.0), r, FitConfig(family))
+
+
+def test_default_figarch_fit_keeps_the_memo_within_its_bound(monkeypatch):
+    sizes = []
+
+    class Recording(models._Likelihood):
+        def _convolution(self, *key):
+            try:
+                return super()._convolution(*key)
+            finally:
+                sizes.append(len(self._memo))
+
+    monkeypatch.setattr(estimation, "_Likelihood", Recording)
+    true = ParamVector(1e-6, 0.2, 0.5, d=0.6, nu=8.0)
+    series, _ = simulate_path(SimConfig(FIGARCH, true, n=5000, seed=3))
+    fit(series, FitConfig(FIGARCH))
+    assert len(sizes) > 100
+    assert max(sizes) == _CONV_MEMO_SIZE
+
+
 def test_fit_recovers_garch_roughly_at_small_n():
     series = sim_garch(n=5000, seed=2)
     res = fit(series, FitConfig(GARCH, innovation="gaussian", restarts=1, seed=0))
@@ -269,6 +308,39 @@ def test_standard_errors_cover_truth_in_most_replications():
         hits += abs(res.params.alpha - 0.08) <= 3.0 * res.stderr["alpha"]
     assert trials >= 45
     assert hits / trials >= 0.80
+
+
+def _reference_total(config, returns):
+    """Memo-free objective: public log_likelihood plus an explicit weight check."""
+    def total(u):
+        p = transform_from_unconstrained(u, config.family, config.innovation, config.d_fixed)
+        if (frac_weights(p.d, config.T, p.alpha, p.beta).lam < -_LAMBDA_TOL).any():
+            return np.nan
+        try:
+            return log_likelihood(config.family, p, returns, T=config.T)
+        except InfeasibleParamsError:
+            return np.nan
+    return total
+
+
+@pytest.mark.parametrize("n", [3000, 10_000])
+def test_memoised_figarch_hessian_is_bit_identical(n, monkeypatch):
+    assert (n > _DIRECT_CONV_LIMIT) == (n == 10_000)
+    true = ParamVector(1e-6, 0.2, 0.5, d=0.6, nu=8.0)
+    series, _ = simulate_path(SimConfig(FIGARCH, true, n=n, seed=1))
+    config = FitConfig(FIGARCH)
+    u0 = transform_to_unconstrained(true, FIGARCH)
+    reference = _fd_hessian(_reference_total(config, series.returns), u0)
+
+    calls = []
+    real = models.frac_weights
+    monkeypatch.setattr(models, "frac_weights", lambda *a: calls.append(a) or real(*a))
+    engine = _make_engine(series.returns, config)
+    H = _fd_hessian(lambda u: _total_loglik(engine, u, config), u0)
+    assert np.isfinite(H).all()
+    assert np.array_equal(H, reference)
+    # 51 points, 19 distinct (alpha, beta, d): one set of weights for each
+    assert len(calls) == len(set(calls)) == _CONV_MEMO_SIZE
 
 
 def test_stderr_absent_when_hessian_not_pd():

@@ -20,7 +20,8 @@ from volentropy import (
     validate_params,
     variance_path,
 )
-from volentropy.models import _DIRECT_CONV_LIMIT
+import volentropy.models as models
+from volentropy.models import _CONV_MEMO_SIZE, _DIRECT_CONV_LIMIT, _Likelihood
 
 GARCH, IGARCH, FIGARCH = ModelFamily.GARCH, ModelFamily.IGARCH, ModelFamily.FIGARCH
 
@@ -220,6 +221,73 @@ def test_empty_returns_rejected():
 def test_nan_returns_rejected():
     with pytest.raises(DomainError):
         variance_path(GARCH, ParamVector(1e-5, 0.05, 0.9), np.array([0.1, np.nan]))
+
+
+# ---------------------------------------------------------- likelihood engine
+
+ENGINE_POINTS = {
+    GARCH: [ParamVector(1e-5, 0.08, 0.9, nu=8.0), ParamVector(2e-5, 0.1, 0.85)],
+    IGARCH: [ParamVector(1e-4, 0.1, 0.6, d=1.0, nu=8.0), ParamVector(3e-4, 0.15, 0.5, d=1.0)],
+    FIGARCH: [ParamVector(1e-5, 0.2, 0.5, d=0.6, nu=8.0), ParamVector(2e-5, 0.1, 0.3, d=0.4)],
+}
+
+
+@pytest.mark.parametrize("n", [3000, 10_000])
+@pytest.mark.parametrize("family", [GARCH, IGARCH, FIGARCH])
+def test_engine_is_bit_identical_to_fresh_evaluation(family, n):
+    # n=3000 takes the direct convolution, n=10000 the cached-FFT one
+    assert (n > _DIRECT_CONV_LIMIT) == (n == 10_000)
+    r = rng_returns(n=n, seed=5)
+    engine = _Likelihood(family, r)
+    points = ENGINE_POINTS[family]
+    for p in points + points[::-1]:  # the repeats come from the memo
+        fresh = variance_path(family, p, r)
+        vp = engine.variance_path(p)
+        assert vp.loglik == fresh.loglik == log_likelihood(family, p, r)
+        assert np.array_equal(vp.sigma2, fresh.sigma2)
+
+
+@pytest.mark.parametrize("n", [3000, 10_000])
+def test_engine_neighbours_in_omega_or_nu_share_one_convolution(n):
+    r = rng_returns(n=n, seed=6)
+    p = ParamVector(1e-5, 0.2, 0.5, d=0.6, nu=8.0)
+    engine = _Likelihood(FIGARCH, r, reject_negative_weights=True)
+    engine.loglik(p)
+    for q in (p.with_(omega=1.0001e-5), p.with_(omega=0.9999e-5),
+              p.with_(nu=8.0008), p.with_(nu=7.9992), p.with_(nu=None)):
+        assert engine.loglik(q) == log_likelihood(FIGARCH, q, r)
+        assert np.array_equal(engine.variance_path(q).sigma2, variance_path(FIGARCH, q, r).sigma2)
+    assert len(engine._memo) == 1
+
+
+def test_engine_rejects_negative_weights_on_first_and_memoised_call(monkeypatch):
+    # lambda_2 = alpha*(beta - d) + d*(1-d)/2 = -0.72 < 0, but omega keeps sigma2 > 0
+    p = ParamVector(1.0, 0.9, 0.05, d=0.9, nu=8.0)
+    r = rng_returns()
+    assert math.isfinite(log_likelihood(FIGARCH, p, r))  # public path: no weight check
+    calls = []
+    real = models.frac_weights
+    monkeypatch.setattr(models, "frac_weights", lambda *a: calls.append(a) or real(*a))
+    engine = _Likelihood(FIGARCH, r, reject_negative_weights=True)
+    for _ in range(2):
+        with pytest.raises(InfeasibleParamsError, match="negative ARCH"):
+            engine.loglik(p)
+    with pytest.raises(InfeasibleParamsError, match="negative ARCH"):
+        engine.loglik(p.with_(omega=2.0))
+    assert len(calls) == 1  # the weights are built once per (alpha, beta, d)
+
+
+def test_engine_memo_is_bounded_and_evicts_oldest_first():
+    r = rng_returns(n=500, seed=8)
+    engine = _Likelihood(FIGARCH, r)
+    points = [ParamVector(1e-5, 0.2, 0.5, d=0.3 + 0.01 * k, nu=8.0)
+              for k in range(_CONV_MEMO_SIZE + 6)]
+    for p in points:
+        engine.loglik(p)
+        assert len(engine._memo) <= _CONV_MEMO_SIZE
+    assert (0.2, 0.5, points[0].d) not in engine._memo
+    assert (0.2, 0.5, points[-1].d) in engine._memo
+    assert engine.loglik(points[0]) == log_likelihood(FIGARCH, points[0], r)
 
 
 @given(
