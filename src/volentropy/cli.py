@@ -12,8 +12,8 @@ from pathlib import Path
 
 from .entropy import DEFAULT_ORDER_GRID, entropy_report
 from .errors import DomainError, EstimationError, VolentropyError
-from .estimation import FitConfig, fit, persistence_check
-from .models import ModelFamily, ParamVector
+from .estimation import INNOVATIONS, FitConfig, fit, persistence_check
+from .models import DEFAULT_TRUNCATION, ModelFamily, ParamVector
 from .report import (
     EntropyEntry,
     FitEntry,
@@ -79,15 +79,15 @@ def build_parser() -> _Parser:
     _add_io_options(p_fit)
     p_fit.add_argument("--family", default="garch",
                        help="comma-separated families from {garch,igarch,figarch}")
-    p_fit.add_argument("--innovation", choices=("gaussian", "student"), default="student")
-    p_fit.add_argument("--truncation", type=int, default=1000,
+    p_fit.add_argument("--innovation", choices=INNOVATIONS, default=FitConfig.innovation)
+    p_fit.add_argument("--truncation", type=int, default=DEFAULT_TRUNCATION,
                        help="ARCH(inf) truncation horizon")
-    p_fit.add_argument("--restarts", type=int, default=2,
+    p_fit.add_argument("--restarts", type=int, default=FitConfig.restarts,
                        help="extra jittered optimizer starts")
     p_fit.add_argument("--d-fixed", type=float, default=None,
                        help="pin the FIGARCH fractional parameter instead of estimating it")
-    p_fit.add_argument("--max-iters", type=int, default=2000)
-    p_fit.add_argument("--tol", type=float, default=1e-9)
+    p_fit.add_argument("--max-iters", type=int, default=FitConfig.max_iters)
+    p_fit.add_argument("--tol", type=float, default=FitConfig.tol)
     p_fit.set_defaults(func=cmd_fit)
 
     p_ent = sub.add_parser("entropy", help="histogram-based Shannon/Renyi/Tsallis entropies")
@@ -107,7 +107,7 @@ def build_parser() -> _Parser:
     p_ent.set_defaults(func=cmd_entropy)
 
     p_sim = sub.add_parser("simulate", help="generate a synthetic return series")
-    p_sim.add_argument("--family", choices=("garch", "igarch", "figarch"), required=True)
+    p_sim.add_argument("--family", choices=[f.value for f in ModelFamily], required=True)
     p_sim.add_argument("--omega", type=float, required=True)
     p_sim.add_argument("--alpha", type=float, required=True)
     p_sim.add_argument("--beta", type=float, required=True)
@@ -117,7 +117,7 @@ def build_parser() -> _Parser:
                        help="Student-t degrees of freedom (default: Gaussian innovations)")
     p_sim.add_argument("--n", type=int, required=True, help="observations to keep")
     p_sim.add_argument("--burn-in", type=int, default=DEFAULT_BURN_IN)
-    p_sim.add_argument("--truncation", type=int, default=1000)
+    p_sim.add_argument("--truncation", type=int, default=DEFAULT_TRUNCATION)
     p_sim.add_argument("--seed", type=int, default=0)
     p_sim.add_argument("--output", required=True, help="destination returns file")
     p_sim.add_argument("--format", choices=("text", "tree"), default="text")
@@ -152,13 +152,7 @@ def _emit(text: str, output: str | None) -> None:
 # ----------------------------------------------------------------------- fit
 
 def cmd_fit(args) -> int:
-    families = []
-    for name in _csv_list(args.family):
-        try:
-            families.append(ModelFamily(name))
-        except ValueError:
-            raise DomainError(
-                f"unknown family {name!r}; choose from garch, igarch, figarch")
+    families = [ModelFamily.from_string(name) for name in _csv_list(args.family)]
     if not families:
         raise DomainError("at least one family is required")
 

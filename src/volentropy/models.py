@@ -47,11 +47,6 @@ __all__ = [
 
 DEFAULT_TRUNCATION = 1000
 
-# Convolutions shorter than this are evaluated by direct summation, which is
-# bit-reproducible against a plain loop; longer ones go through the FFT path
-# for speed (relative error ~1e-14, irrelevant at estimation tolerances).
-_DIRECT_CONV_LIMIT = 4096
-
 # Numerical slack when checking nonnegativity of the ARCH(inf) weights.
 _LAMBDA_TOL = 1e-12
 
@@ -77,7 +72,7 @@ class ModelFamily(enum.Enum):
             return cls(text.strip().lower())
         except ValueError:
             valid = ", ".join(m.value for m in cls)
-            raise DomainError(f"unknown model family {text!r} (expected one of: {valid})") from None
+            raise DomainError(f"unknown family {text!r}; choose from {valid}") from None
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.value
@@ -283,8 +278,8 @@ class _Likelihood:
     """Log-likelihood of one return series under one family and horizon.
 
     The returns are validated and demeaned once.  For IGARCH and FIGARCH the
-    engine also keeps the backcast-padded e^2 and, on the FFT path, its rFFT,
-    so each evaluation transforms only the kernel.  Since
+    engine also keeps the rFFT of the backcast-padded e^2, so each evaluation
+    transforms only the kernel.  Since
     ``sigma2 = omega/(1-beta) + conv``, the convolution slice is memoised on
     the exact floats (alpha, beta, d): points that move only omega or nu,
     as most finite-difference neighbours do, reuse it, and the lambda
@@ -298,6 +293,8 @@ class _Likelihood:
 
     def __init__(self, family: ModelFamily, returns: np.ndarray,
                  T: int = DEFAULT_TRUNCATION, reject_negative_weights: bool = False):
+        if T < 1:
+            raise DomainError(f"truncation horizon must be >= 1, got {T}")
         r = np.asarray(returns, dtype=float)
         if r.ndim != 1 or r.size == 0:
             raise DomainError("returns must be a nonempty one-dimensional vector")
@@ -313,12 +310,9 @@ class _Likelihood:
             self._e2_lag = np.concatenate(([self.backcast], self.e2[:-1]))
             return
         e2_ext = np.concatenate((np.full(T, self.backcast), self.e2))
-        if self.n <= _DIRECT_CONV_LIMIT:
-            self._e2_ext = e2_ext
-        else:
-            # full linear-convolution length of e2_ext (n+T) and the kernel (T+1)
-            self._fft_size = sp_fft.next_fast_len(self.n + 2 * T, True)
-            self._e2_fft = sp_fft.rfft(e2_ext, self._fft_size)
+        # full linear-convolution length of e2_ext (n+T) and the kernel (T+1)
+        self._fft_size = sp_fft.next_fast_len(self.n + 2 * T, True)
+        self._e2_fft = sp_fft.rfft(e2_ext, self._fft_size)
 
     def _convolution(self, alpha: float, beta: float, d: float) -> np.ndarray:
         """``sum_j lambda_j e2_{t-j}`` for t = 0..n-1, memoised per key."""
@@ -328,11 +322,8 @@ class _Likelihood:
             acc = None
             if not (self._check_weights and (lam < -_LAMBDA_TOL).any()):
                 kernel = np.concatenate(([0.0], lam))
-                if self.n <= _DIRECT_CONV_LIMIT:
-                    full = np.convolve(self._e2_ext, kernel)
-                else:
-                    size = self._fft_size
-                    full = sp_fft.irfft(self._e2_fft * sp_fft.rfft(kernel, size), size)
+                size = self._fft_size
+                full = sp_fft.irfft(self._e2_fft * sp_fft.rfft(kernel, size), size)
                 # a copy, so the memo does not pin the padded buffer
                 acc = full[self.T:self.T + self.n].copy()
             if len(self._memo) >= _CONV_MEMO_SIZE:

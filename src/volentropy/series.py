@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -116,50 +117,14 @@ def _parse_float(text: str, path: str, lineno: int, what: str) -> float:
     return value
 
 
-def load_prices(
-    path: str,
-    date_col: str = "date",
-    price_col: str = "close",
-) -> list[PricePoint]:
-    """Load closing prices from a delimited text file.
+def _read_dated(path: str, date_col: str, value_col: str, what: str,
+                check: Callable[[float, dt.date, int], None] | None = None,
+                ) -> list[tuple[dt.date, float]]:
+    """(date, value) pairs of a delimited file, sorted by date ascending.
 
-    Rows are returned sorted by date ascending.  Malformed rows raise
-    :class:`ParseError` naming the line, non-positive prices raise
-    :class:`DomainError` naming the date, and duplicate dates raise
-    :class:`DuplicateDateError`.
+    Each row is checked in turn: field count, date, value, then
+    ``check(value, date, lineno)`` when given, then date uniqueness.
     """
-    header, rows = _read_rows(path)
-    di = _column_index(header, date_col, path)
-    pi = _column_index(header, price_col, path)
-    width = max(di, pi) + 1
-
-    points: list[PricePoint] = []
-    seen: set[dt.date] = set()
-    for lineno, fields in rows:
-        if len(fields) < width:
-            raise ParseError(
-                f"{path}: line {lineno}: expected at least {width} fields, got {len(fields)}"
-            )
-        date = _parse_date(fields[di], path, lineno)
-        close = _parse_float(fields[pi], path, lineno, "price")
-        if close <= 0:
-            raise DomainError(f"non-positive price {close} at {date} ({path}: line {lineno})")
-        if date in seen:
-            raise DuplicateDateError(f"duplicate date {date} ({path}: line {lineno})")
-        seen.add(date)
-        points.append(PricePoint(date=date, close=close))
-
-    points.sort(key=lambda p: p.date)
-    return points
-
-
-def load_returns(
-    path: str,
-    date_col: str = "date",
-    value_col: str = "return",
-    series_id: str | None = None,
-) -> ReturnSeries:
-    """Load a file that already contains log-returns (``--returns`` mode)."""
     header, rows = _read_rows(path)
     di = _column_index(header, date_col, path)
     vi = _column_index(header, value_col, path)
@@ -173,13 +138,46 @@ def load_returns(
                 f"{path}: line {lineno}: expected at least {width} fields, got {len(fields)}"
             )
         date = _parse_date(fields[di], path, lineno)
-        value = _parse_float(fields[vi], path, lineno, "return")
+        value = _parse_float(fields[vi], path, lineno, what)
+        if check is not None:
+            check(value, date, lineno)
         if date in seen:
             raise DuplicateDateError(f"duplicate date {date} ({path}: line {lineno})")
         seen.add(date)
         dated.append((date, value))
 
     dated.sort(key=lambda pair: pair[0])
+    return dated
+
+
+def load_prices(
+    path: str,
+    date_col: str = "date",
+    price_col: str = "close",
+) -> list[PricePoint]:
+    """Load closing prices from a delimited text file.
+
+    Rows are returned sorted by date ascending.  Malformed rows raise
+    :class:`ParseError` naming the line, non-positive prices raise
+    :class:`DomainError` naming the date, and duplicate dates raise
+    :class:`DuplicateDateError`.
+    """
+    def positive(close: float, date: dt.date, lineno: int) -> None:
+        if close <= 0:
+            raise DomainError(f"non-positive price {close} at {date} ({path}: line {lineno})")
+
+    dated = _read_dated(path, date_col, price_col, "price", positive)
+    return [PricePoint(date=date, close=close) for date, close in dated]
+
+
+def load_returns(
+    path: str,
+    date_col: str = "date",
+    value_col: str = "return",
+    series_id: str | None = None,
+) -> ReturnSeries:
+    """Load a file that already contains log-returns (``--returns`` mode)."""
+    dated = _read_dated(path, date_col, value_col, "return")
     return ReturnSeries(
         id=series_id or path,
         dates=tuple(d for d, _ in dated),

@@ -140,6 +140,14 @@ def test_fit_unknown_family_exits_1(sim_file):
     assert "unknown family" in proc.stderr
 
 
+def test_fit_negative_truncation_exits_1(sim_file):
+    proc = run("fit", "--input", str(sim_file), "--returns", "--family", "figarch",
+               "--truncation", "-5")
+    assert proc.returncode == 1
+    assert "error: truncation horizon" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_unknown_flag_exits_1():
     proc = run("fit", "--nonsense")
     assert proc.returncode == 1

@@ -38,7 +38,7 @@ from volentropy.estimation import (
     _make_engine,
     _total_loglik,
 )
-from volentropy.models import _CONV_MEMO_SIZE, _DIRECT_CONV_LIMIT, _LAMBDA_TOL
+from volentropy.models import _CONV_MEMO_SIZE, _LAMBDA_TOL
 
 GARCH, IGARCH, FIGARCH = ModelFamily.GARCH, ModelFamily.IGARCH, ModelFamily.FIGARCH
 
@@ -197,6 +197,14 @@ def test_fit_rejects_non_finite_returns_with_domain_error(family, bad):
             standard_errors(ParamVector(1e-5, 0.1, 0.5, d=0.4, nu=8.0), r, FitConfig(family))
 
 
+@pytest.mark.parametrize("T", [0, -5])
+@pytest.mark.parametrize("family", [GARCH, FIGARCH])
+def test_fit_rejects_nonpositive_truncation(family, T):
+    r = sim_garch(n=300, seed=1).returns
+    with pytest.raises(DomainError, match="truncation horizon must be >= 1"):
+        fit(r, FitConfig(family, T=T))
+
+
 def test_default_figarch_fit_keeps_the_memo_within_its_bound(monkeypatch):
     sizes = []
 
@@ -325,7 +333,6 @@ def _reference_total(config, returns):
 
 @pytest.mark.parametrize("n", [3000, 10_000])
 def test_memoised_figarch_hessian_is_bit_identical(n, monkeypatch):
-    assert (n > _DIRECT_CONV_LIMIT) == (n == 10_000)
     true = ParamVector(1e-6, 0.2, 0.5, d=0.6, nu=8.0)
     series, _ = simulate_path(SimConfig(FIGARCH, true, n=n, seed=1))
     config = FitConfig(FIGARCH)

@@ -21,7 +21,7 @@ from volentropy import (
     variance_path,
 )
 import volentropy.models as models
-from volentropy.models import _CONV_MEMO_SIZE, _DIRECT_CONV_LIMIT, _Likelihood
+from volentropy.models import _CONV_MEMO_SIZE, _Likelihood
 
 GARCH, IGARCH, FIGARCH = ModelFamily.GARCH, ModelFamily.IGARCH, ModelFamily.FIGARCH
 
@@ -175,11 +175,17 @@ def test_figarch_path_matches_loop_reference():
 
 
 def test_figarch_fft_path_matches_loop_reference():
-    n = 5000  # just above the direct-summation limit: the FFT convolution path
-    assert n > _DIRECT_CONV_LIMIT
-    r = rng_returns(n=n, seed=4)
+    r = rng_returns(n=5000, seed=4)
     vp = variance_path(FIGARCH, ParamVector(5e-5, 0.2, 0.4, d=0.6), r, T=100)
     assert_allclose(vp.sigma2, ref_figarch_path(5e-5, 0.2, 0.4, 0.6, r, 100), rtol=1e-12)
+
+
+def test_figarch_path_with_extreme_return_matches_loop_reference():
+    r = rng_returns(n=300, seed=9)
+    r[150] *= 1000.0
+    vp = variance_path(FIGARCH, ParamVector(5e-5, 0.2, 0.4, d=0.6), r)
+    ref = ref_figarch_path(5e-5, 0.2, 0.4, 0.6, r, models.DEFAULT_TRUNCATION)
+    assert_allclose(vp.sigma2, ref, rtol=1e-10)
 
 
 def test_igarch_path_is_d1_slice():
@@ -213,6 +219,20 @@ def test_beta_at_one_is_infeasible():
         variance_path(FIGARCH, ParamVector(1e-5, 0.1, 1.0, d=0.4), rng_returns())
 
 
+@pytest.mark.parametrize("T", [0, -5])
+@pytest.mark.parametrize("family", [GARCH, FIGARCH])
+def test_nonpositive_truncation_rejected(family, T):
+    p = ParamVector(1e-5, 0.1, 0.5, d=0.0 if family is GARCH else 0.4)
+    with pytest.raises(DomainError, match="truncation horizon must be >= 1"):
+        variance_path(family, p, rng_returns(), T=T)
+
+
+def test_family_parser_ignores_case_and_names_the_choices():
+    assert ModelFamily.from_string(" FIGARCH ") is FIGARCH
+    with pytest.raises(DomainError, match="unknown family 'arch'; choose from garch, igarch, figarch"):
+        ModelFamily.from_string("arch")
+
+
 def test_empty_returns_rejected():
     with pytest.raises(DomainError):
         variance_path(GARCH, ParamVector(1e-5, 0.05, 0.9), np.array([]))
@@ -235,8 +255,6 @@ ENGINE_POINTS = {
 @pytest.mark.parametrize("n", [3000, 10_000])
 @pytest.mark.parametrize("family", [GARCH, IGARCH, FIGARCH])
 def test_engine_is_bit_identical_to_fresh_evaluation(family, n):
-    # n=3000 takes the direct convolution, n=10000 the cached-FFT one
-    assert (n > _DIRECT_CONV_LIMIT) == (n == 10_000)
     r = rng_returns(n=n, seed=5)
     engine = _Likelihood(family, r)
     points = ENGINE_POINTS[family]
