@@ -52,6 +52,7 @@ from .entropy import (
     Histogram,
     build_histogram,
     entropy_report,
+    entropy_reports,
     renyi,
     shannon,
     tsallis,

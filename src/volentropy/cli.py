@@ -10,7 +10,9 @@ import argparse
 import sys
 from pathlib import Path
 
-from .entropy import DEFAULT_ORDER_GRID, entropy_report
+from numpy.lib.stride_tricks import sliding_window_view
+
+from .entropy import DEFAULT_ORDER_GRID, entropy_report, entropy_reports
 from .errors import DomainError, EstimationError, VolentropyError
 from .estimation import INNOVATIONS, FitConfig, fit, persistence_check
 from .models import DEFAULT_TRUNCATION, ModelFamily, ParamVector
@@ -237,15 +239,12 @@ def cmd_entropy(args) -> int:
                     f"--window {args.window} exceeds the {len(series)} observations "
                     f"of series {series.id!r}")
             step = args.step if args.step is not None else args.window
-            windows = []
-            for start in range(0, len(series) - args.window + 1, step):
-                stop = start + args.window
-                wrep = entropy_report(series.returns[start:stop], m=args.bins,
-                                      alpha_grid=alpha_grid, q_grid=q_grid)
-                label = (series.dates[start].isoformat(),
-                         series.dates[stop - 1].isoformat())
-                windows.append((label, wrep))
-            windows = tuple(windows)
+            starts = range(0, len(series) - args.window + 1, step)
+            reports = entropy_reports(sliding_window_view(series.returns, args.window)[::step],
+                                      m=args.bins, alpha_grid=alpha_grid, q_grid=q_grid)
+            windows = tuple(((series.dates[start].isoformat(),
+                              series.dates[start + args.window - 1].isoformat()), wrep)
+                            for start, wrep in zip(starts, reports))
         entries.append(EntropyEntry(series.id, rep, windows))
 
     manifest = make_manifest("entropy", _csv_list(args.input), {

@@ -4,13 +4,33 @@ All entropies are computed over the discrete cell-probability vector and
 reported in nats.  No differential-entropy correction (adding the log of the
 cell width) is applied, so the values are nonnegative and bounded by ``ln m``
 for ``m`` cells.
+
+Binning writes out numpy's uniform-bin rule for ``np.histogram(x, m,
+range=(min, max))``, so that a matrix of samples (one per row, such as
+rolling windows) is binned at once with numpy's edges and counts bit for
+bit: edges ``linspace(lo, hi, m + 1)``; cell ``int((x - lo) / (hi - lo) * m)``
+with the maximum kept in the last cell; a one-ulp correction against the
+edges (a value below its cell's left edge moves down, one at or above its
+right edge moves up unless its cell is the last); counts by ``bincount``.
+Every binned row passes the :class:`Histogram` invariants.
+
+All entropies of one histogram come out of one block over the occupied-cell
+probabilities ``p``: ``log p`` once, then the Renyi orders and the Tsallis
+indices as rows of an orders x cells matrix (``alpha * log p`` with a
+max-shifted log-sum, ``p ** q``).  numpy sums each row with the same pairwise
+summation as a 1-D sum, so every value equals the one-order value of
+:func:`renyi` or :func:`tsallis`, which are one-row calls of the block.
+Reports also give each histogram's occupancy: ``empty_cells`` and
+``cell_width``.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,6 +43,7 @@ __all__ = [
     "Histogram",
     "build_histogram",
     "entropy_report",
+    "entropy_reports",
     "renyi",
     "shannon",
     "tsallis",
@@ -40,9 +61,30 @@ _ONE_TOL = 1e-8
 
 _EQUIDISTANT_RTOL = 1e-12
 
+# sample matrices are binned in blocks of about this many values, so that the
+# temporaries of many overlapping windows stay small
+_BLOCK_VALUES = 1 << 18
+
 
 class FiniteVarianceWarning(UserWarning):
     """A Tsallis index lies outside [1, 5/3), the finite-variance window."""
+
+
+def _check_cells(edges: np.ndarray, probs: np.ndarray) -> None:
+    """The :class:`Histogram` invariants, checked on every row at once."""
+    widths = edges[:, 1:] - edges[:, :-1]
+    if not (widths > 0).all():
+        raise DomainError("edges must be strictly increasing")
+    mean_width = widths.sum(axis=1) / widths.shape[1]
+    if (np.abs(widths - mean_width[:, None]).max(axis=1)
+            > _EQUIDISTANT_RTOL * mean_width).any():
+        raise DomainError("cells must be equidistant")
+    if (probs < 0).any():
+        raise DomainError("cell probabilities must be nonnegative")
+    total = probs.sum(axis=1)
+    off = np.abs(total - 1.0) > 1e-12
+    if off.any():
+        raise DomainError(f"cell probabilities must sum to 1, got {total[off][0]!r}")
 
 
 @dataclass(frozen=True)
@@ -73,16 +115,7 @@ class Histogram:
             raise DomainError(
                 f"counts and probs must have length {m} to match {m + 1} edges"
             )
-        widths = np.diff(edges)
-        mean_width = float(widths.mean())
-        if mean_width <= 0 or np.any(widths <= 0):
-            raise DomainError("edges must be strictly increasing")
-        if float(np.abs(widths - mean_width).max()) > _EQUIDISTANT_RTOL * mean_width:
-            raise DomainError("cells must be equidistant")
-        if np.any(probs < 0):
-            raise DomainError("cell probabilities must be nonnegative")
-        if abs(float(probs.sum()) - 1.0) > 1e-12:
-            raise DomainError(f"cell probabilities must sum to 1, got {probs.sum()!r}")
+        _check_cells(edges[None, :], probs[None, :])
 
     @property
     def m(self) -> int:
@@ -110,7 +143,9 @@ class EntropyReport:
     """Entropy values for one series: Shannon plus Renyi/Tsallis grids.
 
     ``renyi`` and ``tsallis`` are (order, value) pairs in grid order; values
-    are in nats.
+    are in nats.  ``empty_cells`` counts the cells no observation fell in and
+    ``cell_width`` is the common width of the ``bins`` cells, in the units of
+    the sample.
     """
 
     shannon: float
@@ -118,6 +153,79 @@ class EntropyReport:
     tsallis: tuple[tuple[float, float], ...]
     bins: int
     n_obs: int
+    empty_cells: int
+    cell_width: float
+
+
+# ------------------------------------------------------------------- binning
+
+def _samples(values, ndim: int) -> np.ndarray:
+    x = np.asarray(getattr(values, "returns", values), dtype=float)
+    if x.ndim != ndim:
+        raise DomainError(f"expected a {ndim}-D sample, got shape {x.shape}")
+    if x.size == 0:
+        raise DomainError("cannot bin an empty sample")
+    return x
+
+
+def _bin_count(m) -> int:
+    try:
+        m = operator.index(m)
+    except TypeError:
+        raise DomainError(f"bin count must be an integer, got {m!r}") from None
+    if m < 1:
+        raise DomainError(f"bin count must be >= 1, got {m}")
+    return m
+
+
+def _bin(x: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Edges, counts and probabilities of each row of a sample matrix.
+
+    The rows pass the :class:`Histogram` invariants; a support they cannot
+    hold raises :class:`DegenerateSupportError`.
+    """
+    k, n = x.shape
+    lo, hi = x.min(axis=1), x.max(axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        width = hi - lo
+    # min and max carry a row's NaN or infinity into its width, which is also
+    # infinite when hi - lo overflows
+    binnable = (width > 0.0) & (width < math.inf)
+    if not binnable.all():
+        i = int(np.argmin(binnable))
+        lo_i, hi_i = float(lo[i]), float(hi[i])
+        if not (math.isfinite(lo_i) and math.isfinite(hi_i)):
+            raise DomainError("sample contains non-finite values")
+        if lo_i == hi_i:
+            raise DegenerateSupportError(
+                f"all {n} observations equal {lo_i!r}; histogram support has zero width")
+        raise DegenerateSupportError(
+            f"support [{lo_i!r}, {hi_i!r}] is too wide: its width overflows a double")
+
+    # np.linspace(lo, hi, m + 1) of each row, as linspace computes it
+    edges = np.arange(m + 1.0) * (width / m)[:, None] + lo[:, None]
+    edges[:, -1] = hi
+    cell = np.minimum(((x - lo[:, None]) / width[:, None] * m).astype(np.intp), m - 1)
+    # left edge of each cell in edges.ravel(), where row i starts at i * (m + 1)
+    row = np.arange(k)[:, None]
+    first = row * (m + 1)
+    left = cell + first
+    flat = edges.ravel()
+    left -= x < flat[left]
+    left += (x >= flat[left + 1]) & (left != first + (m - 1))
+    # and in the counts, where row i starts at i * m
+    counts = np.bincount((left - row).ravel(), minlength=k * m).reshape(k, m)
+    probs = counts / n
+    try:
+        _check_cells(edges, probs)
+    except DomainError as exc:
+        # binned probabilities always hold, so the edges failed: rounding at
+        # the magnitude of the data leaves no room for m equal cells
+        raise DegenerateSupportError(
+            f"support is too narrow for {m} equal cells at the magnitude of its "
+            f"values ({exc})"
+        ) from exc
+    return edges, counts, probs
 
 
 def build_histogram(returns, m: int) -> Histogram:
@@ -125,26 +233,73 @@ def build_histogram(returns, m: int) -> Histogram:
 
     All cells are closed on the left and open on the right except the last,
     which also includes the maximum, so every observation lands in exactly
-    one cell.  A sample with zero range cannot be binned and raises
-    :class:`DegenerateSupportError`.
+    one cell.  A sample with zero range, or a range that cannot hold ``m``
+    distinct equal cells, raises :class:`DegenerateSupportError`.
     """
-    x = np.asarray(getattr(returns, "returns", returns), dtype=float)
-    if x.ndim != 1:
-        raise DomainError(f"expected a 1-D sample, got shape {x.shape}")
-    if x.size == 0:
-        raise DomainError("cannot bin an empty sample")
-    if not np.all(np.isfinite(x)):
-        raise DomainError("sample contains non-finite values")
-    if m < 1:
-        raise DomainError(f"bin count must be >= 1, got {m}")
+    x = _samples(returns, 1)
+    edges, counts, probs = _bin(x[None, :], _bin_count(m))
+    return Histogram(edges=edges[0], counts=counts[0], probs=probs[0])
 
-    lo, hi = float(x.min()), float(x.max())
-    if lo == hi:
-        raise DegenerateSupportError(
-            f"all {x.size} observations equal {lo!r}; histogram support has zero width"
-        )
-    counts, edges = np.histogram(x, bins=m, range=(lo, hi))
-    return Histogram(edges=edges, counts=counts, probs=counts / x.size)
+
+# --------------------------------------------------------------------- block
+
+class _Orders(NamedTuple):
+    """A validated grid of Renyi orders or Tsallis indices."""
+
+    column: np.ndarray        # the orders as a (k, 1) column
+    shannon: np.ndarray       # within _ONE_TOL of 1: report the Shannon value
+    denominator: np.ndarray   # 1 - alpha or q - 1; 1 on the Shannon rows
+    exact: tuple              # (rows, ufunc) pairs, see _EXACT_POWERS
+
+
+# numpy evaluates p ** 2.0 and p ** 0.5 with a scalar exponent as square and
+# sqrt, which round differently from its pow; Tsallis rows at these indices
+# use the same ufuncs, so that they equal the one-index value
+_EXACT_POWERS = ((2.0, np.square), (0.5, np.sqrt))
+
+
+def _orders(grid, tsallis: bool) -> _Orders:
+    denominator, shannon = [], []
+    for v in grid:
+        if tsallis and not 0.0 <= v < math.inf:
+            raise DomainError(f"Tsallis index must be nonnegative, got {v}")
+        if not tsallis and not 0.0 < v < math.inf:
+            raise DomainError(f"Renyi order must be positive, got {v}")
+        d = v - 1.0 if tsallis else 1.0 - v
+        shannon.append(abs(d) <= _ONE_TOL)
+        denominator.append(1.0 if shannon[-1] else d)
+    column = np.array(grid, dtype=float).reshape(-1, 1)
+    exact = tuple((column[:, 0] == q, f) for q, f in _EXACT_POWERS
+                  if tsallis and q in grid)
+    return _Orders(column, np.array(shannon, dtype=bool), np.array(denominator), exact)
+
+
+_NONE = _orders((), tsallis=False)
+
+
+def _block(p: np.ndarray, alphas: _Orders, qs: _Orders
+           ) -> tuple[float, np.ndarray, np.ndarray]:
+    """Shannon value, Renyi grid and Tsallis grid of one histogram.
+
+    ``p`` holds the probabilities of the occupied cells only.
+    """
+    logp = np.log(p)
+    s = -(p * logp).sum()
+    r = t = np.empty(0)
+    if alphas.column.size:
+        # max-shifted log-sum: the largest term of each row is exp(0) = 1, so
+        # no sum can underflow to zero even when every p_i**alpha would
+        z = alphas.column * logp
+        z_max = z.max(axis=1)
+        r = (z_max + np.log(np.exp(z - z_max[:, None]).sum(axis=1))) / alphas.denominator
+        r[alphas.shannon] = s
+    if qs.column.size:
+        pq = p ** qs.column
+        for rows, power in qs.exact:
+            pq[rows] = power(p)
+        t = (1.0 - pq.sum(axis=1)) / qs.denominator
+        t[qs.shannon] = s
+    return float(s), r, t
 
 
 def _positive_probs(h: Histogram) -> np.ndarray:
@@ -155,8 +310,7 @@ def _positive_probs(h: Histogram) -> np.ndarray:
 
 def shannon(h: Histogram) -> float:
     """-sum p_i ln p_i over the occupied cells, in nats."""
-    p = _positive_probs(h)
-    return float(-(p * np.log(p)).sum())
+    return _block(_positive_probs(h), _NONE, _NONE)[0]
 
 
 def renyi(h: Histogram, alpha: float) -> float:
@@ -165,15 +319,7 @@ def renyi(h: Histogram, alpha: float) -> float:
     Orders within 1e-8 of 1 are evaluated as Shannon entropy, the analytic
     limit at alpha = 1.
     """
-    if not math.isfinite(alpha) or alpha <= 0:
-        raise DomainError(f"Renyi order must be positive, got {alpha}")
-    if abs(alpha - 1.0) <= _ONE_TOL:
-        return shannon(h)
-    # max-shifted log-sum: the largest term is exp(0) = 1, so the sum cannot
-    # underflow to zero even when every p_i**alpha would
-    z = alpha * np.log(_positive_probs(h))
-    z_max = z.max()
-    return float((z_max + np.log(np.exp(z - z_max).sum())) / (1.0 - alpha))
+    return float(_block(_positive_probs(h), _orders((alpha,), tsallis=False), _NONE)[1][0])
 
 
 def tsallis(h: Histogram, q: float) -> float:
@@ -182,12 +328,45 @@ def tsallis(h: Histogram, q: float) -> float:
     Indices within 1e-8 of 1 are evaluated as Shannon entropy, the analytic
     limit at q = 1.
     """
-    if not math.isfinite(q) or q < 0:
-        raise DomainError(f"Tsallis index must be nonnegative, got {q}")
-    if abs(q - 1.0) <= _ONE_TOL:
-        return shannon(h)
-    p = _positive_probs(h)
-    return float((1.0 - (p ** q).sum()) / (q - 1.0))
+    return float(_block(_positive_probs(h), _NONE, _orders((q,), tsallis=True))[2][0])
+
+
+# ------------------------------------------------------------------- reports
+
+def _reports(x: np.ndarray, m: int | None, alpha_grid, q_grid) -> tuple[EntropyReport, ...]:
+    if len(alpha_grid) == 0 or len(q_grid) == 0:
+        raise DomainError("order grids must be nonempty")
+    n = x.shape[1]
+    m = _bin_count(math.ceil(math.sqrt(n)) if m is None else m)
+    for q in q_grid:
+        if not (_Q_LOW <= q < _Q_HIGH):
+            warnings.warn(
+                f"Tsallis index q={q:g} lies outside [1, 5/3), the index window "
+                f"for finite-variance data",
+                FiniteVarianceWarning,
+                stacklevel=3,
+            )
+    alphas, qs = _orders(alpha_grid, tsallis=False), _orders(q_grid, tsallis=True)
+    alpha_list, q_list = alphas.column[:, 0].tolist(), qs.column[:, 0].tolist()
+
+    out = []
+    per_block = max(1, _BLOCK_VALUES // n)
+    for first in range(0, x.shape[0], per_block):
+        edges, counts, probs = _bin(x[first:first + per_block], m)
+        empty = (counts == 0).sum(axis=1).tolist()
+        width = ((edges[:, -1] - edges[:, 0]) / m).tolist()
+        for i, row in enumerate(probs):
+            s, r, t = _block(row[row > 0.0], alphas, qs)
+            out.append(EntropyReport(
+                shannon=s,
+                renyi=tuple(zip(alpha_list, r.tolist())),
+                tsallis=tuple(zip(q_list, t.tolist())),
+                bins=m,
+                n_obs=n,
+                empty_cells=empty[i],
+                cell_width=width[i],
+            ))
+    return tuple(out)
 
 
 def entropy_report(returns, m: int | None = None,
@@ -198,25 +377,17 @@ def entropy_report(returns, m: int | None = None,
     ``m`` defaults to ceil(sqrt(n)).  Tsallis indices outside [1, 5/3) emit
     :class:`FiniteVarianceWarning` but are still evaluated.
     """
-    x = np.asarray(getattr(returns, "returns", returns), dtype=float)
-    if len(alpha_grid) == 0 or len(q_grid) == 0:
-        raise DomainError("order grids must be nonempty")
-    if m is None:
-        m = math.ceil(math.sqrt(x.size)) if x.size else 1
-    for q in q_grid:
-        if not (_Q_LOW <= q < _Q_HIGH):
-            warnings.warn(
-                f"Tsallis index q={q:g} lies outside [1, 5/3), the index window "
-                f"for finite-variance data",
-                FiniteVarianceWarning,
-                stacklevel=2,
-            )
+    return _reports(_samples(returns, 1)[None, :], m, alpha_grid, q_grid)[0]
 
-    h = build_histogram(x, m)
-    return EntropyReport(
-        shannon=shannon(h),
-        renyi=tuple((float(a), renyi(h, a)) for a in alpha_grid),
-        tsallis=tuple((float(q), tsallis(h, q)) for q in q_grid),
-        bins=h.m,
-        n_obs=h.n,
-    )
+
+def entropy_reports(samples, m: int | None = None,
+                    alpha_grid: tuple[float, ...] = DEFAULT_ORDER_GRID,
+                    q_grid: tuple[float, ...] = DEFAULT_ORDER_GRID
+                    ) -> tuple[EntropyReport, ...]:
+    """:func:`entropy_report` of every row of a 2-D sample matrix.
+
+    Each row, such as one rolling window of a series, gets its own histogram
+    over its own range; the report of a row equals ``entropy_report`` of that
+    row.  ``m`` defaults to ceil(sqrt(row length)).
+    """
+    return _reports(_samples(samples, 2), m, alpha_grid, q_grid)

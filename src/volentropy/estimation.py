@@ -84,6 +84,8 @@ class FitConfig:
             raise DomainError(f"max_iters must be >= 1, got {self.max_iters}")
         if self.restarts < 0:
             raise DomainError(f"restarts must be >= 0, got {self.restarts}")
+        if self.T < 1:
+            raise DomainError(f"truncation horizon must be >= 1, got {self.T}")
         if self.d_fixed is not None:
             if self.family is not ModelFamily.FIGARCH:
                 raise DomainError("d_fixed applies only to the FIGARCH family")

@@ -272,6 +272,8 @@ def _entropy_report_dict(rep: EntropyReport, bits: bool) -> dict:
     return {
         "n_obs": rep.n_obs,
         "bins": rep.bins,
+        "empty_cells": rep.empty_cells,
+        "cell_width": rep.cell_width,
         "shannon": _scaled(rep.shannon, bits),
         "renyi": [{"order": a, "value": _scaled(v, bits)} for a, v in rep.renyi],
         "tsallis": [{"index": q, "value": _scaled(v, bits)} for q, v in rep.tsallis],

@@ -49,6 +49,8 @@ class SimConfig:
             raise DomainError(f"path length must be >= 1, got {self.n}")
         if self.burn_in < 0:
             raise DomainError(f"burn_in must be >= 0, got {self.burn_in}")
+        if self.T < 1:
+            raise DomainError(f"truncation horizon must be >= 1, got {self.T}")
         validate_params(self.family, self.params, T=self.T)
 
 

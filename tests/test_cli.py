@@ -2,12 +2,22 @@
 
 from __future__ import annotations
 
+import datetime
 import json
 import math
 import subprocess
 import sys
+import tempfile
+import warnings
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from volentropy import FiniteVarianceWarning, entropy_report
+from volentropy.cli import main
 
 
 def run(*argv: str, cwd=None) -> subprocess.CompletedProcess:
@@ -55,6 +65,18 @@ def test_simulate_rejects_out_of_range_d(tmp_path):
     assert proc.returncode == 1
     assert "d must lie in [0,1]" in proc.stderr
     assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("family, extra", [("garch", []), ("figarch", ["--d", "0.6"])])
+def test_simulate_negative_truncation_exits_1(tmp_path, family, extra):
+    out = tmp_path / "x.csv"
+    proc = run("simulate", "--family", family, "--omega", "1e-6", "--alpha", "0.2",
+               "--beta", "0.4", *extra, "--n", "100", "--truncation", "-5",
+               "--output", str(out))
+    assert proc.returncode == 1
+    assert "error: truncation horizon must be >= 1" in proc.stderr
+    assert proc.stdout == ""  # no manifest
+    assert not out.exists()
 
 
 def test_simulate_prints_manifest(sim_file):
@@ -148,6 +170,14 @@ def test_fit_negative_truncation_exits_1(sim_file):
     assert "Traceback" not in proc.stderr
 
 
+def test_fit_garch_negative_truncation_exits_1(sim_file):
+    proc = run("fit", "--input", str(sim_file), "--returns", "--family", "garch",
+               "--truncation", "-5")
+    assert proc.returncode == 1
+    assert "error: truncation horizon must be >= 1" in proc.stderr
+    assert proc.stdout == ""
+
+
 def test_unknown_flag_exits_1():
     proc = run("fit", "--nonsense")
     assert proc.returncode == 1
@@ -208,6 +238,51 @@ def test_entropy_windowed_report(sim_file):
     first = result["windows"][0]
     assert first["n_obs"] == 500
     assert first["start"] < first["end"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_entropy_window_rows_equal_entropy_report_of_the_slice(data):
+    n = data.draw(st.integers(20, 300))
+    # windows fill different numbers of cells, on both sides of the 8-term
+    # blocks of numpy's pairwise sum; ties come from the repeated levels
+    values = st.one_of(st.floats(-0.05, 0.05), st.sampled_from([-0.01, 0.0, 0.02]))
+    x = np.array(data.draw(st.lists(values, min_size=n, max_size=n)))
+    window = data.draw(st.integers(5, n))
+    step = data.draw(st.integers(1, 40))
+    bins = data.draw(st.one_of(st.none(), st.integers(1, 30)))
+    grid = data.draw(st.sampled_from(["1.4,1.45,1.5", "0.5,1,2,1.05,1.6,3"]))
+    day = datetime.date(2020, 1, 1)
+    dates = [(day + datetime.timedelta(days=i)).isoformat() for i in range(n)]
+    with tempfile.TemporaryDirectory() as tmp:
+        src, out = Path(tmp) / "r.csv", Path(tmp) / "report.json"
+        src.write_text("date,return\n" + "".join(f"{d},{v!r}\n" for d, v in zip(dates, x.tolist())))
+        argv = ["entropy", "--input", str(src), "--returns", "--window", str(window),
+                "--step", str(step), "--alpha", grid, "--q", grid, "--format", "tree",
+                "--output", str(out)]
+        if bins is not None:
+            argv += ["--bins", str(bins)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            warnings.simplefilter("ignore", FiniteVarianceWarning)
+            code = main(argv)
+        slices = [x[i:i + window] for i in range(0, n - window + 1, step)]
+        if code != 0:  # a window with zero range
+            assert code == 1 and any(s.min() == s.max() for s in slices)
+            return
+        (result,) = json.loads(out.read_text())["results"]
+    orders = [float(v) for v in grid.split(",")]
+    assert len(result["windows"]) == len(slices)
+    for start, row, sl in zip(range(0, n, step), result["windows"], slices):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", FiniteVarianceWarning)
+            rep = entropy_report(sl, m=bins, alpha_grid=orders, q_grid=orders)
+        assert (row["start"], row["end"]) == (dates[start], dates[start + window - 1])
+        assert row["shannon"] == rep.shannon
+        assert [r["value"] for r in row["renyi"]] == [v for _, v in rep.renyi]
+        assert [t["value"] for t in row["tsallis"]] == [v for _, v in rep.tsallis]
+        assert (row["n_obs"], row["bins"], row["empty_cells"], row["cell_width"]) == (
+            rep.n_obs, rep.bins, rep.empty_cells, rep.cell_width)
 
 
 def test_entropy_step_requires_window(sim_file):

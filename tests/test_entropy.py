@@ -18,10 +18,12 @@ from volentropy import (
     Histogram,
     build_histogram,
     entropy_report,
+    entropy_reports,
     renyi,
     shannon,
     tsallis,
 )
+from volentropy.entropy import _ONE_TOL, _bin
 
 
 def hist(probs) -> Histogram:
@@ -103,6 +105,142 @@ def test_histogram_type_invariants_enforced():
     with pytest.raises(DomainError, match="increasing"):
         Histogram(edges=np.array([0.0, 0.5, 0.5, 1.0]), counts=np.array([1, 1, 2]),
                   probs=np.array([0.25, 0.25, 0.5]))
+
+
+@pytest.mark.parametrize("x, m, error, message", [
+    # too narrow: two adjacent doubles cannot hold ten distinct cells
+    ([1.0, np.nextafter(1.0, 2.0)], 10, DegenerateSupportError, "too narrow"),
+    # too narrow at this magnitude: cell edges cannot be equally spaced
+    ([1e8, 1e8 + 5e-7, 1e8 + 1e-6], 23, DegenerateSupportError, "too narrow"),
+    ([-1e308, 1e308, 0.0], 3, DegenerateSupportError, "too wide"),
+    ([0.0, np.inf, 1.0], 3, DomainError, "non-finite"),
+    ([0.0, 1.0, 2.0], 2.5, DomainError, "integer"),
+    ([0.0, 1.0, 2.0], 3.0, DomainError, "integer"),
+])
+def test_hostile_histogram_inputs_raise_package_errors(x, m, error, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error, match=message):
+            build_histogram(np.array(x), m)
+        with pytest.raises(error, match=message):
+            entropy_report(np.array(x), m=m)
+        with pytest.raises(error, match=message):
+            entropy_reports(np.array([np.arange(len(x), dtype=float), x]), m=m)
+
+
+def test_report_occupancy():
+    # cells [0, 2.5), [2.5, 5), [5, 7.5), [7.5, 10]: the third stays empty
+    rep = entropy_report(np.array([0.0, 1.0, 3.0, 4.0, 9.0, 10.0]), m=4)
+    assert rep.empty_cells == 1
+    assert rep.cell_width == 2.5
+    rep = entropy_report(np.array([0.0, 0.0, 0.5, 1.0]), m=1)
+    assert rep.empty_cells == 0 and rep.cell_width == 1.0
+
+
+# ---------------------------------------------------------------- equivalence
+
+@st.composite
+def binnable_samples(draw, n_min=2, n_max=120):
+    """Samples with ties and values exactly on np.histogram's edges, at
+    magnitudes from 1e-8 to 1e8, plus a cell count m in [1, 64]."""
+    m = draw(st.integers(1, 64))
+    n = draw(st.integers(n_min, n_max))
+    scale = 10.0 ** draw(st.integers(-8, 8))
+    offset = scale * draw(st.sampled_from([0.0, -3.0, 0.5, 7.0]))
+    lo, hi = offset, offset + scale * draw(st.floats(0.01, 10.0))
+    edges = np.linspace(lo, hi, m + 1)
+    values = st.one_of(
+        st.sampled_from(edges.tolist()),  # exactly on an edge
+        st.floats(lo, hi),
+        st.sampled_from([lo, lo, hi]),     # ties
+    )
+    x = np.array(draw(st.lists(values, min_size=n, max_size=n)) + [lo, hi])
+    return np.array(draw(st.permutations(x.tolist()))), m
+
+
+def _numpy_binning(x, m):
+    """np.histogram's counts and edges, or None where it refuses the range."""
+    try:
+        return np.histogram(x, bins=m, range=(x.min(), x.max()))
+    except ValueError:  # too many bins for the range
+        return None
+
+
+def _equidistant(edges) -> bool:
+    widths = np.diff(edges)
+    return np.abs(widths - widths.mean()).max() <= 1e-12 * widths.mean()
+
+
+def _assert_bins_like_numpy(x, m, binned):
+    expected = _numpy_binning(x, m)
+    if binned is None:  # refused: numpy refuses too, or its cells are unequal
+        assert expected is None or not _equidistant(expected[1])
+        return
+    assert expected is not None and _equidistant(expected[1])
+    edges, counts = binned
+    assert np.array_equal(counts, expected[0]) and counts.dtype == expected[0].dtype
+    assert np.array_equal(edges, expected[1])
+
+
+@settings(max_examples=300, deadline=None)
+@given(binnable_samples())
+def test_binning_equals_numpy_histogram(sample):
+    x, m = sample
+    try:
+        h = build_histogram(x, m)
+        binned = (h.edges, h.counts)
+    except DegenerateSupportError:
+        binned = None
+    _assert_bins_like_numpy(x, m, binned)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_matrix_binning_equals_numpy_histogram_row_by_row(data):
+    x, m = data.draw(binnable_samples(n_min=20, n_max=20))
+    rows = [x] + [data.draw(st.permutations(x.tolist())) for _ in range(data.draw(st.integers(0, 4)))]
+    # rows of other ranges, and one lifted by a whole cell
+    rows = np.array(rows) * np.array(data.draw(st.lists(
+        st.sampled_from([1.0, 0.5, -2.0]), min_size=len(rows), max_size=len(rows))))[:, None]
+    try:
+        edges, counts, _ = _bin(rows, m)
+    except DegenerateSupportError:
+        assert any(_numpy_binning(r, m) is None or not _equidistant(_numpy_binning(r, m)[1])
+                   for r in rows)
+        return
+    for row, e, c in zip(rows, edges, counts):
+        _assert_bins_like_numpy(row, m, (e, c))
+
+
+_ORDERS = st.one_of(
+    st.sampled_from([0.5, 1.0, 1.0 - _ONE_TOL / 2, 1.0 + _ONE_TOL / 2, 1.0 + 1e-6,
+                     1.4, 1.45, 2.0, 3.0]),
+    st.floats(0.05, 5.0),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=200).filter(lambda v: min(v) < max(v)),
+       st.integers(1, 30), st.lists(_ORDERS, min_size=1, max_size=6),
+       st.lists(st.one_of(_ORDERS, st.just(0.0)), min_size=1, max_size=6))
+def test_report_equals_scalar_estimators(values, m, alphas, qs):
+    x = np.array(values)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        warnings.simplefilter("ignore", FiniteVarianceWarning)
+        rep = entropy_report(x, m=m, alpha_grid=tuple(alphas), q_grid=tuple(qs))
+        h = build_histogram(x, m)
+        s = shannon(h)
+        assert rep.shannon == s
+        assert rep.renyi == tuple((a, renyi(h, a)) for a in alphas)
+        assert rep.tsallis == tuple((q, tsallis(h, q)) for q in qs)
+    # orders within _ONE_TOL of 1 report the Shannon limit itself
+    for order, value in rep.renyi + rep.tsallis:
+        if abs(order - 1.0) <= _ONE_TOL:
+            assert value == s
+    assert (rep.bins, rep.n_obs) == (h.m, h.n)
+    assert rep.empty_cells == int((h.counts == 0).sum())
+    assert rep.cell_width == (h.edges[-1] - h.edges[0]) / h.m
 
 
 # -------------------------------------------------------------------- shannon

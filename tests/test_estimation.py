@@ -149,6 +149,13 @@ def test_config_rejects_d_fixed_at_boundaries():
         FitConfig(FIGARCH, d_fixed=0.0)
 
 
+@pytest.mark.parametrize("T", [0, -5])
+@pytest.mark.parametrize("family", [GARCH, FIGARCH])
+def test_config_rejects_nonpositive_truncation(family, T):
+    with pytest.raises(DomainError, match="truncation horizon must be >= 1"):
+        FitConfig(family, T=T)
+
+
 # ------------------------------------------------------- numerical derivatives
 
 def test_quadratic_objective_gives_exact_half_stderr():

@@ -144,6 +144,17 @@ def test_bad_lengths_rejected():
         SimConfig(GARCH, p, n=10, burn_in=-1)
 
 
+@pytest.mark.parametrize("T", [0, -5])
+@pytest.mark.parametrize("family, params", [
+    (GARCH, ParamVector(1e-5, 0.1, 0.7)),
+    (FIGARCH, ParamVector(1e-6, 0.2, 0.4, d=0.6)),
+])
+def test_nonpositive_truncation_rejected_at_config_time(family, params, T):
+    # GARCH never reads T, so only the config object can catch it
+    with pytest.raises(DomainError, match="truncation horizon must be >= 1"):
+        SimConfig(family, params, n=100, T=T)
+
+
 def test_igarch_with_negligible_omega_fails_mid_path():
     # the d=1 slice has negative tail weights, so with omega ~ 0 the variance
     # recursion eventually crosses zero; the error names the offending step
