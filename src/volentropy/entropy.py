@@ -181,8 +181,9 @@ def _bin_count(m) -> int:
 def _bin(x: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Edges, counts and probabilities of each row of a sample matrix.
 
-    The rows pass the :class:`Histogram` invariants; a support they cannot
-    hold raises :class:`DegenerateSupportError`.
+    A support of zero width, or one whose width overflows, raises
+    :class:`DegenerateSupportError`; the callers check the rows against the
+    :class:`Histogram` invariants.
     """
     k, n = x.shape
     lo, hi = x.min(axis=1), x.max(axis=1)
@@ -215,17 +216,15 @@ def _bin(x: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     left += (x >= flat[left + 1]) & (left != first + (m - 1))
     # and in the counts, where row i starts at i * m
     counts = np.bincount((left - row).ravel(), minlength=k * m).reshape(k, m)
-    probs = counts / n
-    try:
-        _check_cells(edges, probs)
-    except DomainError as exc:
-        # binned probabilities always hold, so the edges failed: rounding at
-        # the magnitude of the data leaves no room for m equal cells
-        raise DegenerateSupportError(
-            f"support is too narrow for {m} equal cells at the magnitude of its "
-            f"values ({exc})"
-        ) from exc
-    return edges, counts, probs
+    return edges, counts, counts / n
+
+
+def _too_narrow(m: int, exc: DomainError) -> DegenerateSupportError:
+    # binned probabilities always hold, so the edges failed the Histogram
+    # invariants: rounding at the magnitude of the data leaves no room for m
+    # equal cells
+    return DegenerateSupportError(
+        f"support is too narrow for {m} equal cells at the magnitude of its values ({exc})")
 
 
 def build_histogram(returns, m: int) -> Histogram:
@@ -237,8 +236,12 @@ def build_histogram(returns, m: int) -> Histogram:
     distinct equal cells, raises :class:`DegenerateSupportError`.
     """
     x = _samples(returns, 1)
-    edges, counts, probs = _bin(x[None, :], _bin_count(m))
-    return Histogram(edges=edges[0], counts=counts[0], probs=probs[0])
+    m = _bin_count(m)
+    edges, counts, probs = _bin(x[None, :], m)
+    try:
+        return Histogram(edges=edges[0], counts=counts[0], probs=probs[0])
+    except DomainError as exc:
+        raise _too_narrow(m, exc) from exc
 
 
 # --------------------------------------------------------------------- block
@@ -353,6 +356,10 @@ def _reports(x: np.ndarray, m: int | None, alpha_grid, q_grid) -> tuple[EntropyR
     per_block = max(1, _BLOCK_VALUES // n)
     for first in range(0, x.shape[0], per_block):
         edges, counts, probs = _bin(x[first:first + per_block], m)
+        try:
+            _check_cells(edges, probs)
+        except DomainError as exc:
+            raise _too_narrow(m, exc) from exc
         empty = (counts == 0).sum(axis=1).tolist()
         width = ((edges[:, -1] - edges[:, 0]) / m).tolist()
         for i, row in enumerate(probs):

@@ -23,7 +23,7 @@ from volentropy import (
     shannon,
     tsallis,
 )
-from volentropy.entropy import _ONE_TOL, _bin
+from volentropy.entropy import _BLOCK_VALUES, _ONE_TOL, _bin
 
 
 def hist(probs) -> Histogram:
@@ -137,6 +137,17 @@ def test_report_occupancy():
     assert rep.empty_cells == 0 and rep.cell_width == 1.0
 
 
+def test_reports_of_a_matrix_larger_than_one_block_equal_row_reports():
+    rng = np.random.default_rng(21)
+    x = rng.standard_normal((600, 500))
+    assert x.size > _BLOCK_VALUES  # binned in more than one block of rows
+    grids = dict(alpha_grid=(1.2, 2.0), q_grid=(1.2, 1.5))
+    reports = entropy_reports(x, m=23, **grids)
+    assert reports == tuple(entropy_report(row, m=23, **grids) for row in x)
+    with pytest.raises(DomainError, match="2-D"):
+        entropy_reports(x[0])
+
+
 # ---------------------------------------------------------------- equivalence
 
 @st.composite
@@ -198,18 +209,19 @@ def test_binning_equals_numpy_histogram(sample):
 @given(st.data())
 def test_matrix_binning_equals_numpy_histogram_row_by_row(data):
     x, m = data.draw(binnable_samples(n_min=20, n_max=20))
-    rows = [x] + [data.draw(st.permutations(x.tolist())) for _ in range(data.draw(st.integers(0, 4)))]
-    # rows of other ranges, and one lifted by a whole cell
-    rows = np.array(rows) * np.array(data.draw(st.lists(
-        st.sampled_from([1.0, 0.5, -2.0]), min_size=len(rows), max_size=len(rows))))[:, None]
-    try:
-        edges, counts, _ = _bin(rows, m)
-    except DegenerateSupportError:
-        assert any(_numpy_binning(r, m) is None or not _equidistant(_numpy_binning(r, m)[1])
-                   for r in rows)
-        return
-    for row, e, c in zip(rows, edges, counts):
-        _assert_bins_like_numpy(row, m, (e, c))
+    k = data.draw(st.integers(1, 5))
+    scales = data.draw(st.lists(st.sampled_from([1.0, 0.5, -2.0]), min_size=k, max_size=k))
+    # reordered and rescaled copies: rows of different ranges, one matrix
+    rows = np.array([data.draw(st.permutations(x.tolist())) for _ in range(k)])
+    rows *= np.array(scales)[:, None]
+    edges, counts, probs = _bin(rows, m)
+    for row, e, c, p in zip(rows, edges, counts, probs):
+        try:
+            Histogram(edges=e, counts=c, probs=p)
+            binned = (e, c)
+        except DomainError:  # the support is too narrow for m equal cells
+            binned = None
+        _assert_bins_like_numpy(row, m, binned)
 
 
 _ORDERS = st.one_of(
