@@ -5,10 +5,9 @@ reported in nats.  No differential-entropy correction (adding the log of the
 cell width) is applied, so the values are nonnegative and bounded by ``ln m``
 for ``m`` cells.
 
-Binning writes out numpy's uniform-bin rule for ``np.histogram(x, m,
-range=(min, max))``, so that a matrix of samples (one per row, such as
-rolling windows) is binned at once with numpy's edges and counts bit for
-bit: edges ``linspace(lo, hi, m + 1)``; cell ``int((x - lo) / (hi - lo) * m)``
+Binning writes out numpy's histogram rule for ``m`` equal bins over
+``(min, max)``, so that a matrix of samples (one per row, such as rolling
+windows) is binned at once with numpy's edges and counts bit for bit: edges ``linspace(lo, hi, m + 1)``; cell ``int((x - lo) / (hi - lo) * m)``
 with the maximum kept in the last cell; a one-ulp correction against the
 edges (a value below its cell's left edge moves down, one at or above its
 right edge moves up unless its cell is the last); counts by ``bincount``.
@@ -250,44 +249,48 @@ class _Orders(NamedTuple):
     """A validated grid of Renyi orders or Tsallis indices."""
 
     column: np.ndarray        # the orders as a (k, 1) column
-    shannon: np.ndarray       # within _ONE_TOL of 1: report the Shannon value
     denominator: np.ndarray   # 1 - alpha or q - 1; 1 on the Shannon rows
-    exact: tuple              # (rows, ufunc) pairs, see _EXACT_POWERS
+    shannon: list             # rows within _ONE_TOL of 1: report the Shannon value
+    exact: list               # (row, ufunc) pairs, see _EXACT_POWERS
 
 
 # numpy evaluates p ** 2.0 and p ** 0.5 with a scalar exponent as square and
 # sqrt, which round differently from its pow; Tsallis rows at these indices
 # use the same ufuncs, so that they equal the one-index value
-_EXACT_POWERS = ((2.0, np.square), (0.5, np.sqrt))
+_EXACT_POWERS = {2.0: np.square, 0.5: np.sqrt}
 
 
 def _orders(grid, tsallis: bool) -> _Orders:
-    denominator, shannon = [], []
-    for v in grid:
+    denominator, shannon, exact = [], [], []
+    for row, v in enumerate(grid):
         if tsallis and not 0.0 <= v < math.inf:
             raise DomainError(f"Tsallis index must be nonnegative, got {v}")
         if not tsallis and not 0.0 < v < math.inf:
             raise DomainError(f"Renyi order must be positive, got {v}")
         d = v - 1.0 if tsallis else 1.0 - v
-        shannon.append(abs(d) <= _ONE_TOL)
-        denominator.append(1.0 if shannon[-1] else d)
+        if abs(d) <= _ONE_TOL:
+            shannon.append(row)
+            d = 1.0
+        denominator.append(d)
+        if tsallis and v in _EXACT_POWERS:
+            exact.append((row, _EXACT_POWERS[v]))
     column = np.array(grid, dtype=float).reshape(-1, 1)
-    exact = tuple((column[:, 0] == q, f) for q, f in _EXACT_POWERS
-                  if tsallis and q in grid)
-    return _Orders(column, np.array(shannon, dtype=bool), np.array(denominator), exact)
+    return _Orders(column, np.array(denominator), shannon, exact)
 
 
 _NONE = _orders((), tsallis=False)
 
 
-def _block(p: np.ndarray, alphas: _Orders, qs: _Orders
+def _block(p: np.ndarray, alphas: _Orders, qs: _Orders, shannon: bool = True
            ) -> tuple[float, np.ndarray, np.ndarray]:
     """Shannon value, Renyi grid and Tsallis grid of one histogram.
 
-    ``p`` holds the probabilities of the occupied cells only.
+    ``p`` holds the probabilities of the occupied cells only.  The Shannon
+    value is computed when ``shannon`` asks for it or an order within
+    ``_ONE_TOL`` of 1 reports it, and is NaN otherwise.
     """
     logp = np.log(p)
-    s = -(p * logp).sum()
+    s = -(p * logp).sum() if shannon or alphas.shannon or qs.shannon else math.nan
     r = t = np.empty(0)
     if alphas.column.size:
         # max-shifted log-sum: the largest term of each row is exp(0) = 1, so
@@ -295,13 +298,15 @@ def _block(p: np.ndarray, alphas: _Orders, qs: _Orders
         z = alphas.column * logp
         z_max = z.max(axis=1)
         r = (z_max + np.log(np.exp(z - z_max[:, None]).sum(axis=1))) / alphas.denominator
-        r[alphas.shannon] = s
+        if alphas.shannon:
+            r[alphas.shannon] = s
     if qs.column.size:
         pq = p ** qs.column
-        for rows, power in qs.exact:
-            pq[rows] = power(p)
+        for row, power in qs.exact:
+            pq[row] = power(p)
         t = (1.0 - pq.sum(axis=1)) / qs.denominator
-        t[qs.shannon] = s
+        if qs.shannon:
+            t[qs.shannon] = s
     return float(s), r, t
 
 
@@ -322,7 +327,8 @@ def renyi(h: Histogram, alpha: float) -> float:
     Orders within 1e-8 of 1 are evaluated as Shannon entropy, the analytic
     limit at alpha = 1.
     """
-    return float(_block(_positive_probs(h), _orders((alpha,), tsallis=False), _NONE)[1][0])
+    return float(_block(_positive_probs(h), _orders((alpha,), tsallis=False), _NONE,
+                        shannon=False)[1][0])
 
 
 def tsallis(h: Histogram, q: float) -> float:
@@ -331,7 +337,8 @@ def tsallis(h: Histogram, q: float) -> float:
     Indices within 1e-8 of 1 are evaluated as Shannon entropy, the analytic
     limit at q = 1.
     """
-    return float(_block(_positive_probs(h), _NONE, _orders((q,), tsallis=True))[2][0])
+    return float(_block(_positive_probs(h), _NONE, _orders((q,), tsallis=True),
+                        shannon=False)[2][0])
 
 
 # ------------------------------------------------------------------- reports
