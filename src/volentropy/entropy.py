@@ -7,7 +7,8 @@ for ``m`` cells.
 
 Binning writes out numpy's histogram rule for ``m`` equal bins over
 ``(min, max)``, so that a matrix of samples (one per row, such as rolling
-windows) is binned at once with numpy's edges and counts bit for bit: edges ``linspace(lo, hi, m + 1)``; cell ``int((x - lo) / (hi - lo) * m)``
+windows) is binned at once with numpy's edges and counts bit for bit:
+edges ``linspace(lo, hi, m + 1)``; cell ``int((x - lo) / (hi - lo) * m)``
 with the maximum kept in the last cell; a one-ulp correction against the
 edges (a value below its cell's left edge moves down, one at or above its
 right edge moves up unless its cell is the last); counts by ``bincount``.
