@@ -107,6 +107,12 @@ def test_histogram_type_invariants_enforced():
                   probs=np.array([0.25, 0.25, 0.5]))
 
 
+def test_histogram_rejects_nan_edges():
+    with pytest.raises(DomainError, match="increasing"):
+        Histogram(edges=np.array([0.0, np.nan, 1.0]), counts=np.array([1, 1]),
+                  probs=np.array([0.5, 0.5]))
+
+
 @pytest.mark.parametrize("x, m, error, message", [
     # too narrow: two adjacent doubles cannot hold ten distinct cells
     ([1.0, np.nextafter(1.0, 2.0)], 10, DegenerateSupportError, "too narrow"),
