@@ -52,7 +52,6 @@ from .entropy import (
     Histogram,
     build_histogram,
     entropy_report,
-    entropy_reports,
     renyi,
     shannon,
     tsallis,

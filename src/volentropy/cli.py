@@ -12,7 +12,7 @@ from pathlib import Path
 
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .entropy import DEFAULT_ORDER_GRID, entropy_report, entropy_reports
+from .entropy import DEFAULT_ORDER_GRID, _reports, entropy_report
 from .errors import DomainError, EstimationError, VolentropyError
 from .estimation import INNOVATIONS, FitConfig, fit, persistence_check
 from .models import DEFAULT_TRUNCATION, ModelFamily, ParamVector
@@ -240,8 +240,8 @@ def cmd_entropy(args) -> int:
                     f"of series {series.id!r}")
             step = args.step if args.step is not None else args.window
             starts = range(0, len(series) - args.window + 1, step)
-            reports = entropy_reports(sliding_window_view(series.returns, args.window)[::step],
-                                      m=args.bins, alpha_grid=alpha_grid, q_grid=q_grid)
+            reports = _reports(sliding_window_view(series.returns, args.window)[::step],
+                               args.bins, alpha_grid, q_grid)
             windows = tuple(((series.dates[start].isoformat(),
                               series.dates[start + args.window - 1].isoformat()), wrep)
                             for start, wrep in zip(starts, reports))

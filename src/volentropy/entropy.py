@@ -26,6 +26,7 @@ Reports also give each histogram's occupancy: ``empty_cells`` and
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import warnings
@@ -43,7 +44,6 @@ __all__ = [
     "Histogram",
     "build_histogram",
     "entropy_report",
-    "entropy_reports",
     "renyi",
     "shannon",
     "tsallis",
@@ -61,9 +61,10 @@ _ONE_TOL = 1e-8
 
 _EQUIDISTANT_RTOL = 1e-12
 
-# sample matrices are binned in blocks of about this many values, so that the
-# temporaries of many overlapping windows stay small
-_BLOCK_VALUES = 1 << 18
+# sample matrices are binned in blocks of about this many values: 500-point
+# windows bin as fast in blocks of 2**14 to 2**20 values, and larger blocks
+# only hold more memory
+_BLOCK_VALUES = 1 << 14
 
 
 class FiniteVarianceWarning(UserWarning):
@@ -159,10 +160,10 @@ class EntropyReport:
 
 # ------------------------------------------------------------------- binning
 
-def _samples(values, ndim: int) -> np.ndarray:
+def _sample(values) -> np.ndarray:
     x = np.asarray(getattr(values, "returns", values), dtype=float)
-    if x.ndim != ndim:
-        raise DomainError(f"expected a {ndim}-D sample, got shape {x.shape}")
+    if x.ndim != 1:
+        raise DomainError(f"expected a 1-D sample, got shape {x.shape}")
     if x.size == 0:
         raise DomainError("cannot bin an empty sample")
     return x
@@ -235,7 +236,7 @@ def build_histogram(returns, m: int) -> Histogram:
     one cell.  A sample with zero range, or a range that cannot hold ``m``
     distinct equal cells, raises :class:`DegenerateSupportError`.
     """
-    x = _samples(returns, 1)
+    x = _sample(returns)
     m = _bin_count(m)
     edges, counts, probs = _bin(x[None, :], m)
     try:
@@ -251,8 +252,8 @@ class _Orders(NamedTuple):
 
     column: np.ndarray        # the orders as a (k, 1) column
     denominator: np.ndarray   # 1 - alpha or q - 1; 1 on the Shannon rows
-    shannon: list             # rows within _ONE_TOL of 1: report the Shannon value
-    exact: list               # (row, ufunc) pairs, see _EXACT_POWERS
+    shannon: tuple            # rows within _ONE_TOL of 1: report the Shannon value
+    exact: tuple              # (row, ufunc) pairs, see _EXACT_POWERS
 
 
 # numpy evaluates p ** 2.0 and p ** 0.5 with a scalar exponent as square and
@@ -261,7 +262,10 @@ class _Orders(NamedTuple):
 _EXACT_POWERS = {2.0: np.square, 0.5: np.sqrt}
 
 
-def _orders(grid, tsallis: bool) -> _Orders:
+@functools.lru_cache(maxsize=64)
+def _orders(grid: tuple, tsallis: bool) -> _Orders:
+    # cached: scalar calls and rolling windows validate the same grids again
+    # and again; the cached arrays are read-only
     denominator, shannon, exact = [], [], []
     for row, v in enumerate(grid):
         if tsallis and not 0.0 <= v < math.inf:
@@ -276,10 +280,13 @@ def _orders(grid, tsallis: bool) -> _Orders:
         if tsallis and v in _EXACT_POWERS:
             exact.append((row, _EXACT_POWERS[v]))
     column = np.array(grid, dtype=float).reshape(-1, 1)
-    return _Orders(column, np.array(denominator), shannon, exact)
+    denominator = np.array(denominator)
+    column.flags.writeable = denominator.flags.writeable = False
+    return _Orders(column, denominator, tuple(shannon), tuple(exact))
 
 
 _NONE = _orders((), tsallis=False)
+_EMPTY = _NONE.denominator
 
 
 def _block(p: np.ndarray, alphas: _Orders, qs: _Orders, shannon: bool = True
@@ -290,9 +297,10 @@ def _block(p: np.ndarray, alphas: _Orders, qs: _Orders, shannon: bool = True
     value is computed when ``shannon`` asks for it or an order within
     ``_ONE_TOL`` of 1 reports it, and is NaN otherwise.
     """
-    logp = np.log(p)
-    s = -(p * logp).sum() if shannon or alphas.shannon or qs.shannon else math.nan
-    r = t = np.empty(0)
+    shannon = shannon or bool(alphas.shannon or qs.shannon)
+    logp = np.log(p) if shannon or alphas.column.size else None
+    s = float(-(p * logp).sum()) if shannon else math.nan
+    r = t = _EMPTY
     if alphas.column.size:
         # max-shifted log-sum: the largest term of each row is exp(0) = 1, so
         # no sum can underflow to zero even when every p_i**alpha would
@@ -300,15 +308,15 @@ def _block(p: np.ndarray, alphas: _Orders, qs: _Orders, shannon: bool = True
         z_max = z.max(axis=1)
         r = (z_max + np.log(np.exp(z - z_max[:, None]).sum(axis=1))) / alphas.denominator
         if alphas.shannon:
-            r[alphas.shannon] = s
+            r[list(alphas.shannon)] = s
     if qs.column.size:
         pq = p ** qs.column
         for row, power in qs.exact:
             pq[row] = power(p)
         t = (1.0 - pq.sum(axis=1)) / qs.denominator
         if qs.shannon:
-            t[qs.shannon] = s
-    return float(s), r, t
+            t[list(qs.shannon)] = s
+    return s, r, t
 
 
 def _positive_probs(h: Histogram) -> np.ndarray:
@@ -344,7 +352,15 @@ def tsallis(h: Histogram, q: float) -> float:
 
 # ------------------------------------------------------------------- reports
 
-def _reports(x: np.ndarray, m: int | None, alpha_grid, q_grid) -> tuple[EntropyReport, ...]:
+def _reports(x: np.ndarray, m: int | None, alpha_grid, q_grid,
+             stacklevel: int = 2) -> tuple[EntropyReport, ...]:
+    """:func:`entropy_report` of each row of a 2-D sample matrix.
+
+    Each row, such as one rolling window of a series, gets its own histogram
+    over its own range; ``m`` defaults to ceil(sqrt(row length)).
+    ``stacklevel`` is that of the :class:`FiniteVarianceWarning`, counted
+    from here: 2 points at the caller.
+    """
     if len(alpha_grid) == 0 or len(q_grid) == 0:
         raise DomainError("order grids must be nonempty")
     n = x.shape[1]
@@ -355,9 +371,10 @@ def _reports(x: np.ndarray, m: int | None, alpha_grid, q_grid) -> tuple[EntropyR
                 f"Tsallis index q={q:g} lies outside [1, 5/3), the index window "
                 f"for finite-variance data",
                 FiniteVarianceWarning,
-                stacklevel=3,
+                stacklevel=stacklevel,
             )
-    alphas, qs = _orders(alpha_grid, tsallis=False), _orders(q_grid, tsallis=True)
+    alphas = _orders(tuple(alpha_grid), tsallis=False)
+    qs = _orders(tuple(q_grid), tsallis=True)
     alpha_list, q_list = alphas.column[:, 0].tolist(), qs.column[:, 0].tolist()
 
     out = []
@@ -392,17 +409,4 @@ def entropy_report(returns, m: int | None = None,
     ``m`` defaults to ceil(sqrt(n)).  Tsallis indices outside [1, 5/3) emit
     :class:`FiniteVarianceWarning` but are still evaluated.
     """
-    return _reports(_samples(returns, 1)[None, :], m, alpha_grid, q_grid)[0]
-
-
-def entropy_reports(samples, m: int | None = None,
-                    alpha_grid: tuple[float, ...] = DEFAULT_ORDER_GRID,
-                    q_grid: tuple[float, ...] = DEFAULT_ORDER_GRID
-                    ) -> tuple[EntropyReport, ...]:
-    """:func:`entropy_report` of every row of a 2-D sample matrix.
-
-    Each row, such as one rolling window of a series, gets its own histogram
-    over its own range; the report of a row equals ``entropy_report`` of that
-    row.  ``m`` defaults to ceil(sqrt(row length)).
-    """
-    return _reports(_samples(samples, 2), m, alpha_grid, q_grid)
+    return _reports(_sample(returns)[None, :], m, alpha_grid, q_grid, stacklevel=3)[0]

@@ -18,12 +18,11 @@ from volentropy import (
     Histogram,
     build_histogram,
     entropy_report,
-    entropy_reports,
     renyi,
     shannon,
     tsallis,
 )
-from volentropy.entropy import _BLOCK_VALUES, _ONE_TOL, _bin
+from volentropy.entropy import DEFAULT_ORDER_GRID, _BLOCK_VALUES, _ONE_TOL, _bin, _reports
 
 
 def hist(probs) -> Histogram:
@@ -131,7 +130,8 @@ def test_hostile_histogram_inputs_raise_package_errors(x, m, error, message):
         with pytest.raises(error, match=message):
             entropy_report(np.array(x), m=m)
         with pytest.raises(error, match=message):
-            entropy_reports(np.array([np.arange(len(x), dtype=float), x]), m=m)
+            _reports(np.array([np.arange(len(x), dtype=float), x]), m,
+                     DEFAULT_ORDER_GRID, DEFAULT_ORDER_GRID)
 
 
 def test_report_occupancy():
@@ -148,10 +148,8 @@ def test_reports_of_a_matrix_larger_than_one_block_equal_row_reports():
     x = rng.standard_normal((600, 500))
     assert x.size > _BLOCK_VALUES  # binned in more than one block of rows
     grids = dict(alpha_grid=(1.2, 2.0), q_grid=(1.2, 1.5))
-    reports = entropy_reports(x, m=23, **grids)
+    reports = _reports(x, 23, **grids)
     assert reports == tuple(entropy_report(row, m=23, **grids) for row in x)
-    with pytest.raises(DomainError, match="2-D"):
-        entropy_reports(x[0])
 
 
 # ---------------------------------------------------------------- equivalence
@@ -456,6 +454,14 @@ def test_q_outside_finite_variance_window_warns():
         entropy_report(x, q_grid=(2.0,))
     with pytest.warns(FiniteVarianceWarning):
         entropy_report(x, q_grid=(0.9, 1.4))
+
+
+def test_finite_variance_warning_points_at_the_caller():
+    x = np.random.default_rng(12).standard_normal(100)
+    with pytest.warns(FiniteVarianceWarning) as caught:
+        entropy_report(x, q_grid=(2.0,))
+        _reports(np.array([x, x]), None, (1.4,), (2.0,))
+    assert [w.filename for w in caught] == [__file__, __file__]
 
 
 def test_default_grid_does_not_warn():
