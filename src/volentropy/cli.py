@@ -13,7 +13,7 @@ from pathlib import Path
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .entropy import DEFAULT_ORDER_GRID, _reports, entropy_report
-from .errors import DomainError, EstimationError, VolentropyError
+from .errors import DegenerateSupportError, DomainError, EstimationError, VolentropyError
 from .estimation import INNOVATIONS, FitConfig, fit, persistence_check
 from .models import DEFAULT_TRUNCATION, ModelFamily, ParamVector
 from .report import (
@@ -239,12 +239,19 @@ def cmd_entropy(args) -> int:
                     f"--window {args.window} exceeds the {len(series)} observations "
                     f"of series {series.id!r}")
             step = args.step if args.step is not None else args.window
-            starts = range(0, len(series) - args.window + 1, step)
-            reports = _reports(sliding_window_view(series.returns, args.window)[::step],
-                               args.bins, alpha_grid, q_grid)
-            windows = tuple(((series.dates[start].isoformat(),
-                              series.dates[start + args.window - 1].isoformat()), wrep)
-                            for start, wrep in zip(starts, reports))
+            spans = [(series.dates[start].isoformat(),
+                      series.dates[start + args.window - 1].isoformat())
+                     for start in range(0, len(series) - args.window + 1, step)]
+            try:
+                reports = _reports(sliding_window_view(series.returns, args.window)[::step],
+                                   args.bins, alpha_grid, q_grid)
+            except DegenerateSupportError as exc:
+                if exc.row is None:
+                    raise
+                first, last = spans[exc.row]
+                raise DegenerateSupportError(
+                    f"series {series.id!r}, window {first} to {last}: {exc}") from exc
+            windows = tuple(zip(spans, reports))
         entries.append(EntropyEntry(series.id, rep, windows))
 
     manifest = make_manifest("entropy", _csv_list(args.input), {

@@ -61,6 +61,10 @@ _ONE_TOL = 1e-8
 
 _EQUIDISTANT_RTOL = 1e-12
 
+# log p > -745 for every positive double p, so alpha * log p cannot overflow
+# at Renyi orders up to this one
+_OVERFLOW_ORDER = float(np.finfo(float).max) / 745.0
+
 # sample matrices are binned in blocks of about this many values: 500-point
 # windows bin as fast in blocks of 2**14 to 2**20 values, and larger blocks
 # only hold more memory
@@ -183,8 +187,8 @@ def _bin(x: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Edges, counts and probabilities of each row of a sample matrix.
 
     A support of zero width, or one whose width overflows, raises
-    :class:`DegenerateSupportError`; the callers check the rows against the
-    :class:`Histogram` invariants.
+    :class:`DegenerateSupportError` naming the first such row; the callers
+    check the rows against the :class:`Histogram` invariants.
     """
     k, n = x.shape
     lo, hi = x.min(axis=1), x.max(axis=1)
@@ -200,9 +204,9 @@ def _bin(x: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             raise DomainError("sample contains non-finite values")
         if lo_i == hi_i:
             raise DegenerateSupportError(
-                f"all {n} observations equal {lo_i!r}; histogram support has zero width")
+                f"all {n} observations equal {lo_i!r}; histogram support has zero width", i)
         raise DegenerateSupportError(
-            f"support [{lo_i!r}, {hi_i!r}] is too wide: its width overflows a double")
+            f"support [{lo_i!r}, {hi_i!r}] is too wide: its width overflows a double", i)
 
     # np.linspace(lo, hi, m + 1) of each row, as linspace computes it
     edges = np.arange(m + 1.0) * (width / m)[:, None] + lo[:, None]
@@ -254,6 +258,7 @@ class _Orders(NamedTuple):
     denominator: np.ndarray   # 1 - alpha or q - 1; 1 on the Shannon rows
     shannon: tuple            # rows within _ONE_TOL of 1: report the Shannon value
     exact: tuple              # (row, ufunc) pairs, see _EXACT_POWERS
+    overflow: bool            # a Renyi order above _OVERFLOW_ORDER
 
 
 # numpy evaluates p ** 2.0 and p ** 0.5 with a scalar exponent as square and
@@ -282,11 +287,21 @@ def _orders(grid: tuple, tsallis: bool) -> _Orders:
     column = np.array(grid, dtype=float).reshape(-1, 1)
     denominator = np.array(denominator)
     column.flags.writeable = denominator.flags.writeable = False
-    return _Orders(column, denominator, tuple(shannon), tuple(exact))
+    overflow = not tsallis and any(v > _OVERFLOW_ORDER for v in grid)
+    return _Orders(column, denominator, tuple(shannon), tuple(exact), overflow)
 
 
 _NONE = _orders((), tsallis=False)
 _EMPTY = _NONE.denominator
+
+
+def _renyi_rows(logp: np.ndarray, alphas: _Orders) -> tuple[np.ndarray, np.ndarray]:
+    """Renyi values of the orders, and each row's largest ``alpha * log p``."""
+    # max-shifted log-sum: the largest term of each row is exp(0) = 1, so no
+    # sum can underflow to zero even when every p_i**alpha would
+    z = alphas.column * logp
+    z_max = z.max(axis=1)
+    return (z_max + np.log(np.exp(z - z_max[:, None]).sum(axis=1))) / alphas.denominator, z_max
 
 
 def _block(p: np.ndarray, alphas: _Orders, qs: _Orders, shannon: bool = True
@@ -302,11 +317,14 @@ def _block(p: np.ndarray, alphas: _Orders, qs: _Orders, shannon: bool = True
     s = float(-(p * logp).sum()) if shannon else math.nan
     r = t = _EMPTY
     if alphas.column.size:
-        # max-shifted log-sum: the largest term of each row is exp(0) = 1, so
-        # no sum can underflow to zero even when every p_i**alpha would
-        z = alphas.column * logp
-        z_max = z.max(axis=1)
-        r = (z_max + np.log(np.exp(z - z_max[:, None]).sum(axis=1))) / alphas.denominator
+        if alphas.overflow:
+            with np.errstate(over="ignore", invalid="ignore"):
+                r, z_max = _renyi_rows(logp, alphas)
+            # where alpha * log p_max overflows, so does every alpha * log p of
+            # the row: its value is the alpha -> infinity limit, -log p_max
+            r[z_max == -math.inf] = -logp.max()
+        else:
+            r = _renyi_rows(logp, alphas)[0]
         if alphas.shannon:
             r[list(alphas.shannon)] = s
     if qs.column.size:
@@ -357,9 +375,10 @@ def _reports(x: np.ndarray, m: int | None, alpha_grid, q_grid,
     """:func:`entropy_report` of each row of a 2-D sample matrix.
 
     Each row, such as one rolling window of a series, gets its own histogram
-    over its own range; ``m`` defaults to ceil(sqrt(row length)).
-    ``stacklevel`` is that of the :class:`FiniteVarianceWarning`, counted
-    from here: 2 points at the caller.
+    over its own range; ``m`` defaults to ceil(sqrt(row length)).  A row
+    of zero or overflowing width raises :class:`DegenerateSupportError`
+    with its index in ``x``.  ``stacklevel`` is that of the
+    :class:`FiniteVarianceWarning`, counted from here: 2 points at the caller.
     """
     if len(alpha_grid) == 0 or len(q_grid) == 0:
         raise DomainError("order grids must be nonempty")
@@ -380,7 +399,10 @@ def _reports(x: np.ndarray, m: int | None, alpha_grid, q_grid,
     out = []
     per_block = max(1, _BLOCK_VALUES // n)
     for first in range(0, x.shape[0], per_block):
-        edges, counts, probs = _bin(x[first:first + per_block], m)
+        try:
+            edges, counts, probs = _bin(x[first:first + per_block], m)
+        except DegenerateSupportError as exc:
+            raise DegenerateSupportError(str(exc), first + exc.row) from None
         try:
             _check_cells(edges, probs)
         except DomainError as exc:

@@ -42,7 +42,15 @@ class BoundaryError(VolentropyError):
 
 
 class DegenerateSupportError(VolentropyError):
-    """Histogram support has zero width (all observations identical)."""
+    """Histogram support has zero width (all observations identical).
+
+    ``row``, when set, is the index of the offending sample among those
+    binned together, such as rolling windows (0 for a single sample).
+    """
+
+    def __init__(self, message: str, row: int | None = None):
+        super().__init__(message)
+        self.row = row
 
 
 class AutocorrUndefinedError(VolentropyError):

@@ -9,6 +9,13 @@ finite-difference gradients, multistarted from jittered warm starts.
 Convergence diagnostics (objective improvement, gradient norms) are defined
 on the *per-observation* (mean) log-likelihood so they are sample-size
 invariant; reported log-likelihoods are totals.
+
+Standard errors use the likelihood engine's exact score (see
+:meth:`models._Likelihood.score`).  It is carried to the unconstrained
+coordinates by the analytic Jacobian of the inverse transform.  The Hessian
+there is built from forward differences of that score: k + 1 score passes
+for k free parameters.  The same Jacobian maps the inverse Hessian back to
+the constrained space (the delta method).
 """
 
 from __future__ import annotations
@@ -226,6 +233,27 @@ def _params_to_vector(params: ParamVector, names: tuple[str, ...]) -> np.ndarray
     return np.array([getattr(params, n) for n in names], dtype=float)
 
 
+def _jacobian(params: ParamVector, family: ModelFamily,
+              d_fixed: float | None = None) -> np.ndarray:
+    """d theta / d u of :func:`transform_from_unconstrained` at ``params``.
+
+    Diagonal (exp, logistic and ``2 + exp`` maps), except the softmax block
+    of the GARCH (alpha, beta) pair.
+    """
+    a, b = params.alpha, params.beta
+    diag = [params.omega, a * (1.0 - a), b * (1.0 - b)]
+    if family is not ModelFamily.GARCH:
+        diag[1] = a
+        if family is ModelFamily.FIGARCH and d_fixed is None:
+            diag.append(params.d * (1.0 - params.d))
+    if params.nu is not None:
+        diag.append(params.nu - 2.0)
+    J = np.diag(diag)
+    if family is ModelFamily.GARCH:
+        J[1, 2] = J[2, 1] = -a * b
+    return J
+
+
 # ------------------------------------------------------- numerical derivatives
 
 def _fd_gradient(f, x: np.ndarray, rel: float = 1e-6) -> np.ndarray:
@@ -253,34 +281,20 @@ def _fd_gradient(f, x: np.ndarray, rel: float = 1e-6) -> np.ndarray:
     return g
 
 
-def _hessian_steps(x: np.ndarray) -> np.ndarray:
-    return np.maximum(1e-5, 1e-4 * np.abs(x))
+def _score_hessian(score, x: np.ndarray) -> np.ndarray:
+    """Hessian from forward differences of an exact gradient, symmetrised.
 
-
-def _fd_hessian(f, x: np.ndarray) -> np.ndarray:
-    """Central finite-difference Hessian with steps max(1e-5, 1e-4*|x_i|)."""
+    Steps are ``1e-7 * max(1, |x_i|)``, taken as ``(x_i + h) - x_i`` so
+    that the divisor is the step actually made.
+    """
     x = np.asarray(x, dtype=float)
-    n = x.size
-    h = _hessian_steps(x)
-    H = np.empty((n, n))
-    f0 = f(x)
-
-    def at(*shifts):
+    s0 = score(x)
+    H = np.empty((x.size, x.size))
+    for i in range(x.size):
         xs = x.copy()
-        for i, s in shifts:
-            xs[i] += s
-        return f(xs)
-
-    for i in range(n):
-        H[i, i] = (at((i, h[i])) - 2.0 * f0 + at((i, -h[i]))) / h[i] ** 2
-        for j in range(i + 1, n):
-            H[i, j] = H[j, i] = (
-                at((i, h[i]), (j, h[j]))
-                - at((i, h[i]), (j, -h[j]))
-                - at((i, -h[i]), (j, h[j]))
-                + at((i, -h[i]), (j, -h[j]))
-            ) / (4.0 * h[i] * h[j])
-    return H
+        xs[i] += 1e-7 * max(1.0, abs(x[i]))
+        H[:, i] = (score(xs) - s0) / (xs[i] - x[i])
+    return 0.5 * (H + H.T)
 
 
 def _covariance_from_hessian(H: np.ndarray) -> np.ndarray | None:
@@ -474,41 +488,33 @@ def _significance(p: float) -> str:
 def standard_errors(params: ParamVector, series, config: FitConfig) -> StdErrReport:
     """Delta-method standard errors at an optimum.
 
-    The Hessian of the total log-likelihood is taken by central finite
-    differences in the unconstrained coordinates (steps
-    ``max(1e-5, 1e-4 |u_i|)``); its negative inverse is mapped to the
-    constrained space through the Jacobian of the inverse transform.
-    A non-positive-definite Hessian yields an absent-but-flagged report.
+    The Hessian of the total log-likelihood in the unconstrained coordinates
+    comes from forward differences of its exact score (see
+    :meth:`models._Likelihood.score`), one score pass per coordinate plus the
+    centre, with steps ``1e-7 * max(1, |u_i|)``; it is symmetrised.  The
+    score is mapped to those coordinates, and the negative inverse Hessian
+    back to the constrained space, through the analytic Jacobian of the
+    inverse transform.  A Hessian that is not negative definite, or a score
+    pass at an infeasible point, yields an absent-but-flagged report.
     """
     engine = _make_engine(_extract_returns(series), config)
+    fixed_d = config.d_fixed is not None
 
-    def safe_total(u: np.ndarray) -> float:
+    def score(u: np.ndarray) -> np.ndarray:
+        p = transform_from_unconstrained(u, config.family, config.innovation, config.d_fixed)
         try:
-            return _total_loglik(engine, u, config)
+            grad = engine.score(p, fixed_d)[1]
         except (InfeasibleParamsError, DataQualityError):
-            return np.nan
+            return np.full(u.size, np.nan)
+        return _jacobian(p, config.family, config.d_fixed).T @ grad
 
     u0 = transform_to_unconstrained(params, config.family, config.d_fixed)
-    H = _fd_hessian(safe_total, u0)
-    cov_u = _covariance_from_hessian(H)
+    cov_u = _covariance_from_hessian(_score_hessian(score, u0))
     if cov_u is None:
         return StdErrReport(None, None, None, None, False)
 
     names = param_names(config.family, config.innovation, config.d_fixed)
-
-    def theta(u: np.ndarray) -> np.ndarray:
-        p = transform_from_unconstrained(u, config.family, config.innovation,
-                                         config.d_fixed)
-        return _params_to_vector(p, names)
-
-    h = _hessian_steps(u0)
-    J = np.empty((len(names), u0.size))
-    for j in range(u0.size):
-        up, um = u0.copy(), u0.copy()
-        up[j] += h[j]
-        um[j] -= h[j]
-        J[:, j] = (theta(up) - theta(um)) / (2.0 * h[j])
-
+    J = _jacobian(params, config.family, config.d_fixed)
     cov = J @ cov_u @ J.T
     var = np.clip(np.diag(cov), 0.0, None)
     se = np.sqrt(var)

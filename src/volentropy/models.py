@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import fft as sp_fft
-from scipy.special import gammaln
+from scipy.special import digamma, gammaln
 
 from .errors import DataQualityError, DomainError, InfeasibleParamsError
 
@@ -52,10 +52,12 @@ _LAMBDA_TOL = 1e-12
 
 _SMALLEST_NORMAL = float(np.finfo(float).tiny)
 
-# Convolutions a likelihood engine keeps.  A central-difference Hessian of
-# the FIGARCH-t likelihood visits 19 distinct (alpha, beta, d) keys: the
-# centre, 2 shifts of each of the 3 weight parameters and 4 corners of each
-# of their 3 pairs, 1 + 2*3 + 4*3 = 19; shifts of omega or nu reuse one.
+# Convolutions a likelihood engine keeps.  A fit's simplex steps and
+# finite-difference gradients revisit recent (alpha, beta, d) keys, and
+# points that shift only omega or nu reuse one; 19 keys hold a whole
+# central-difference stencil over (alpha, beta, d), 1 + 2*3 + 4*3.  The
+# standard errors' score Hessian needs 4: the centre and one step in each
+# of alpha, beta and d.
 _CONV_MEMO_SIZE = 19
 
 
@@ -219,15 +221,19 @@ def validate_params(family: ModelFamily, params: ParamVector,
         raise DomainError(f"unknown family {family!r}")
 
 
-def _ar1_filter(x: np.ndarray, beta: float, state: float | None = None) -> np.ndarray:
-    """``y_t = x_t + beta*y_{t-1}``, with ``beta*y_{-1} = state`` (0 if None)."""
+def _ar1_filter(x: np.ndarray, beta: float,
+                state: float | np.ndarray | None = None) -> np.ndarray:
+    """``y_t = x_t + beta*y_{t-1}``, with ``beta*y_{-1} = state`` (0 if None).
+
+    A 2-D ``x`` is filtered row by row, with one state per row.
+    """
     # Imported here: scipy.signal costs over a second of import time that
     # paths without a variance recursion (--help, entropy) never need.
     from scipy.signal import lfilter
 
     if state is None:
         return lfilter([1.0], [1.0, -beta], x)
-    return lfilter([1.0], [1.0, -beta], x, zi=np.array([state]))[0]
+    return lfilter([1.0], [1.0, -beta], x, zi=np.asarray(state, dtype=float)[..., None])[0]
 
 
 def _garch_recursion(omega: float, alpha: float, beta: float,
@@ -280,15 +286,18 @@ class _Likelihood:
     The returns are validated and demeaned once.  For IGARCH and FIGARCH the
     engine also keeps the rFFT of the backcast-padded e^2, so each evaluation
     transforms only the kernel.  Since
-    ``sigma2 = omega/(1-beta) + conv``, the convolution slice is memoised on
-    the exact floats (alpha, beta, d): points that move only omega or nu,
-    as most finite-difference neighbours do, reuse it, and the lambda
-    weights are built once per distinct key.
+    ``sigma2 = omega/(1-beta) + conv``, the convolution slice and its weights
+    are memoised on the exact floats (alpha, beta, d): points that move only
+    omega or nu, as most finite-difference neighbours do, reuse them, and the
+    lambda weights are built once per distinct key.
 
     With ``reject_negative_weights`` a FIGARCH point whose ARCH(inf) weights
     fall below ``-_LAMBDA_TOL`` raises :class:`InfeasibleParamsError` (the
     estimation objective's feasibility rule); otherwise only non-positive
     conditional variances are rejected.
+
+    :meth:`score` adds the exact gradient of the log-likelihood, from the
+    derivative recursions of Fiorentini, Calzolari & Panattoni (1996).
     """
 
     def __init__(self, family: ModelFamily, returns: np.ndarray,
@@ -305,7 +314,8 @@ class _Likelihood:
         self.e2 = e * e
         self.backcast = float(self.e2.mean())
         self._check_weights = reject_negative_weights and family is ModelFamily.FIGARCH
-        self._memo: dict[tuple[float, float, float], np.ndarray | None] = {}
+        self._memo: dict[tuple[float, float, float],
+                         tuple[np.ndarray, FracWeights] | None] = {}
         if family is ModelFamily.GARCH:
             self._e2_lag = np.concatenate(([self.backcast], self.e2[:-1]))
             return
@@ -314,25 +324,29 @@ class _Likelihood:
         self._fft_size = sp_fft.next_fast_len(self.n + 2 * T, True)
         self._e2_fft = sp_fft.rfft(e2_ext, self._fft_size)
 
-    def _convolution(self, alpha: float, beta: float, d: float) -> np.ndarray:
-        """``sum_j lambda_j e2_{t-j}`` for t = 0..n-1, memoised per key."""
+    def _convolution(self, alpha: float, beta: float, d: float
+                     ) -> tuple[np.ndarray, FracWeights]:
+        """``sum_j lambda_j e2_{t-j}`` for t = 0..n-1 and the weights, memoised per key."""
         key = (alpha, beta, d)
         if key not in self._memo:
-            lam = frac_weights(d, self.T, alpha, beta).lam
-            acc = None
-            if not (self._check_weights and (lam < -_LAMBDA_TOL).any()):
-                kernel = np.concatenate(([0.0], lam))
+            w = frac_weights(d, self.T, alpha, beta)
+            entry = None
+            if not (self._check_weights and (w.lam < -_LAMBDA_TOL).any()):
+                kernel = np.concatenate(([0.0], w.lam))
                 size = self._fft_size
                 full = sp_fft.irfft(self._e2_fft * sp_fft.rfft(kernel, size), size)
                 # a copy, so the memo does not pin the padded buffer
-                acc = full[self.T:self.T + self.n].copy()
+                entry = (full[self.T:self.T + self.n].copy(), w)
             if len(self._memo) >= _CONV_MEMO_SIZE:
                 del self._memo[next(iter(self._memo))]
-            self._memo[key] = acc
-        acc = self._memo[key]
-        if acc is None:
+            self._memo[key] = entry
+        entry = self._memo[key]
+        if entry is None:
             raise InfeasibleParamsError("negative ARCH(inf) weight")
-        return acc
+        return entry
+
+    def _d(self, params: ParamVector) -> float:
+        return 1.0 if self.family is ModelFamily.IGARCH else params.d
 
     def variance_path(self, params: ParamVector) -> VariancePath:
         if params.beta >= 1.0 - 1e-12:
@@ -343,9 +357,8 @@ class _Likelihood:
             sig2 = _garch_recursion(params.omega, params.alpha, params.beta,
                                     self._e2_lag, self.backcast)
         else:
-            d = 1.0 if self.family is ModelFamily.IGARCH else params.d
-            sig2 = (params.omega / (1.0 - params.beta)
-                    + self._convolution(params.alpha, params.beta, d))
+            acc, _ = self._convolution(params.alpha, params.beta, self._d(params))
+            sig2 = params.omega / (1.0 - params.beta) + acc
 
         if not np.isfinite(sig2).all() or (sig2 <= 0.0).any():
             worst = float(np.nanmin(sig2))
@@ -360,6 +373,85 @@ class _Likelihood:
 
     def loglik(self, params: ParamVector) -> float:
         return self.variance_path(params).loglik
+
+    def score(self, params: ParamVector, fixed_d: bool = False) -> tuple[float, np.ndarray]:
+        """Total log-likelihood and its gradient in the constrained parameters.
+
+        The gradient is ordered (omega, alpha, beta, d, nu): ``d`` only for a
+        FIGARCH engine without ``fixed_d``, ``nu`` only for Student-t
+        innovations.  Infeasible points raise as in :meth:`variance_path`.
+
+        With ``g_t`` the derivative of the t-th log-density in sigma2_t, each
+        component is ``sum_t g_t d sigma2_t / d theta``.  GARCH filters the
+        derivatives of sigma2 with the variance recursion.  For IGARCH and
+        FIGARCH the score is linear in the ARCH(inf) weights, so it is
+        ``d lambda / d theta . c`` with ``c_j = sum_t g_t e2_{t-j}``: one
+        correlation of g with the padded e^2 through the cached rFFT, and the
+        weight derivatives from the weight recursion.
+        """
+        vp = self.variance_path(params)
+        sig2, e2, nu = vp.sigma2, self.e2, params.nu
+        if nu is None:
+            g = 0.5 * (e2 / sig2 - 1.0) / sig2
+        else:
+            x = e2 / ((nu - 2.0) * sig2)
+            w = x / (1.0 + x)
+            g = 0.5 * ((nu + 1.0) * w - 1.0) / sig2
+        if self.family is ModelFamily.GARCH:
+            grad = self._garch_score(params, sig2, g)
+        else:
+            grad = self._arch_inf_score(params, g, free_d=(
+                self.family is ModelFamily.FIGARCH and not fixed_d))
+        if nu is not None:
+            grad.append(0.5 * self.n * (digamma((nu + 1.0) / 2.0) - digamma(nu / 2.0)
+                                        - 1.0 / (nu - 2.0))
+                        - 0.5 * float(np.log1p(x).sum())
+                        + (nu + 1.0) / (2.0 * (nu - 2.0)) * float(w.sum()))
+        return vp.loglik, np.array(grad)
+
+    def _garch_score(self, params: ParamVector, sig2: np.ndarray, g: np.ndarray) -> list:
+        # From the pre-sample level s = (omega + alpha*backcast)/(1-beta),
+        # d sigma2_t/d omega is 1/(1-beta) at every t.  d sigma2/d alpha and
+        # d sigma2/d beta follow the variance recursion with inputs e2_{t-1}
+        # and sigma2_{t-1}, from d s/d alpha = backcast/(1-beta) and
+        # d s/d beta = s/(1-beta).
+        beta = params.beta
+        s_pre = (params.omega + params.alpha * self.backcast) / (1.0 - beta)
+        x = np.empty((2, self.n))
+        x[0] = self._e2_lag
+        x[1, 0] = s_pre
+        x[1, 1:] = sig2[:-1]
+        state = beta / (1.0 - beta) * np.array([self.backcast, s_pre])
+        d_alpha, d_beta = _ar1_filter(x, beta, state) @ g
+        return [float(g.sum()) / (1.0 - beta), float(d_alpha), float(d_beta)]
+
+    def _arch_inf_score(self, params: ParamVector, g: np.ndarray, free_d: bool) -> list:
+        alpha, beta, d, T = params.alpha, params.beta, self._d(params), self.T
+        _, w = self._convolution(alpha, beta, d)
+        size = self._fft_size
+        padded = np.zeros(size)
+        padded[T:T + self.n] = g
+        c = sp_fft.irfft(sp_fft.rfft(padded) * self._e2_fft.conj(), size)[1:T + 1]
+
+        # lambda = ar1_filter(x, beta) with x_j = (alpha+beta)*pi_{j-1} - pi_j,
+        # less beta at j = 1, so each weight derivative filters d x; beta also
+        # enters the filter, which adds lambda_{j-1} to its input
+        pi = w.pi
+        x_beta = pi[:-1].copy()
+        x_beta[0] -= 1.0
+        x_beta[1:] += w.lam[:-1]
+        rows = [pi[:-1], x_beta]
+        if free_d:
+            # d pi_j / d d = pi_j * sum_{k<=j} 1/(d+1-k)
+            j = np.arange(1.0, T + 1.0)
+            d_pi = pi * np.concatenate(([0.0], np.cumsum(1.0 / (d + 1.0 - j))))
+            rows.append((alpha + beta) * d_pi[:-1] - d_pi[1:])
+        grad = _ar1_filter(np.array(rows), beta) @ c
+
+        # the intercept omega/(1-beta)
+        g_sum = float(g.sum())
+        grad[1] += params.omega / (1.0 - beta) ** 2 * g_sum
+        return [g_sum / (1.0 - beta), *grad.tolist()]
 
 
 def variance_path(family: ModelFamily, params: ParamVector,

@@ -229,6 +229,19 @@ def test_entropy_degenerate_series_exits_1(tmp_path):
     assert "zero width" in proc.stderr
 
 
+def test_entropy_zero_width_window_names_series_and_dates(tmp_path):
+    path = tmp_path / "calm.csv"
+    returns = [0.0 if 11 <= day <= 20 else 0.001 * (-1) ** day * day for day in range(1, 31)]
+    rows = [f"2020-01-{day:02d},{r}" for day, r in zip(range(1, 31), returns)]
+    path.write_text("date,return\n" + "\n".join(rows) + "\n")
+    proc = run("entropy", "--input", str(path), "--returns", "--window", "8", "--step", "1")
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        "error: series 'calm', window 2020-01-11 to 2020-01-18: all 8 observations "
+        "equal 0.0; histogram support has zero width\n")
+
+
 def test_entropy_windowed_report(sim_file):
     proc = run("entropy", "--input", str(sim_file), "--returns",
                "--window", "500", "--step", "250", "--format", "tree")

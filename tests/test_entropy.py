@@ -303,6 +303,22 @@ def test_renyi_rejects_nonpositive_order():
             renyi(h, bad)
 
 
+def test_renyi_at_huge_orders_is_finite_and_warning_free():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # alpha * log p overflows for the small cell only
+        h = Histogram.from_counts([1, 10**9])
+        assert renyi(h, 1e307) == pytest.approx(-math.log(h.probs[1]), rel=1e-6)
+        # and for every cell: the alpha -> infinity limit, -log p_max
+        h = Histogram.from_counts([1] * 10)
+        assert renyi(h, 1e308) == -math.log(h.probs[0])
+        # no product overflows at this order and histogram
+        assert renyi(Histogram.from_counts([1, 2, 3]), 1e306) == math.log(2.0)
+        rep = entropy_report(np.arange(100.0), m=10, alpha_grid=(1.4, 1e308))
+    assert rep.renyi == ((1.4, renyi(build_histogram(np.arange(100.0), 10), 1.4)),
+                         (1e308, -math.log(0.1)))
+
+
 # -------------------------------------------------------------------- tsallis
 
 def test_tsallis_certain_event_is_zero():

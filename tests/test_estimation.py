@@ -15,13 +15,11 @@ from volentropy import (
     DomainError,
     FitConfig,
     FitResult,
-    InfeasibleParamsError,
     InsufficientDataError,
     ModelFamily,
     ParamVector,
     SimConfig,
     fit,
-    frac_weights,
     log_likelihood,
     param_names,
     persistence_check,
@@ -34,11 +32,11 @@ from volentropy import (
 from volentropy.estimation import (
     _covariance_from_hessian,
     _fd_gradient,
-    _fd_hessian,
+    _jacobian,
     _make_engine,
-    _total_loglik,
+    _score_hessian,
 )
-from volentropy.models import _CONV_MEMO_SIZE, _LAMBDA_TOL
+from volentropy.models import _CONV_MEMO_SIZE
 
 GARCH, IGARCH, FIGARCH = ModelFamily.GARCH, ModelFamily.IGARCH, ModelFamily.FIGARCH
 
@@ -149,6 +147,28 @@ def test_config_rejects_d_fixed_at_boundaries():
         FitConfig(FIGARCH, d_fixed=0.0)
 
 
+@pytest.mark.parametrize("family,p,d_fixed", [
+    (GARCH, ParamVector(1e-5, 0.1, 0.85, nu=6.0), None),
+    (GARCH, ParamVector(1e-5, 0.1, 0.85), None),
+    (IGARCH, ParamVector(1e-5, 0.1, 0.6, d=1.0, nu=6.0), None),
+    (FIGARCH, ParamVector(1e-5, 0.2, 0.5, d=0.6, nu=6.0), None),
+    (FIGARCH, ParamVector(1e-5, 0.2, 0.5, d=0.6), 0.6),
+])
+def test_jacobian_matches_central_differences_of_the_transform(family, p, d_fixed):
+    innovation = "gaussian" if p.nu is None else "student"
+    names = param_names(family, innovation, d_fixed)
+    u0 = transform_to_unconstrained(p, family, d_fixed)
+    numeric = np.empty((u0.size, u0.size))
+    for j in range(u0.size):
+        up, um = u0.copy(), u0.copy()
+        up[j] += 1e-6
+        um[j] -= 1e-6
+        theta = [np.array([getattr(transform_from_unconstrained(u, family, innovation, d_fixed), n)
+                           for n in names]) for u in (up, um)]
+        numeric[:, j] = (theta[0] - theta[1]) / (up[j] - um[j])
+    assert_allclose(_jacobian(p, family, d_fixed), numeric, rtol=1e-7, atol=1e-12)
+
+
 @pytest.mark.parametrize("T", [0, -5])
 @pytest.mark.parametrize("family", [GARCH, FIGARCH])
 def test_config_rejects_nonpositive_truncation(family, T):
@@ -158,10 +178,39 @@ def test_config_rejects_nonpositive_truncation(family, T):
 
 # ------------------------------------------------------- numerical derivatives
 
+def _fd_hessian(f, x: np.ndarray) -> np.ndarray:
+    """Central finite-difference Hessian with steps max(1e-5, 1e-4*|x_i|).
+
+    The reference for the score-difference Hessian of ``standard_errors``.
+    """
+    x = np.asarray(x, dtype=float)
+    n = x.size
+    h = np.maximum(1e-5, 1e-4 * np.abs(x))
+    H = np.empty((n, n))
+    f0 = f(x)
+
+    def at(*shifts):
+        xs = x.copy()
+        for i, s in shifts:
+            xs[i] += s
+        return f(xs)
+
+    for i in range(n):
+        H[i, i] = (at((i, h[i])) - 2.0 * f0 + at((i, -h[i]))) / h[i] ** 2
+        for j in range(i + 1, n):
+            H[i, j] = H[j, i] = (
+                at((i, h[i]), (j, h[j]))
+                - at((i, h[i]), (j, -h[j]))
+                - at((i, -h[i]), (j, h[j]))
+                + at((i, -h[i]), (j, -h[j]))
+            ) / (4.0 * h[i] * h[j])
+    return H
+
+
 def test_quadratic_objective_gives_exact_half_stderr():
-    # log-likelihood -(theta-2)^2 / (2*0.25): curvature -1/0.25, stderr 0.5
-    f = lambda x: -((x[0] - 2.0) ** 2) / (2.0 * 0.25)
-    H = _fd_hessian(f, np.array([2.0]))
+    # log-likelihood -(theta-2)^2 / (2*0.25): score -(theta-2)/0.25, stderr 0.5
+    score = lambda x: np.array([-(x[0] - 2.0) / 0.25])
+    H = _score_hessian(score, np.array([2.0]))
     cov = _covariance_from_hessian(H)
     assert cov is not None
     assert math.sqrt(cov[0, 0]) == pytest.approx(0.5, abs=1e-9)
@@ -173,9 +222,10 @@ def test_fd_gradient_on_polynomial():
     assert_allclose(g, [3 * 1.5 ** 2 + 2 * (-2.0), 2 * 1.5], rtol=1e-6)
 
 
-def test_fd_hessian_cross_terms():
-    f = lambda x: -(x[0] ** 2) - 3.0 * x[1] ** 2 + 0.5 * x[0] * x[1]
-    H = _fd_hessian(f, np.array([0.3, -0.7]))
+def test_score_hessian_cross_terms():
+    # score of -(x0^2) - 3 x1^2 + 0.5 x0 x1
+    score = lambda x: np.array([-2.0 * x[0] + 0.5 * x[1], -6.0 * x[1] + 0.5 * x[0]])
+    H = _score_hessian(score, np.array([0.3, -0.7]))
     assert_allclose(H, [[-2.0, 0.5], [0.5, -6.0]], atol=1e-6)
 
 
@@ -325,36 +375,63 @@ def test_standard_errors_cover_truth_in_most_replications():
     assert hits / trials >= 0.80
 
 
-def _reference_total(config, returns):
-    """Memo-free objective: public log_likelihood plus an explicit weight check."""
-    def total(u):
-        p = transform_from_unconstrained(u, config.family, config.innovation, config.d_fixed)
-        if (frac_weights(p.d, config.T, p.alpha, p.beta).lam < -_LAMBDA_TOL).any():
-            return np.nan
-        try:
-            return log_likelihood(config.family, p, returns, T=config.T)
-        except InfeasibleParamsError:
-            return np.nan
-    return total
-
-
 @pytest.mark.parametrize("n", [3000, 10_000])
-def test_memoised_figarch_hessian_is_bit_identical(n, monkeypatch):
+def test_memoised_figarch_score_equals_a_fresh_engine(n, monkeypatch):
     true = ParamVector(1e-6, 0.2, 0.5, d=0.6, nu=8.0)
     series, _ = simulate_path(SimConfig(FIGARCH, true, n=n, seed=1))
     config = FitConfig(FIGARCH)
-    u0 = transform_to_unconstrained(true, FIGARCH)
-    reference = _fd_hessian(_reference_total(config, series.returns), u0)
+    visited = []  # the points of one standard-error Hessian
+    _score_hessian(lambda u: visited.append(u.copy()) or np.zeros(u.size),
+                   transform_to_unconstrained(true, FIGARCH))
+    points = [transform_from_unconstrained(u, FIGARCH, "student") for u in visited]
+    fresh = [_make_engine(series.returns, config).score(p) for p in points]
 
     calls = []
     real = models.frac_weights
     monkeypatch.setattr(models, "frac_weights", lambda *a: calls.append(a) or real(*a))
     engine = _make_engine(series.returns, config)
-    H = _fd_hessian(lambda u: _total_loglik(engine, u, config), u0)
-    assert np.isfinite(H).all()
-    assert np.array_equal(H, reference)
-    # 51 points, 19 distinct (alpha, beta, d): one set of weights for each
-    assert len(calls) == len(set(calls)) == _CONV_MEMO_SIZE
+    for p, (ll, grad) in zip(points, fresh):
+        got_ll, got = engine.score(p)
+        assert np.isfinite(got).all()
+        assert got_ll == ll
+        assert np.array_equal(got, grad)
+    # 6 points, 4 distinct (alpha, beta, d): one set of weights for each
+    assert len(points) == 6
+    assert len(calls) == len(set(calls)) == 4
+
+
+@pytest.mark.parametrize("family,true", [
+    (GARCH, ParamVector(1e-6, 0.08, 0.91, nu=8.0)),
+    (FIGARCH, ParamVector(1e-6, 0.2, 0.5, d=0.6, nu=8.0)),
+])
+def test_score_hessian_agrees_with_the_loglik_stencil(family, true):
+    series, _ = simulate_path(SimConfig(family, true, n=10_000, seed=1))
+    config = FitConfig(family)
+    engine = _make_engine(series.returns, config)
+    at = lambda u: transform_from_unconstrained(u, family, "student")
+    u0 = transform_to_unconstrained(true, family)
+    H = _score_hessian(lambda u: _jacobian(at(u), family).T @ engine.score(at(u))[1], u0)
+    reference = _fd_hessian(lambda u: engine.loglik(at(u)), u0)
+    assert np.abs(H - reference).max() <= 1e-3 * np.abs(reference).max()
+
+
+@pytest.mark.parametrize("config", [
+    FitConfig(FIGARCH, restarts=1, seed=3),
+    FitConfig(FIGARCH, innovation="gaussian", restarts=1, seed=3),
+    FitConfig(FIGARCH, restarts=1, seed=3, d_fixed=0.6),
+])
+def test_standard_errors_at_a_boundary_optimum_are_finite_or_flagged(config):
+    # on this series the free-d fits stop on the lambda >= 0 wall
+    true = ParamVector(1e-6, 0.2, 0.5, d=0.6, nu=8.0)
+    series, _ = simulate_path(SimConfig(FIGARCH, true, n=3000, seed=3))
+    res = fit(series, config)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = standard_errors(res.params, series, config)
+    if rep.hessian_pd:
+        assert all(math.isfinite(v) and v > 0 for v in rep.stderr.values())
+    else:
+        assert rep.stderr is None and rep.cov is None
 
 
 def test_stderr_absent_when_hessian_not_pd():

@@ -14,8 +14,10 @@ from volentropy import (
     InfeasibleParamsError,
     ModelFamily,
     ParamVector,
+    SimConfig,
     frac_weights,
     log_likelihood,
+    simulate_path,
     student_logpdf,
     validate_params,
     variance_path,
@@ -306,6 +308,64 @@ def test_engine_memo_is_bounded_and_evicts_oldest_first():
     assert (0.2, 0.5, points[0].d) not in engine._memo
     assert (0.2, 0.5, points[-1].d) in engine._memo
     assert engine.loglik(points[0]) == log_likelihood(FIGARCH, points[0], r)
+
+
+# ------------------------------------------------------------------------ score
+
+@pytest.fixture(scope="module")
+def score_series():
+    """GARCH-t and FIGARCH-t series at n = 3000 and 10000."""
+    out = {}
+    for n in (3000, 10_000):
+        for family, truth in ((GARCH, ParamVector(1e-6, 0.08, 0.91, nu=8.0)),
+                              (FIGARCH, ParamVector(1e-6, 0.2, 0.5, d=0.6, nu=8.0))):
+            out[family, n] = simulate_path(SimConfig(family, truth, n=n, seed=4))[0].returns
+    return out
+
+
+def _central_difference(f, x, i):
+    # fourth-order central difference, step 1e-5 relative to x_i
+    h = 1e-5 * abs(x[i])
+
+    def at(k):
+        y = x.copy()
+        y[i] += k * h
+        return f(y)
+
+    return (8.0 * (at(1) - at(-1)) - (at(2) - at(-2))) / (12.0 * h)
+
+
+@pytest.mark.parametrize("n", [3000, 10_000])
+@pytest.mark.parametrize("nu", [7.0, None])
+@pytest.mark.parametrize("family,fixed_d", [(GARCH, False), (IGARCH, False),
+                                            (FIGARCH, False), (FIGARCH, True)])
+def test_score_matches_central_differences_of_the_loglik(score_series, family, fixed_d, nu, n):
+    # points off the truth, so that no component of the score is near zero
+    if family is GARCH:
+        r = score_series[GARCH, n]
+        p = ParamVector(1.2e-6, 0.07, 0.9, nu=nu)
+    elif family is IGARCH:
+        # the d = 1 weights beyond the first are negative: an intercept this
+        # large keeps sigma2 positive (as in acceptance criterion 1)
+        r = score_series[GARCH, n]
+        e2max = float(((r - r.mean()) ** 2).max())
+        p = ParamVector(2.0 * 0.4 * 0.1 * e2max, 0.1, 0.6, d=1.0, nu=nu)
+    else:
+        r = score_series[FIGARCH, n]
+        p = ParamVector(1.2e-6, 0.18, 0.45, d=0.55, nu=nu)
+    names = ["omega", "alpha", "beta"]
+    if family is FIGARCH and not fixed_d:
+        names.append("d")
+    if nu is not None:
+        names.append("nu")
+
+    engine = _Likelihood(family, r, reject_negative_weights=True)
+    ll, score = engine.score(p, fixed_d=fixed_d)
+    assert ll == engine.loglik(p)
+    x0 = np.array([getattr(p, name) for name in names])
+    f = lambda x: engine.loglik(p.with_(**dict(zip(names, x.tolist()))))
+    fd = [_central_difference(f, x0, i) for i in range(x0.size)]
+    assert_allclose(score, fd, rtol=1e-6)
 
 
 @given(
