@@ -3,25 +3,30 @@
 The optimizer works in an unconstrained space reached through a bijective
 reparameterization (log for scale parameters, logistic maps for bounded
 ones, a softmax-style map enforcing ``alpha + beta < 1`` for GARCH).  Each
-fit runs a derivative-free simplex search refined by quasi-Newton steps with
-finite-difference gradients, multistarted from jittered warm starts.
+fit runs BFGS on the exact score, with a line search that halves any step
+landing on a rejected point, multistarted from jittered warm starts.  Three
+features of these models need more than that.  FIGARCH's lambda_j >= 0
+walls: a rejected point is moved back onto its wall and the search slides
+along it.  The faces alpha -> 0 and d -> 0, 1, where the log and logit maps
+flatten the gradient: a point there is checked, and probed, in theta.  And
+the IGARCH alpha = 0 face, flat along omega/(1-beta): a fit ending on it is
+rerun from the face's beta -> 1 end.
 
 Convergence diagnostics (objective improvement, gradient norms) are defined
 on the *per-observation* (mean) log-likelihood so they are sample-size
 invariant; reported log-likelihoods are totals.
 
-Standard errors use the likelihood engine's exact score (see
-:meth:`models._Likelihood.score`).  It is carried to the unconstrained
-coordinates by the analytic Jacobian of the inverse transform.  The Hessian
-there is built from forward differences of that score: k + 1 score passes
-for k free parameters.  The same Jacobian maps the inverse Hessian back to
-the constrained space (the delta method).
+The optimizer's gradient and the standard errors both use the likelihood
+engine's exact score (see :meth:`models._Likelihood.score`), carried to the
+unconstrained coordinates by the analytic Jacobian of the inverse transform.
+Standard errors take the Hessian there from forward differences of that
+score, k + 1 score passes for k free parameters; the same Jacobian maps the
+inverse Hessian back to the constrained space (the delta method).
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,10 +43,12 @@ from .errors import (
     InsufficientDataError,
 )
 from .models import (
+    _LAMBDA_TOL,
     DEFAULT_TRUNCATION,
     ModelFamily,
     ParamVector,
     _Likelihood,
+    frac_weights,
     validate_params,
 )
 
@@ -65,13 +72,21 @@ INNOVATIONS = ("gaussian", "student")
 _ALPHA0, _BETA0, _D0, _NU0 = 0.05, 0.90, 0.5, 8.0
 
 _GNORM_CONVERGED = 1e-4     # gradient norm bound entering `converged`
-_GNORM_INVARIANT = 1e-3     # documented guarantee for converged fits
+_MAX_HALVINGS = 40          # line-search halvings before a step is given up
+_FACE = 1e-3                # alpha, or d from its nearer bound, on a face (see `_shape`)
+_RIDGE_GAP = 1e-9           # 1 - beta at the end of the IGARCH alpha = 0 face
 _PERSISTENCE_FLAG = 0.98    # strict threshold on alpha + beta
 
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Estimation settings: family, innovation law, and optimizer budget."""
+    """Estimation settings: family, innovation law, and optimizer budget.
+
+    ``max_iters`` bounds the BFGS iterations from each start.  A step
+    gaining less than ``tol`` in the per-observation negative
+    log-likelihood ends a BFGS run, after one steepest-descent retry if it
+    was quasi-Newton; so does a probe out of a face gaining less.
+    """
 
     family: ModelFamily
     innovation: str = "student"
@@ -254,31 +269,168 @@ def _jacobian(params: ParamVector, family: ModelFamily,
     return J
 
 
-# ------------------------------------------------------- numerical derivatives
+# ---------------------------------------------------- optimizer and derivatives
 
-def _fd_gradient(f, x: np.ndarray, rel: float = 1e-6) -> np.ndarray:
-    """Central finite-difference gradient with one-sided fallback at walls."""
-    x = np.asarray(x, dtype=float)
-    g = np.zeros_like(x)
-    f0 = None
-    for i in range(x.size):
-        h = rel * max(1.0, abs(x[i]))
-        xp, xm = x.copy(), x.copy()
-        xp[i] += h
-        xm[i] -= h
-        fp, fm = f(xp), f(xm)
-        if math.isfinite(fp) and math.isfinite(fm):
-            g[i] = (fp - fm) / (2.0 * h)
-        else:
-            if f0 is None:
-                f0 = f(x)
-            if math.isfinite(fp):
-                g[i] = (fp - f0) / h
-            elif math.isfinite(fm):
-                g[i] = (f0 - fm) / h
-            else:
-                g[i] = np.nan
-    return g
+def _bfgs(fun, x: np.ndarray, max_iters: int, tol: float, wall=None, start=None):
+    """Descend ``fun`` by BFGS with a halving line search.
+
+    ``fun(x)`` returns the objective and its gradient, or ``(inf, None)`` at
+    a rejected point; a step landing there, or failing the Armijo test, is
+    halved (scipy's line searches cannot backtrack from ``inf``).  When
+    given, ``wall(x_new)`` moves a point a wall rejects back onto that wall,
+    and returns it with the normal of the wall it is on, or None.
+    On a wall, steps and the gradient lose their component into it, so the
+    search slides along the wall.  A quasi-Newton step gaining less than
+    ``tol`` is retried as steepest descent; a steepest-descent step gaining
+    less than ``tol`` ends the search, as do ``max_iters`` iterations.
+    ``start`` is ``fun(x)`` when already known.  Returns ``(x, f, r,
+    iterations)``, ``r`` the gradient at ``x`` less its push into the wall
+    ``x`` ends on.
+    """
+    def along(v, normal):  # v without its component into the wall
+        return v if normal is None or v @ normal >= 0 else v - (v @ normal) / (normal @ normal) * normal
+
+    f, g = fun(x) if start is None else start
+    scale, normal = 1.0, None  # scale: s'y / y'y of the last update
+    H, fresh = np.eye(x.size), True  # fresh: H is scale * identity, the step steepest descent
+    r = g  # the gradient without its push into the wall x is on
+    for it in range(max_iters):
+        p = along(-H @ r, normal)
+        if not g @ p < 0:  # rounding spoilt H, or the wall blocks the step
+            H, fresh, p = scale * np.eye(x.size), True, -scale * r
+        t = 1.0 / max(1.0, np.linalg.norm(p)) if fresh else 1.0
+        for _ in range(_MAX_HALVINGS):
+            x_new, normal_new = x + t * p, None
+            f_new, g_new = fun(x_new)
+            if wall is not None:
+                x_wall, normal_new = wall(x_new)
+                if x_wall is not x_new:
+                    x_new, (f_new, g_new) = x_wall, fun(x_wall)
+            if f_new <= f + 1e-4 * min(0.0, g @ (x_new - x)):
+                break
+            t *= 0.5
+        else:  # no acceptable point: stay
+            x_new, f_new, g_new, normal_new = x, f, g, normal
+        r_new = -along(-g_new, normal_new)
+        s, y = x_new - x, r_new - r
+        improvement = f - f_new
+        x, f, g, r, normal = x_new, f_new, g_new, r_new, normal_new
+        if improvement < tol:
+            if fresh:
+                return x, f, r, it + 1
+            H, fresh = scale * np.eye(x.size), True
+            continue
+        sy = s @ y
+        if sy > 0:  # the curvature condition keeps H positive definite
+            if fresh:
+                scale = sy / (y @ y)
+                H = scale * np.eye(x.size)
+            Hy = H @ y
+            H += ((sy + y @ Hy) * np.outer(s, s) - sy * (np.outer(Hy, s) + np.outer(s, Hy))) / sy ** 2
+            fresh = False
+    return x, f, r, max_iters
+
+
+def _shape(engine: _Likelihood, u: np.ndarray, r: np.ndarray,
+           config: FitConfig) -> list[tuple[int, float, float]]:
+    """(index in u, value, slope) of alpha and a free d, for IGARCH and FIGARCH.
+
+    They map alpha through log and d through a logit, so the gradient in u
+    vanishes as alpha -> 0 or d -> 0, 1 and hides a slope in theta that may
+    point back into the interior.  The slope is d loglik / d theta per
+    observation, from the gradient ``r`` in u of the objective (less its
+    push into a wall), divided by the map's derivative; where that
+    underflowed to 0, from the engine's score.  beta is left out: it also
+    moves the intercept omega/(1-beta).
+    """
+    if config.family is ModelFamily.GARCH:
+        return []
+    params = transform_from_unconstrained(u, config.family, config.innovation, config.d_fixed)
+    coords = [(1, params.alpha, params.alpha)]
+    if config.family is ModelFamily.FIGARCH and config.d_fixed is None:
+        coords.append((3, params.d, params.d * (1.0 - params.d)))
+    if min(jac for _, _, jac in coords) > 0.0:
+        return [(i, value, -r[i] / jac) for i, value, jac in coords]
+    grad = engine.score(params, config.d_fixed is not None)[1] / engine.n
+    return [(i, value, grad[i]) for i, value, _ in coords]
+
+
+def _probe(objective, u: np.ndarray, f: float, shape, tol: float):
+    """Steps in theta along one coordinate of `_shape`, uphill in the log-likelihood.
+
+    Coordinates with a slope above ``_GNORM_CONVERGED`` are tried steepest
+    first; steps of 1e-6, 4e-6, ... 0.26 go on while the objective falls
+    and theta stays inside its bounds.  Returns ``(u, objective(u))`` at
+    the last of them when the run gains at least ``tol``, else None.
+    """
+    for i, value, slope in sorted(shape, key=lambda c: -abs(c[2])):
+        f_last, best = f, None
+        for k in range(10 if abs(slope) > _GNORM_CONVERGED else 0):
+            theta = value + math.copysign(1e-6 * 4.0 ** k, slope)
+            if not 0.0 < theta < (math.inf if i == 1 else 1.0):
+                break
+            v = u.copy()
+            v[i] = math.log(theta) if i == 1 else float(logit(theta))
+            fg = objective(v)
+            if not fg[0] < f_last:
+                break
+            f_last, best = fg[0], (v, fg)
+        if best is not None and f - f_last >= tol:
+            return best
+    return None
+
+
+def _wall(engine: _Likelihood, config: FitConfig,
+          u: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """The FIGARCH wall lambda_j >= 0 at ``u``, for `_bfgs`.
+
+    When the most negative ARCH(inf) weight lambda_j is rejected, ``u``
+    moves onto its wall by Newton steps on lambda_j(u) = 0 along the
+    gradient of lambda_j.  Returns the point and, when some lambda_j is
+    within ``_LAMBDA_TOL`` of 0 there, that gradient in u (the wall's
+    normal, pointing inside); else None.
+    """
+    for _ in range(8):
+        try:
+            q = transform_from_unconstrained(u, config.family, config.innovation, config.d_fixed)
+        except OverflowError:
+            return u, None
+        lam = frac_weights(q.d, config.T, q.alpha, q.beta).lam
+        j = int(lam.argmin())
+        if lam[j] >= _LAMBDA_TOL:
+            return u, None
+        try:
+            rows = engine.weight_jacobian(q, config.d_fixed is None)[:, j]
+        except InfeasibleParamsError:  # d too near 0 or 1 for the derivative in d
+            return u, None
+        normal = np.zeros(u.size)
+        with np.errstate(over="ignore", invalid="ignore"):  # far-out trial points
+            normal[1:1 + rows.size] = rows * np.diag(_jacobian(q, config.family, config.d_fixed))[1:1 + rows.size]
+            nn = float(normal @ normal)
+        if not 0.0 < nn < math.inf:
+            return u, None
+        if lam[j] >= -_LAMBDA_TOL:
+            break
+        u = u - lam[j] / nn * normal
+    return u, normal
+
+
+def _ridge_end(u: np.ndarray, config: FitConfig) -> np.ndarray | None:
+    """The beta -> 1 end of the IGARCH alpha = 0 face through ``u``, with alpha restored.
+
+    The IGARCH weights are lambda_1 = 1 + alpha and lambda_j =
+    -alpha (1-beta) beta^(j-2) beyond, so at alpha = 0 they are (1, 0, ...)
+    whatever beta, and the face is flat along omega/(1-beta) = const.  Only
+    at its beta -> 1 end can alpha grow without the negative weights, and a
+    search that stops elsewhere on the face does not find that end.  None
+    unless ``u`` is an IGARCH point with alpha within ``_FACE`` of 0.
+    """
+    if config.family is not ModelFamily.IGARCH or math.exp(u[1]) >= _FACE:
+        return None
+    params = transform_from_unconstrained(u, config.family, config.innovation)
+    level = params.omega / (1.0 - params.beta)
+    end = params.with_(omega=level * _RIDGE_GAP, alpha=_ALPHA0, beta=1.0 - _RIDGE_GAP)
+    return transform_to_unconstrained(end, config.family)
 
 
 def _score_hessian(score, x: np.ndarray) -> np.ndarray:
@@ -320,10 +472,12 @@ def _make_engine(returns: np.ndarray, config: FitConfig) -> _Likelihood:
     return _Likelihood(config.family, returns, config.T, reject_negative_weights=True)
 
 
-def _total_loglik(engine: _Likelihood, u: np.ndarray, config: FitConfig) -> float:
-    """Total log-likelihood at unconstrained coordinates ``u``."""
+def _unconstrained_score(engine: _Likelihood, u: np.ndarray,
+                         config: FitConfig) -> tuple[float, np.ndarray]:
+    """Total log-likelihood at unconstrained coordinates ``u`` and its gradient in ``u``."""
     params = transform_from_unconstrained(u, config.family, config.innovation, config.d_fixed)
-    return engine.loglik(params)
+    loglik, grad = engine.score(params, config.d_fixed is not None)
+    return loglik, _jacobian(params, config.family, config.d_fixed).T @ grad
 
 
 def _initial_params(returns: np.ndarray, config: FitConfig,
@@ -357,32 +511,56 @@ def fit(series, config: FitConfig) -> FitResult:
     Runs ``1 + config.restarts`` starts (the first unjittered, the rest
     jittered by +/-20% per parameter), keeps the best optimum (ties broken
     by lowest start index), and attaches standard errors when the final
-    point converged.  Raises :class:`EstimationError` when every start is
-    infeasible and :class:`DataQualityError` when the likelihood is
-    non-finite at every candidate.
+    point converged off the boundaries of the transform (``hessian_pd`` is
+    False otherwise).  A point has converged when the gradient norm of the
+    per-observation objective, less its push into a FIGARCH weight wall, is
+    below ``_GNORM_CONVERGED``, and no face it sits on hides an inward
+    slope that a probe can climb (see `_shape` and `_probe`).  Raises
+    :class:`EstimationError` when every start is infeasible and
+    :class:`DataQualityError` when the likelihood is non-finite at every
+    candidate.
     """
     returns = _extract_returns(series)
     n = returns.size
     if n < 50:
         raise InsufficientDataError(f"need at least 50 observations to fit, got {n}")
     engine = _make_engine(returns, config)
-    # Imported here so that importing the package does not pay for scipy.optimize.
-    from scipy.optimize import minimize
-
     quality_failures = 0
 
-    def objective(u: np.ndarray) -> float:
+    def objective(u: np.ndarray) -> tuple[float, np.ndarray | None]:
+        """Mean negative log-likelihood and its gradient; ``inf`` when rejected."""
         nonlocal quality_failures
         try:
-            return -_total_loglik(engine, u, config) / n
-        except InfeasibleParamsError:
-            return np.inf
+            loglik, grad = _unconstrained_score(engine, u, config)
+        except (InfeasibleParamsError, OverflowError, FloatingPointError):
+            return math.inf, None
         except DataQualityError:
             quality_failures += 1
-            return np.inf
-        except (OverflowError, FloatingPointError):
-            return np.inf
+            return math.inf, None
+        return -loglik / n, -grad / n
 
+    def descend(u: np.ndarray, start) -> tuple[np.ndarray, float, np.ndarray, int, bool]:
+        """BFGS from ``u``, and again from wherever `_probe` finds a better point.
+
+        Returns the point, objective, gradient, iterations and whether the
+        point converged: gradient norm below ``_GNORM_CONVERGED``, and no
+        probe into the interior from a face (see `_shape`) gains ``tol``.
+        """
+        iters = 0
+        while True:
+            u, f, g, k = _bfgs(objective, u, config.max_iters - iters, config.tol, walls, start)
+            iters += k
+            shape = _shape(engine, u, g, config)
+            small = float(np.linalg.norm(g)) < _GNORM_CONVERGED
+            if small and not any((value < _FACE and slope > 0) or (value > 1.0 - _FACE and slope < 0)
+                                 for _, value, slope in shape):
+                return u, f, g, iters, True
+            probe = _probe(objective, u, f, shape, config.tol) if iters < config.max_iters else None
+            if probe is None:
+                return u, f, g, iters, small
+            u, start = probe
+
+    walls = (lambda u: _wall(engine, config, u)) if engine.checks_weights else None
     rng = np.random.default_rng(config.seed)
     starts: list[dict] = []
     best: dict | None = None
@@ -393,46 +571,29 @@ def fit(series, config: FitConfig) -> FitResult:
 
         # nudge the intercept upward when the start itself is infeasible
         # (relevant for the d = 1 slice, where small omega can be rejected)
-        f0 = objective(u0)
-        for _ in range(6):
-            if math.isfinite(f0):
+        for _ in range(7):
+            fg0 = objective(u0)
+            if math.isfinite(fg0[0]):
                 break
             u0[0] += math.log(10.0)
-            f0 = objective(u0)
-        if not math.isfinite(f0):
+        else:
             starts.append({"loglik": None, "converged": False, "feasible": False})
             continue
 
-        nm = minimize(objective, u0, method="Nelder-Mead",
-                      options={"maxiter": config.max_iters,
-                               "maxfev": 2 * config.max_iters,
-                               "fatol": config.tol, "xatol": 1e-6})
-        u_best, f_best, iters = nm.x, nm.fun, nm.nit
-        opt_success = bool(nm.success)
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            try:
-                polish = minimize(objective, u_best, method="BFGS",
-                                  jac=lambda u: _fd_gradient(objective, u),
-                                  options={"gtol": 5e-6,
-                                           "maxiter": min(200, config.max_iters)})
-                if math.isfinite(polish.fun) and polish.fun <= f_best:
-                    u_best, f_best = polish.x, polish.fun
-                    iters += polish.nit
-                    opt_success = opt_success or bool(polish.success)
-            except (ValueError, LinAlgError):
-                pass
-
-        gnorm = float(np.linalg.norm(_fd_gradient(objective, u_best)))
-        converged = opt_success and math.isfinite(gnorm) and gnorm < _GNORM_CONVERGED
+        run = descend(u0, fg0)
+        ridge = _ridge_end(run[0], config)
+        fg_ridge = (math.inf, None) if ridge is None else objective(ridge)
+        if math.isfinite(fg_ridge[0]):
+            run = min(run, descend(ridge, fg_ridge), key=lambda r: r[1])
+        u_best, f_best, g_best, iters, converged = run
+        gnorm = float(np.linalg.norm(g_best))
         record = {
             "u": u_best, "objective": float(f_best), "iterations": int(iters),
             "converged": converged, "grad_norm": gnorm, "feasible": True,
             "loglik": -float(f_best) * n,
         }
         starts.append(record)
-        if math.isfinite(f_best) and (best is None or f_best < best["objective"]):
+        if best is None or f_best < best["objective"]:
             best = record
 
     if best is None:
@@ -443,13 +604,15 @@ def fit(series, config: FitConfig) -> FitResult:
     params = transform_from_unconstrained(best["u"], config.family,
                                           config.innovation, config.d_fixed)
     validate_params(config.family, params, T=config.T)
-    loglik = _total_loglik(engine, best["u"], config)  # re-evaluated at the returned optimum
+    loglik = engine.loglik(params)  # re-evaluated at the returned optimum
     names = param_names(config.family, config.innovation, config.d_fixed)
 
+    se = StdErrReport(None, None, None, None, False)
     if best["converged"]:
-        se = standard_errors(params, returns, config)
-    else:
-        se = StdErrReport(None, None, None, None, False)
+        try:
+            se = standard_errors(params, returns, config)
+        except BoundaryError:  # alpha, beta or d underflowed onto its bound
+            pass
 
     diagnostics = {
         "grad_norm": best["grad_norm"],
@@ -498,15 +661,12 @@ def standard_errors(params: ParamVector, series, config: FitConfig) -> StdErrRep
     pass at an infeasible point, yields an absent-but-flagged report.
     """
     engine = _make_engine(_extract_returns(series), config)
-    fixed_d = config.d_fixed is not None
 
     def score(u: np.ndarray) -> np.ndarray:
-        p = transform_from_unconstrained(u, config.family, config.innovation, config.d_fixed)
         try:
-            grad = engine.score(p, fixed_d)[1]
+            return _unconstrained_score(engine, u, config)[1]
         except (InfeasibleParamsError, DataQualityError):
             return np.full(u.size, np.nan)
-        return _jacobian(p, config.family, config.d_fixed).T @ grad
 
     u0 = transform_to_unconstrained(params, config.family, config.d_fixed)
     cov_u = _covariance_from_hessian(_score_hessian(score, u0))

@@ -52,13 +52,11 @@ _LAMBDA_TOL = 1e-12
 
 _SMALLEST_NORMAL = float(np.finfo(float).tiny)
 
-# Convolutions a likelihood engine keeps.  A fit's simplex steps and
-# finite-difference gradients revisit recent (alpha, beta, d) keys, and
-# points that shift only omega or nu reuse one; 19 keys hold a whole
-# central-difference stencil over (alpha, beta, d), 1 + 2*3 + 4*3.  The
-# standard errors' score Hessian needs 4: the centre and one step in each
-# of alpha, beta and d.
-_CONV_MEMO_SIZE = 19
+# Convolutions a likelihood engine keeps.  A score pass asks twice for its
+# own (alpha, beta, d) key (sigma2, then the weights of the gradient), and
+# the standard errors' score Hessian needs 4 keys: the centre and one step
+# in each of alpha, beta and d.
+_CONV_MEMO_SIZE = 4
 
 
 class ModelFamily(enum.Enum):
@@ -288,8 +286,8 @@ class _Likelihood:
     transforms only the kernel.  Since
     ``sigma2 = omega/(1-beta) + conv``, the convolution slice and its weights
     are memoised on the exact floats (alpha, beta, d): points that move only
-    omega or nu, as most finite-difference neighbours do, reuse them, and the
-    lambda weights are built once per distinct key.
+    omega or nu, as the standard errors' score differences do, reuse them,
+    and the lambda weights are built once per distinct key.
 
     With ``reject_negative_weights`` a FIGARCH point whose ARCH(inf) weights
     fall below ``-_LAMBDA_TOL`` raises :class:`InfeasibleParamsError` (the
@@ -313,7 +311,7 @@ class _Likelihood:
         self.family, self.T, self.n = family, T, r.size
         self.e2 = e * e
         self.backcast = float(self.e2.mean())
-        self._check_weights = reject_negative_weights and family is ModelFamily.FIGARCH
+        self.checks_weights = reject_negative_weights and family is ModelFamily.FIGARCH
         self._memo: dict[tuple[float, float, float],
                          tuple[np.ndarray, FracWeights] | None] = {}
         if family is ModelFamily.GARCH:
@@ -331,7 +329,7 @@ class _Likelihood:
         if key not in self._memo:
             w = frac_weights(d, self.T, alpha, beta)
             entry = None
-            if not (self._check_weights and (w.lam < -_LAMBDA_TOL).any()):
+            if not (self.checks_weights and (w.lam < -_LAMBDA_TOL).any()):
                 kernel = np.concatenate(([0.0], w.lam))
                 size = self._fft_size
                 full = sp_fft.irfft(self._e2_fft * sp_fft.rfft(kernel, size), size)
@@ -349,6 +347,8 @@ class _Likelihood:
         return 1.0 if self.family is ModelFamily.IGARCH else params.d
 
     def variance_path(self, params: ParamVector) -> VariancePath:
+        if params.nu is not None and not 2.0 < params.nu < math.inf:
+            raise InfeasibleParamsError(f"nu = {params.nu} outside (2, inf)")
         if params.beta >= 1.0 - 1e-12:
             raise InfeasibleParamsError(
                 f"beta = {params.beta} too close to 1 for the ARCH(inf) engine"
@@ -425,14 +425,15 @@ class _Likelihood:
         d_alpha, d_beta = _ar1_filter(x, beta, state) @ g
         return [float(g.sum()) / (1.0 - beta), float(d_alpha), float(d_beta)]
 
-    def _arch_inf_score(self, params: ParamVector, g: np.ndarray, free_d: bool) -> list:
-        alpha, beta, d, T = params.alpha, params.beta, self._d(params), self.T
-        _, w = self._convolution(alpha, beta, d)
-        size = self._fft_size
-        padded = np.zeros(size)
-        padded[T:T + self.n] = g
-        c = sp_fft.irfft(sp_fft.rfft(padded) * self._e2_fft.conj(), size)[1:T + 1]
+    def weight_jacobian(self, params: ParamVector, free_d: bool) -> np.ndarray:
+        """d lambda / d (alpha, beta[, d]) at an IGARCH/FIGARCH point, one row each.
 
+        The weights come from the memo when the point is there, as it is
+        in a score pass.
+        """
+        alpha, beta, d, T = params.alpha, params.beta, self._d(params), self.T
+        entry = self._memo.get((alpha, beta, d))
+        w = entry[1] if entry else frac_weights(d, T, alpha, beta)
         # lambda = ar1_filter(x, beta) with x_j = (alpha+beta)*pi_{j-1} - pi_j,
         # less beta at j = 1, so each weight derivative filters d x; beta also
         # enters the filter, which adds lambda_{j-1} to its input
@@ -442,11 +443,20 @@ class _Likelihood:
         x_beta[1:] += w.lam[:-1]
         rows = [pi[:-1], x_beta]
         if free_d:
+            if not _SMALLEST_NORMAL <= d < 1.0:  # 1/d or 1/(d-1) below is not finite
+                raise InfeasibleParamsError(f"the score in d is not finite at d = {d}")
             # d pi_j / d d = pi_j * sum_{k<=j} 1/(d+1-k)
             j = np.arange(1.0, T + 1.0)
-            d_pi = pi * np.concatenate(([0.0], np.cumsum(1.0 / (d + 1.0 - j))))
+            d_pi = pi * np.concatenate(([0.0], np.cumsum(1.0 / (d - (j - 1.0)))))
             rows.append((alpha + beta) * d_pi[:-1] - d_pi[1:])
-        grad = _ar1_filter(np.array(rows), beta) @ c
+        return _ar1_filter(np.array(rows), beta)
+
+    def _arch_inf_score(self, params: ParamVector, g: np.ndarray, free_d: bool) -> list:
+        T, size, beta = self.T, self._fft_size, params.beta
+        padded = np.zeros(size)
+        padded[T:T + self.n] = g
+        c = sp_fft.irfft(sp_fft.rfft(padded) * self._e2_fft.conj(), size)[1:T + 1]
+        grad = self.weight_jacobian(params, free_d) @ c
 
         # the intercept omega/(1-beta)
         g_sum = float(g.sum())

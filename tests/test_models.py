@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -219,6 +220,42 @@ def test_nonpositive_variance_is_infeasible_signal():
 def test_beta_at_one_is_infeasible():
     with pytest.raises(InfeasibleParamsError):
         variance_path(FIGARCH, ParamVector(1e-5, 0.1, 1.0, d=0.4), rng_returns())
+
+
+@pytest.mark.parametrize("nu", [2.0, 1.5, math.inf, math.nan])
+def test_nu_outside_its_domain_is_a_rejection_without_warnings(nu):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InfeasibleParamsError, match="nu"):
+            log_likelihood(GARCH, ParamVector(1e-5, 0.1, 0.8, nu=nu), rng_returns())
+
+
+@pytest.mark.parametrize("d,finite", [(1e-17, True), (1e-300, True), (0.0, False), (5e-324, False)])
+def test_score_in_d_at_tiny_d_is_finite_or_a_rejection_without_warnings(d, finite):
+    engine = _Likelihood(FIGARCH, rng_returns(), T=100, reject_negative_weights=True)
+    p = ParamVector(1e-4, 0.1, 0.3, d=d, nu=8.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if finite:
+            assert np.isfinite(engine.score(p)[1]).all()
+        else:
+            with pytest.raises(InfeasibleParamsError, match="score in d"):
+                engine.score(p)
+
+
+@pytest.mark.parametrize("free_d", [True, False])
+@pytest.mark.parametrize("alpha,beta,d", [(0.2, 0.5, 0.6), (0.05, 0.9, 0.05), (1e-4, 0.3, 0.97)])
+def test_weight_jacobian_matches_central_differences_of_the_weights(alpha, beta, d, free_d):
+    engine = _Likelihood(FIGARCH, rng_returns(), T=200)
+    W = engine.weight_jacobian(ParamVector(1e-4, alpha, beta, d=d), free_d)
+    theta = np.array([alpha, beta, d])
+    for k in range(3 if free_d else 2):
+        h = np.zeros(3)
+        h[k] = 1e-7 * max(theta[k], 1e-3)
+        up = frac_weights((theta + h)[2], 200, *(theta + h)[:2]).lam
+        down = frac_weights((theta - h)[2], 200, *(theta - h)[:2]).lam
+        assert_allclose(W[k], (up - down) / (2.0 * h[k]), rtol=1e-5, atol=1e-8)
+    assert W.shape == (3 if free_d else 2, 200)
 
 
 @pytest.mark.parametrize("T", [0, -5])
