@@ -31,8 +31,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.linalg import LinAlgError
-from scipy.linalg import cho_factor, cho_solve
-from scipy.special import expit, logit, ndtr
 
 from .errors import (
     BoundaryError,
@@ -204,6 +202,8 @@ def transform_to_unconstrained(params: ParamVector, family: ModelFamily,
         _require_interior(rem > 0, "alpha + beta = 1")
         u += [math.log(params.alpha / rem), math.log(params.beta / rem)]
     else:
+        from scipy.special import logit  # imported here: --help and entropy never need it
+
         _require_interior(params.alpha > 0, "alpha = 0")
         _require_interior(0.0 < params.beta < 1.0, "beta boundary")
         u += [math.log(params.alpha), float(logit(params.beta))]
@@ -232,6 +232,8 @@ def transform_from_unconstrained(u: np.ndarray, family: ModelFamily,
         alpha, beta, d = za / denom, zb / denom, 0.0
         k = 3
     else:
+        from scipy.special import expit  # imported here: --help and entropy never need it
+
         alpha, beta = math.exp(u[1]), float(expit(u[2]))
         if family is ModelFamily.IGARCH:
             d, k = 1.0, 3
@@ -363,6 +365,8 @@ def _probe(objective, u: np.ndarray, f: float, shape, tol: float):
     and theta stays inside its bounds.  Returns ``(u, objective(u))`` at
     the last of them when the run gains at least ``tol``, else None.
     """
+    from scipy.special import logit  # imported here: --help and entropy never need it
+
     for i, value, slope in sorted(shape, key=lambda c: -abs(c[2])):
         f_last, best = f, None
         for k in range(10 if abs(slope) > _GNORM_CONVERGED else 0):
@@ -451,6 +455,8 @@ def _score_hessian(score, x: np.ndarray) -> np.ndarray:
 
 def _covariance_from_hessian(H: np.ndarray) -> np.ndarray | None:
     """Inverse of -H when -H is positive definite, else None."""
+    from scipy.linalg import cho_factor, cho_solve  # imported here: --help and entropy never need it
+
     A = -np.asarray(H, dtype=float)
     if not np.isfinite(A).all():
         return None
@@ -681,6 +687,8 @@ def standard_errors(params: ParamVector, series, config: FitConfig) -> StdErrRep
     est = _params_to_vector(params, names)
     with np.errstate(divide="ignore", invalid="ignore"):
         z = np.where(se > 0, est / se, np.inf)
+    from scipy.special import ndtr  # imported here: --help and entropy never need it
+
     pvals = 2.0 * ndtr(-np.abs(z))
 
     return StdErrReport(

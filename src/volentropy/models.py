@@ -27,8 +27,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import fft as sp_fft
-from scipy.special import digamma, gammaln
 
 from .errors import DataQualityError, DomainError, InfeasibleParamsError
 
@@ -175,8 +173,9 @@ def validate_params(family: ModelFamily, params: ParamVector,
                     T: int = DEFAULT_TRUNCATION) -> None:
     """Check the family invariants, raising DomainError naming the violation.
 
-    GARCH requires ``alpha, beta >= 0`` and ``alpha + beta < 1``; IGARCH pins
-    ``d = 1``; FIGARCH requires ``d`` in [0,1] and every ARCH(inf) weight
+    ``alpha``, ``beta`` and ``d`` must be finite.  GARCH requires
+    ``alpha, beta >= 0`` and ``alpha + beta < 1``; IGARCH pins ``d = 1``;
+    FIGARCH requires ``d`` in [0,1] and every ARCH(inf) weight
     ``lambda_j >= 0`` up to the truncation horizon (checked numerically).
     The ARCH(inf) engine additionally needs ``beta < 1`` for the
     :math:`(1-\\beta L)^{-1}` inversion.
@@ -185,6 +184,9 @@ def validate_params(family: ModelFamily, params: ParamVector,
         raise DomainError(f"omega must be positive, got {params.omega}")
     if params.nu is not None and not (math.isfinite(params.nu) and params.nu > 2):
         raise DomainError(f"nu must exceed 2 for finite innovation variance, got {params.nu}")
+    for name in ("alpha", "beta", "d"):  # NaN passes every comparison below
+        if not math.isfinite(getattr(params, name)):
+            raise DomainError(f"{name} must be finite, got {getattr(params, name)}")
 
     if family is ModelFamily.GARCH:
         if params.d != 0.0:
@@ -247,6 +249,8 @@ def _garch_recursion(omega: float, alpha: float, beta: float,
 
 def _student_log_norm(nu: float) -> float:
     """Log normalising constant of the standardized Student-t density."""
+    from scipy.special import gammaln  # imported here: --help and entropy never need it
+
     return (gammaln((nu + 1.0) / 2.0) - gammaln(nu / 2.0)
             - 0.5 * math.log(math.pi * (nu - 2.0)))
 
@@ -317,10 +321,13 @@ class _Likelihood:
         if family is ModelFamily.GARCH:
             self._e2_lag = np.concatenate(([self.backcast], self.e2[:-1]))
             return
+        from scipy import fft  # imported here: --help and entropy never build an engine
+
+        self._fft = fft
         e2_ext = np.concatenate((np.full(T, self.backcast), self.e2))
         # full linear-convolution length of e2_ext (n+T) and the kernel (T+1)
-        self._fft_size = sp_fft.next_fast_len(self.n + 2 * T, True)
-        self._e2_fft = sp_fft.rfft(e2_ext, self._fft_size)
+        self._fft_size = fft.next_fast_len(self.n + 2 * T, True)
+        self._e2_fft = fft.rfft(e2_ext, self._fft_size)
 
     def _convolution(self, alpha: float, beta: float, d: float
                      ) -> tuple[np.ndarray, FracWeights]:
@@ -331,8 +338,8 @@ class _Likelihood:
             entry = None
             if not (self.checks_weights and (w.lam < -_LAMBDA_TOL).any()):
                 kernel = np.concatenate(([0.0], w.lam))
-                size = self._fft_size
-                full = sp_fft.irfft(self._e2_fft * sp_fft.rfft(kernel, size), size)
+                size, fft = self._fft_size, self._fft
+                full = fft.irfft(self._e2_fft * fft.rfft(kernel, size), size)
                 # a copy, so the memo does not pin the padded buffer
                 entry = (full[self.T:self.T + self.n].copy(), w)
             if len(self._memo) >= _CONV_MEMO_SIZE:
@@ -403,6 +410,8 @@ class _Likelihood:
             grad = self._arch_inf_score(params, g, free_d=(
                 self.family is ModelFamily.FIGARCH and not fixed_d))
         if nu is not None:
+            from scipy.special import digamma  # imported here: --help and entropy never need it
+
             grad.append(0.5 * self.n * (digamma((nu + 1.0) / 2.0) - digamma(nu / 2.0)
                                         - 1.0 / (nu - 2.0))
                         - 0.5 * float(np.log1p(x).sum())
@@ -452,10 +461,10 @@ class _Likelihood:
         return _ar1_filter(np.array(rows), beta)
 
     def _arch_inf_score(self, params: ParamVector, g: np.ndarray, free_d: bool) -> list:
-        T, size, beta = self.T, self._fft_size, params.beta
+        T, size, beta, fft = self.T, self._fft_size, params.beta, self._fft
         padded = np.zeros(size)
         padded[T:T + self.n] = g
-        c = sp_fft.irfft(sp_fft.rfft(padded) * self._e2_fft.conj(), size)[1:T + 1]
+        c = fft.irfft(fft.rfft(padded) * self._e2_fft.conj(), size)[1:T + 1]
         grad = self.weight_jacobian(params, free_d) @ c
 
         # the intercept omega/(1-beta)

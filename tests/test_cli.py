@@ -67,6 +67,15 @@ def test_simulate_rejects_out_of_range_d(tmp_path):
     assert not (tmp_path / "x.csv").exists()
 
 
+def test_simulate_rejects_nan_alpha(tmp_path):
+    proc = run("simulate", "--family", "garch", "--omega", "1e-6", "--alpha", "nan",
+               "--beta", "0.5", "--n", "100", "--seed", "0", "--output", str(tmp_path / "x.csv"))
+    assert proc.returncode == 1
+    assert "alpha must be finite, got nan" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "x.csv").exists()
+
+
 @pytest.mark.parametrize("family, extra", [("garch", []), ("figarch", ["--d", "0.6"])])
 def test_simulate_negative_truncation_exits_1(tmp_path, family, extra):
     out = tmp_path / "x.csv"
@@ -330,16 +339,26 @@ try:
     volentropy.cli.main(["--help"])
 except SystemExit:
     pass
-heavy = ("scipy.signal", "scipy.stats", "scipy.optimize")
-print(sorted(m for m in heavy if m in sys.modules))
+data, out = sys.argv[1:]
+assert volentropy.cli.main(["entropy", "--input", data, "--returns", "--window", "100",
+                            "--step", "50", "--format", "tree", "--output", out]) == 0
+assert volentropy.cli.main(["entropy", "--input", data + ".missing", "--returns"]) == 1
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 """
 
 
-def test_import_and_help_load_no_heavy_scipy_modules():
-    """Importing the package and printing help leave scipy.signal, scipy.stats
-    and scipy.optimize unloaded; they are imported where a fit needs them."""
-    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE],
+def test_import_help_and_entropy_load_no_scipy(tmp_path):
+    """Importing the package, printing help, a windowed entropy report and an
+    input error load numpy only; scipy is imported where a simulation or a
+    fit needs it."""
+    data, out = tmp_path / "r.csv", tmp_path / "ent.json"
+    r = np.random.default_rng(5).standard_normal(400) * 0.01
+    start = datetime.date(2000, 1, 1)
+    data.write_text("date,return\n" + "".join(
+        f"{start + datetime.timedelta(days=i)},{x!r}\n" for i, x in enumerate(r.tolist())))
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, str(data), str(out)],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert "usage:" in proc.stdout
+    assert len(json.loads(out.read_text())["results"][0]["windows"]) == 7
     assert proc.stdout.splitlines()[-1] == "[]"

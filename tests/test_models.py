@@ -509,6 +509,23 @@ def test_validate_pins_d_per_family():
         validate_params(IGARCH, ParamVector(1e-6, 0.05, 0.9, d=0.0))
 
 
+@pytest.mark.parametrize("family, params, name", [
+    (GARCH, ParamVector(1e-6, math.nan, 0.5), "alpha"),
+    (GARCH, ParamVector(1e-6, 0.05, math.nan), "beta"),
+    (IGARCH, ParamVector(1e-6, math.nan, 0.5, d=1.0), "alpha"),
+    (IGARCH, ParamVector(1e-6, 0.05, math.nan, d=1.0), "beta"),
+    (FIGARCH, ParamVector(1e-6, math.nan, 0.4, d=0.6), "alpha"),
+    (FIGARCH, ParamVector(1e-6, 0.2, math.nan, d=0.6), "beta"),
+    (FIGARCH, ParamVector(1e-6, 0.2, 0.4, d=math.nan), "d"),
+    (FIGARCH, ParamVector(1e-6, 0.2, 0.4, d=math.inf), "d"),
+    (GARCH, ParamVector(1e-6, -math.inf, 0.5), "alpha"),
+])
+def test_validate_rejects_non_finite_coefficients(family, params, name):
+    # every comparison with NaN is false, so the range checks alone let it through
+    with pytest.raises(DomainError, match=f"{name} must be finite"):
+        validate_params(family, params)
+
+
 def test_validate_rejects_d_outside_unit_interval():
     with pytest.raises(DomainError, match=r"\[0,1\]"):
         validate_params(FIGARCH, ParamVector(1e-6, 0.05, 0.5, d=1.2))
