@@ -31,6 +31,11 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_NOT_CONVERGED = 2
 
+# parsed flags a manifest's config leaves out: the subcommand and its handler,
+# the inputs (recorded as digests), the seed (its own field) and where a
+# report is written, which does not shape it
+_UNRECORDED = frozenset({"command", "func", "input", "seed", "report_path"})
+
 
 class _Parser(argparse.ArgumentParser):
     """argparse variant whose usage errors exit with code 1.
@@ -66,7 +71,8 @@ def _add_io_options(sub: argparse.ArgumentParser) -> None:
                      help="return column name in --returns mode")
     sub.add_argument("--format", choices=("text", "tree"), default="text",
                      help="report style: aligned text or JSON tree")
-    sub.add_argument("--output", default=None, help="write the report here instead of stdout")
+    sub.add_argument("--output", dest="report_path", metavar="OUTPUT", default=None,
+                     help="write the report here instead of stdout")
     sub.add_argument("--seed", type=int, default=0, help="seed for any randomized step")
 
 
@@ -144,6 +150,13 @@ def _load_series(args) -> list[ReturnSeries]:
     return out
 
 
+def _manifest(args, **resolved) -> dict:
+    """The run manifest: every parsed flag but ``_UNRECORDED``, with ``resolved`` values."""
+    config = {k: v for k, v in vars(args).items() if k not in _UNRECORDED}
+    return make_manifest(args.command, _csv_list(getattr(args, "input", "")),
+                         {**config, **resolved}, seed=args.seed)
+
+
 def _emit(text: str, output: str | None) -> None:
     if output is None:
         sys.stdout.write(text)
@@ -195,22 +208,8 @@ def cmd_fit(args) -> int:
             if not result.converged:
                 all_converged = False
 
-    manifest = make_manifest("fit", _csv_list(args.input), {
-        "family": [f.value for f in families],
-        "innovation": args.innovation,
-        "truncation": args.truncation,
-        "restarts": args.restarts,
-        "d_fixed": args.d_fixed,
-        "max_iters": args.max_iters,
-        "tol": args.tol,
-        "returns": args.returns,
-        "date_col": args.date_col,
-        "price_col": args.price_col,
-        "value_col": args.value_col,
-        "format": args.format,
-    }, seed=args.seed)
-
-    _emit(render_fit_report(entries, manifest, fmt=args.format), args.output)
+    manifest = _manifest(args, family=[f.value for f in families])
+    _emit(render_fit_report(entries, manifest, fmt=args.format), args.report_path)
     return EXIT_OK if all_converged else EXIT_NOT_CONVERGED
 
 
@@ -254,22 +253,8 @@ def cmd_entropy(args) -> int:
             windows = tuple(zip(spans, reports))
         entries.append(EntropyEntry(series.id, rep, windows))
 
-    manifest = make_manifest("entropy", _csv_list(args.input), {
-        "bins": args.bins,
-        "alpha": list(alpha_grid),
-        "q": list(q_grid),
-        "bits": args.bits,
-        "window": args.window,
-        "step": args.step,
-        "returns": args.returns,
-        "date_col": args.date_col,
-        "price_col": args.price_col,
-        "value_col": args.value_col,
-        "format": args.format,
-    }, seed=args.seed)
-
-    _emit(render_entropy_report(entries, manifest, fmt=args.format, bits=args.bits),
-          args.output)
+    _emit(render_entropy_report(entries, _manifest(args), fmt=args.format, bits=args.bits),
+          args.report_path)
     return EXIT_OK
 
 
@@ -291,21 +276,7 @@ def cmd_simulate(args) -> int:
                  for date, value in zip(series.dates, series.returns.tolist()))
     Path(args.output).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
-    manifest = make_manifest("simulate", [], {
-        "family": family.value,
-        "omega": args.omega,
-        "alpha": args.alpha,
-        "beta": args.beta,
-        "d": d,
-        "nu": args.nu,
-        "n": args.n,
-        "burn_in": args.burn_in,
-        "truncation": args.truncation,
-        "output": str(args.output),
-        "format": args.format,
-    }, seed=args.seed)
-
-    sys.stdout.write(render_simulate_report(manifest, args.output, len(series),
+    sys.stdout.write(render_simulate_report(_manifest(args, d=d), args.output, len(series),
                                             fmt=args.format))
     return EXIT_OK
 

@@ -384,6 +384,8 @@ def _reports(x: np.ndarray, m: int | None, alpha_grid, q_grid,
         raise DomainError("order grids must be nonempty")
     n = x.shape[1]
     m = _bin_count(math.ceil(math.sqrt(n)) if m is None else m)
+    alphas = _orders(tuple(alpha_grid), tsallis=False)
+    qs = _orders(tuple(q_grid), tsallis=True)
     for q in q_grid:
         if not (_Q_LOW <= q < _Q_HIGH):
             warnings.warn(
@@ -392,8 +394,6 @@ def _reports(x: np.ndarray, m: int | None, alpha_grid, q_grid,
                 FiniteVarianceWarning,
                 stacklevel=stacklevel,
             )
-    alphas = _orders(tuple(alpha_grid), tsallis=False)
-    qs = _orders(tuple(q_grid), tsallis=True)
     alpha_list, q_list = alphas.column[:, 0].tolist(), qs.column[:, 0].tolist()
 
     out = []

@@ -46,7 +46,6 @@ from .models import (
     ModelFamily,
     ParamVector,
     _Likelihood,
-    frac_weights,
     validate_params,
 )
 
@@ -399,7 +398,7 @@ def _wall(engine: _Likelihood, config: FitConfig,
             q = transform_from_unconstrained(u, config.family, config.innovation, config.d_fixed)
         except OverflowError:
             return u, None
-        lam = frac_weights(q.d, config.T, q.alpha, q.beta).lam
+        lam = engine.weights(q).lam
         j = int(lam.argmin())
         if lam[j] >= _LAMBDA_TOL:
             return u, None

@@ -50,10 +50,11 @@ _LAMBDA_TOL = 1e-12
 
 _SMALLEST_NORMAL = float(np.finfo(float).tiny)
 
-# Convolutions a likelihood engine keeps.  A score pass asks twice for its
-# own (alpha, beta, d) key (sigma2, then the weights of the gradient), and
-# the standard errors' score Hessian needs 4 keys: the centre and one step
-# in each of alpha, beta and d.
+# (alpha, beta, d) keys whose weights and convolution a likelihood engine
+# keeps.  A score pass asks twice for its own key (sigma2, then the weights
+# of the gradient), a fit's wall check asks again for the point just
+# evaluated, and the standard errors' score Hessian needs 4 keys: the centre
+# and one step in each of alpha, beta and d.
 _CONV_MEMO_SIZE = 4
 
 
@@ -291,7 +292,8 @@ class _Likelihood:
     ``sigma2 = omega/(1-beta) + conv``, the convolution slice and its weights
     are memoised on the exact floats (alpha, beta, d): points that move only
     omega or nu, as the standard errors' score differences do, reuse them,
-    and the lambda weights are built once per distinct key.
+    and the lambda weights are built once per distinct key, rejected keys
+    included (:meth:`weights`).
 
     With ``reject_negative_weights`` a FIGARCH point whose ARCH(inf) weights
     fall below ``-_LAMBDA_TOL`` raises :class:`InfeasibleParamsError` (the
@@ -316,8 +318,8 @@ class _Likelihood:
         self.e2 = e * e
         self.backcast = float(self.e2.mean())
         self.checks_weights = reject_negative_weights and family is ModelFamily.FIGARCH
-        self._memo: dict[tuple[float, float, float],
-                         tuple[np.ndarray, FracWeights] | None] = {}
+        # key -> [weights, convolution or None until one is asked for]
+        self._memo: dict[tuple[float, float, float], list] = {}
         if family is ModelFamily.GARCH:
             self._e2_lag = np.concatenate(([self.backcast], self.e2[:-1]))
             return
@@ -329,29 +331,34 @@ class _Likelihood:
         self._fft_size = fft.next_fast_len(self.n + 2 * T, True)
         self._e2_fft = fft.rfft(e2_ext, self._fft_size)
 
-    def _convolution(self, alpha: float, beta: float, d: float
-                     ) -> tuple[np.ndarray, FracWeights]:
-        """``sum_j lambda_j e2_{t-j}`` for t = 0..n-1 and the weights, memoised per key."""
-        key = (alpha, beta, d)
-        if key not in self._memo:
-            w = frac_weights(d, self.T, alpha, beta)
-            entry = None
-            if not (self.checks_weights and (w.lam < -_LAMBDA_TOL).any()):
-                kernel = np.concatenate(([0.0], w.lam))
-                size, fft = self._fft_size, self._fft
-                full = fft.irfft(self._e2_fft * fft.rfft(kernel, size), size)
-                # a copy, so the memo does not pin the padded buffer
-                entry = (full[self.T:self.T + self.n].copy(), w)
-            if len(self._memo) >= _CONV_MEMO_SIZE:
-                del self._memo[next(iter(self._memo))]
-            self._memo[key] = entry
-        entry = self._memo[key]
-        if entry is None:
-            raise InfeasibleParamsError("negative ARCH(inf) weight")
-        return entry
-
     def _d(self, params: ParamVector) -> float:
         return 1.0 if self.family is ModelFamily.IGARCH else params.d
+
+    def _entry(self, params: ParamVector) -> list:
+        key = (params.alpha, params.beta, self._d(params))
+        if key not in self._memo:
+            if len(self._memo) >= _CONV_MEMO_SIZE:
+                del self._memo[next(iter(self._memo))]
+            self._memo[key] = [frac_weights(key[2], self.T, key[0], key[1]), None]
+        return self._memo[key]
+
+    def weights(self, params: ParamVector) -> FracWeights:
+        """The ARCH(inf) weights at an IGARCH/FIGARCH point, memoised per (alpha, beta, d)."""
+        return self._entry(params)[0]
+
+    def _convolution(self, params: ParamVector) -> np.ndarray:
+        """``sum_j lambda_j e2_{t-j}`` for t = 0..n-1, memoised with the weights."""
+        entry = self._entry(params)
+        if entry[1] is None:
+            lam = entry[0].lam
+            if self.checks_weights and (lam < -_LAMBDA_TOL).any():
+                raise InfeasibleParamsError("negative ARCH(inf) weight")
+            kernel = np.concatenate(([0.0], lam))
+            size, fft = self._fft_size, self._fft
+            full = fft.irfft(self._e2_fft * fft.rfft(kernel, size), size)
+            # a copy, so the memo does not pin the padded buffer
+            entry[1] = full[self.T:self.T + self.n].copy()
+        return entry[1]
 
     def variance_path(self, params: ParamVector) -> VariancePath:
         if params.nu is not None and not 2.0 < params.nu < math.inf:
@@ -364,8 +371,7 @@ class _Likelihood:
             sig2 = _garch_recursion(params.omega, params.alpha, params.beta,
                                     self._e2_lag, self.backcast)
         else:
-            acc, _ = self._convolution(params.alpha, params.beta, self._d(params))
-            sig2 = params.omega / (1.0 - params.beta) + acc
+            sig2 = params.omega / (1.0 - params.beta) + self._convolution(params)
 
         if not np.isfinite(sig2).all() or (sig2 <= 0.0).any():
             worst = float(np.nanmin(sig2))
@@ -437,12 +443,11 @@ class _Likelihood:
     def weight_jacobian(self, params: ParamVector, free_d: bool) -> np.ndarray:
         """d lambda / d (alpha, beta[, d]) at an IGARCH/FIGARCH point, one row each.
 
-        The weights come from the memo when the point is there, as it is
-        in a score pass.
+        The weights come from :meth:`weights`, so from the memo when the
+        point is there, as it is in a score pass.
         """
         alpha, beta, d, T = params.alpha, params.beta, self._d(params), self.T
-        entry = self._memo.get((alpha, beta, d))
-        w = entry[1] if entry else frac_weights(d, T, alpha, beta)
+        w = self.weights(params)
         # lambda = ar1_filter(x, beta) with x_j = (alpha+beta)*pi_{j-1} - pi_j,
         # less beta at j = 1, so each weight derivative filters d x; beta also
         # enters the filter, which adds lambda_{j-1} to its input

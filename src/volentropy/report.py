@@ -22,7 +22,6 @@ from .estimation import FitResult, PersistenceCheck
 __all__ = [
     "EntropyEntry",
     "FitEntry",
-    "RunManifest",
     "file_digest",
     "make_manifest",
     "render_entropy_report",
@@ -31,17 +30,6 @@ __all__ = [
 ]
 
 _LN2 = math.log(2.0)
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    """What was run: command, input digests, resolved flags, tool, seed."""
-
-    command: str
-    inputs: tuple[tuple[str, str], ...]  # (path, sha256) pairs
-    config: dict
-    tool: str
-    seed: int | None
 
 
 def file_digest(path) -> str:
@@ -53,15 +41,15 @@ def file_digest(path) -> str:
     return h.hexdigest()
 
 
-def make_manifest(command: str, input_paths, config: dict,
-                  seed: int | None) -> RunManifest:
-    return RunManifest(
-        command=command,
-        inputs=tuple((str(p), file_digest(p)) for p in input_paths),
-        config=dict(config),
-        tool=f"volentropy {__version__}",
-        seed=seed,
-    )
+def make_manifest(command: str, input_paths, config: dict, seed: int | None) -> dict:
+    """What was run: command, tool, seed, input digests and flags, as a report embeds it."""
+    return {
+        "command": command,
+        "tool": f"volentropy {__version__}",
+        "seed": seed,
+        "inputs": [{"path": str(p), "sha256": file_digest(p)} for p in input_paths],
+        "config": dict(config),
+    }
 
 
 # ------------------------------------------------------------------ primitives
@@ -92,32 +80,22 @@ def _dump_tree(payload: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True, default=_json_default) + "\n"
 
 
-def _manifest_dict(m: RunManifest) -> dict:
-    return {
-        "command": m.command,
-        "tool": m.tool,
-        "seed": m.seed,
-        "inputs": [{"path": p, "sha256": d} for p, d in m.inputs],
-        "config": m.config,
-    }
-
-
 def _cfg_text(value) -> str:
     if isinstance(value, (list, tuple)):
         return ",".join(str(v) for v in value)
     return str(value)
 
 
-def _manifest_text(m: RunManifest) -> list[str]:
+def _manifest_text(m: dict) -> list[str]:
     lines = [
         "manifest:",
-        f"  command: {m.command}",
-        f"  tool: {m.tool}",
-        f"  seed: {m.seed}",
+        f"  command: {m['command']}",
+        f"  tool: {m['tool']}",
+        f"  seed: {m['seed']}",
     ]
-    for path, digest in m.inputs:
-        lines.append(f"  input: {path} sha256={digest}")
-    pairs = " ".join(f"{k}={_cfg_text(v)}" for k, v in sorted(m.config.items()))
+    for entry in m["inputs"]:
+        lines.append(f"  input: {entry['path']} sha256={entry['sha256']}")
+    pairs = " ".join(f"{k}={_cfg_text(v)}" for k, v in sorted(m["config"].items()))
     lines.append(f"  config: {pairs}")
     return lines
 
@@ -226,12 +204,12 @@ def _fit_entry_dict(e: FitEntry) -> dict:
     return base
 
 
-def render_fit_report(entries: list[FitEntry], manifest: RunManifest,
+def render_fit_report(entries: list[FitEntry], manifest: dict,
                       fmt: str = "text") -> str:
     """Fit results as one block per family with one column per series."""
     if fmt == "tree":
         return _dump_tree({
-            "manifest": _manifest_dict(manifest),
+            "manifest": manifest,
             "results": [_fit_entry_dict(e) for e in entries],
         })
 
@@ -314,7 +292,7 @@ def _entropy_block_text(entry: EntropyEntry, bits: bool) -> list[str]:
     return lines
 
 
-def render_entropy_report(entries: list[EntropyEntry], manifest: RunManifest,
+def render_entropy_report(entries: list[EntropyEntry], manifest: dict,
                           fmt: str = "text", bits: bool = False) -> str:
     """Shannon value plus the Renyi/Tsallis grid for each series."""
     units = "bits" if bits else "nats"
@@ -329,7 +307,7 @@ def render_entropy_report(entries: list[EntropyEntry], manifest: RunManifest,
                     for (start, end), w in e.windows
                 ]
             results.append(rec)
-        return _dump_tree({"manifest": _manifest_dict(manifest), "results": results})
+        return _dump_tree({"manifest": manifest, "results": results})
 
     lines = [f"entropy report (units: {units})", ""]
     for e in entries:
@@ -341,13 +319,13 @@ def render_entropy_report(entries: list[EntropyEntry], manifest: RunManifest,
 
 # ------------------------------------------------------------- simulate report
 
-def render_simulate_report(manifest: RunManifest, out_path: str, n: int,
+def render_simulate_report(manifest: dict, out_path: str, n: int,
                            fmt: str = "text") -> str:
     """Confirmation of a written simulation file, with its digest."""
     digest = file_digest(out_path)
     if fmt == "tree":
         return _dump_tree({
-            "manifest": _manifest_dict(manifest),
+            "manifest": manifest,
             "output": {"path": str(out_path), "n": n, "sha256": digest},
         })
     lines = [

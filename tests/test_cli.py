@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import datetime
 import json
 import math
@@ -17,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from volentropy import FiniteVarianceWarning, entropy_report
-from volentropy.cli import main
+from volentropy.cli import _UNRECORDED, build_parser, main
 
 
 def run(*argv: str, cwd=None) -> subprocess.CompletedProcess:
@@ -96,6 +97,22 @@ def test_simulate_prints_manifest(sim_file):
     assert "manifest:" in proc.stdout
     assert "command: simulate" in proc.stdout
     assert "seed: 1" in proc.stdout
+
+
+def test_simulate_manifest_records_every_flag_but_the_unrecorded_set(tmp_path):
+    parser = build_parser()
+    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    sim_parser = subparsers.choices["simulate"]
+    dests = {a.dest for a in sim_parser._actions if a.dest != "help"} | {"command", "func"}
+    proc = run("simulate", "--family", "garch", "--omega", "1e-5", "--alpha", "0.1",
+               "--beta", "0.8", "--n", "50", "--seed", "1", "--format", "tree",
+               "--output", str(tmp_path / "tiny.csv"))
+    assert proc.returncode == 0, proc.stderr
+    manifest = json.loads(proc.stdout)["manifest"]
+    assert set(manifest["config"]) == dests - _UNRECORDED
+    assert manifest["config"]["output"] == str(tmp_path / "tiny.csv")
+    assert manifest["config"]["d"] == 0.0  # resolved from the family
+    assert manifest["seed"] == 1 and manifest["inputs"] == []
 
 
 # ------------------------------------------------------------------------ fit
@@ -311,6 +328,26 @@ def test_entropy_step_requires_window(sim_file):
     proc = run("entropy", "--input", str(sim_file), "--returns", "--step", "10")
     assert proc.returncode == 1
     assert "--window" in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ("fit", "--family", "garch", "--innovation", "gaussian", "--restarts", "0"),
+    ("entropy", "--window", "500", "--format", "tree"),
+])
+def test_report_written_to_output_equals_stdout(sim_file, tmp_path, argv):
+    args = (*argv, "--input", str(sim_file), "--returns")
+    printed = run(*args)
+    written = run(*args, "--output", str(tmp_path / "report"))
+    assert printed.returncode == written.returncode == 0, written.stderr
+    assert written.stdout == ""
+    assert (tmp_path / "report").read_text(encoding="utf-8") == printed.stdout
+
+
+def test_entropy_invalid_q_fails_without_a_warning(sim_file):
+    proc = run("entropy", "--input", str(sim_file), "--returns", "--q", "nan")
+    assert proc.returncode == 1
+    assert proc.stderr == "error: Tsallis index must be nonnegative, got nan\n"
+    assert proc.stdout == ""
 
 
 # ------------------------------------------------------------------- pipeline

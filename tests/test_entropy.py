@@ -489,6 +489,16 @@ def test_finite_variance_warning_points_at_the_caller():
     assert [w.filename for w in caught] == [__file__, __file__]
 
 
+@pytest.mark.parametrize("q", [math.nan, -1.0])
+def test_invalid_tsallis_index_raises_before_any_warning(q):
+    x = np.random.default_rng(12).standard_normal(100)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(DomainError, match="Tsallis index must be nonnegative"):
+            entropy_report(x, q_grid=(q,))
+    assert caught == []
+
+
 def test_default_grid_does_not_warn():
     rng = np.random.default_rng(13)
     x = rng.standard_normal(100)

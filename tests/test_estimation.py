@@ -16,6 +16,7 @@ from volentropy import (
     DomainError,
     FitConfig,
     FitResult,
+    InfeasibleParamsError,
     InsufficientDataError,
     ModelFamily,
     ParamVector,
@@ -37,6 +38,7 @@ from volentropy.estimation import (
     _make_engine,
     _score_hessian,
     _shape,
+    _unconstrained_score,
     _wall,
 )
 from volentropy.models import _CONV_MEMO_SIZE
@@ -367,6 +369,34 @@ def test_wall_moves_a_rejected_figarch_point_onto_lambda_zero():
     on, normal = _wall(engine, config, out)
     assert abs(lam(on).min()) <= models._LAMBDA_TOL
     assert normal[0] == normal[4] == 0.0 and np.linalg.norm(normal) > 0.0
+
+
+def test_wall_builds_no_weights_at_a_point_the_engine_just_evaluated_or_rejected(monkeypatch):
+    true = ParamVector(1e-6, 0.2, 0.5, d=0.6, nu=8.0)
+    series, _ = simulate_path(SimConfig(FIGARCH, true, n=1000, seed=3))
+    config = FitConfig(FIGARCH)
+    engine = _make_engine(series.returns, config)
+    calls = []
+    real = models.frac_weights
+    for module in (models, estimation):  # wherever the weights may be built from
+        if hasattr(module, "frac_weights"):
+            monkeypatch.setattr(module, "frac_weights", lambda *a: calls.append(a) or real(*a))
+
+    inside = transform_to_unconstrained(ParamVector(1e-6, 0.3, 0.4, d=0.3, nu=8.0), FIGARCH)
+    _unconstrained_score(engine, inside, config)
+    assert len(calls) == 1
+    assert _wall(engine, config, inside) == (inside, None)
+    assert len(calls) == 1
+
+    out = transform_to_unconstrained(ParamVector(1e-6, 0.3, 0.9, d=0.2, nu=8.0), FIGARCH)
+    q = transform_from_unconstrained(out, FIGARCH, "student")
+    with pytest.raises(InfeasibleParamsError, match="negative ARCH"):
+        _unconstrained_score(engine, out, config)
+    on, _ = _wall(engine, config, out)
+    assert calls.count((q.d, config.T, q.alpha, q.beta)) == 1
+    built = len(calls)
+    _unconstrained_score(engine, on, config)  # the wall built the weights of its end point
+    assert len(calls) == built
 
 
 def test_shape_reads_slopes_in_theta_and_the_engine_where_alpha_underflowed():
