@@ -17,8 +17,8 @@ from .errors import DegenerateSupportError, DomainError, EstimationError, Volent
 from .estimation import INNOVATIONS, FitConfig, fit, persistence_check
 from .models import DEFAULT_TRUNCATION, ModelFamily, ParamVector
 from .report import (
-    EntropyEntry,
-    FitEntry,
+    entropy_record,
+    fit_record,
     make_manifest,
     render_entropy_report,
     render_fit_report,
@@ -137,8 +137,11 @@ def build_parser() -> _Parser:
 # ------------------------------------------------------------------- loading
 
 def _load_series(args) -> list[ReturnSeries]:
+    paths = _csv_list(args.input)
+    if not paths:
+        raise DomainError(f"--input names no file: {args.input!r}")
     out = []
-    for path in _csv_list(args.input):
+    for path in paths:
         name = Path(path).stem
         if args.returns:
             series = load_returns(path, date_col=args.date_col,
@@ -181,7 +184,7 @@ def cmd_fit(args) -> int:
 
     series_list = _load_series(args)
 
-    entries: list[FitEntry] = []
+    results: list[dict] = []
     all_converged = True
     for family in families:
         # --d-fixed constrains the FIGARCH fits only
@@ -200,16 +203,16 @@ def cmd_fit(args) -> int:
             try:
                 result = fit(series, config)
             except EstimationError as exc:
-                entries.append(FitEntry(series.id, family.value, None, error=str(exc)))
+                results.append(fit_record(series.id, family.value, error=str(exc)))
                 all_converged = False
                 continue
             check = persistence_check(result) if family is ModelFamily.GARCH else None
-            entries.append(FitEntry(series.id, family.value, result, persistence=check))
+            results.append(fit_record(series.id, family.value, result, persistence=check))
             if not result.converged:
                 all_converged = False
 
     manifest = _manifest(args, family=[f.value for f in families])
-    _emit(render_fit_report(entries, manifest, fmt=args.format), args.report_path)
+    _emit(render_fit_report(results, manifest, fmt=args.format), args.report_path)
     return EXIT_OK if all_converged else EXIT_NOT_CONVERGED
 
 
@@ -227,7 +230,7 @@ def cmd_entropy(args) -> int:
     alpha_grid = tuple(args.alpha)
     q_grid = tuple(args.q)
 
-    entries: list[EntropyEntry] = []
+    results: list[dict] = []
     for series in series_list:
         rep = entropy_report(series.returns, m=args.bins,
                              alpha_grid=alpha_grid, q_grid=q_grid)
@@ -250,11 +253,10 @@ def cmd_entropy(args) -> int:
                 first, last = spans[exc.row]
                 raise DegenerateSupportError(
                     f"series {series.id!r}, window {first} to {last}: {exc}") from exc
-            windows = tuple(zip(spans, reports))
-        entries.append(EntropyEntry(series.id, rep, windows))
+            windows = zip(spans, reports)
+        results.append(entropy_record(series.id, rep, args.bits, windows))
 
-    _emit(render_entropy_report(entries, _manifest(args), fmt=args.format, bits=args.bits),
-          args.report_path)
+    _emit(render_entropy_report(results, _manifest(args), fmt=args.format), args.report_path)
     return EXIT_OK
 
 
@@ -286,10 +288,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except VolentropyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except OSError as exc:
+    # MemoryError: a size flag (--n, --bins, --truncation) too large to allocate
+    except (VolentropyError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -69,6 +69,12 @@ INNOVATIONS = ("gaussian", "student")
 _ALPHA0, _BETA0, _D0, _NU0 = 0.05, 0.90, 0.5, 8.0
 
 _GNORM_CONVERGED = 1e-4     # gradient norm bound entering `converged`
+# lambda_j below which `converged` discounts the gradient's push into its wall.
+# Wider than models._LAMBDA_TOL, where the search itself projects onto a
+# wall: a line search can stop a halved step short of lambda_j = 0 (about
+# 1e-11) with the wall still blocking every descent, but projecting the
+# search at this band moves optima it finds today.
+_WALL_BAND = 1e-8
 _MAX_HALVINGS = 40          # line-search halvings before a step is given up
 _FACE = 1e-3                # alpha, or d from its nearer bound, on a face (see `_shape`)
 _RIDGE_GAP = 1e-9           # 1 - beta at the end of the IGARCH alpha = 0 face
@@ -272,6 +278,11 @@ def _jacobian(params: ParamVector, family: ModelFamily,
 
 # ---------------------------------------------------- optimizer and derivatives
 
+def _along(v: np.ndarray, normal: np.ndarray | None) -> np.ndarray:
+    """``v`` without its component into the wall of inward ``normal``, if any."""
+    return v if normal is None or v @ normal >= 0 else v - (v @ normal) / (normal @ normal) * normal
+
+
 def _bfgs(fun, x: np.ndarray, max_iters: int, tol: float, wall=None, start=None):
     """Descend ``fun`` by BFGS with a halving line search.
 
@@ -288,15 +299,12 @@ def _bfgs(fun, x: np.ndarray, max_iters: int, tol: float, wall=None, start=None)
     iterations)``, ``r`` the gradient at ``x`` less its push into the wall
     ``x`` ends on.
     """
-    def along(v, normal):  # v without its component into the wall
-        return v if normal is None or v @ normal >= 0 else v - (v @ normal) / (normal @ normal) * normal
-
     f, g = fun(x) if start is None else start
     scale, normal = 1.0, None  # scale: s'y / y'y of the last update
     H, fresh = np.eye(x.size), True  # fresh: H is scale * identity, the step steepest descent
     r = g  # the gradient without its push into the wall x is on
     for it in range(max_iters):
-        p = along(-H @ r, normal)
+        p = _along(-H @ r, normal)
         if not g @ p < 0:  # rounding spoilt H, or the wall blocks the step
             H, fresh, p = scale * np.eye(x.size), True, -scale * r
         t = 1.0 / max(1.0, np.linalg.norm(p)) if fresh else 1.0
@@ -312,7 +320,7 @@ def _bfgs(fun, x: np.ndarray, max_iters: int, tol: float, wall=None, start=None)
             t *= 0.5
         else:  # no acceptable point: stay
             x_new, f_new, g_new, normal_new = x, f, g, normal
-        r_new = -along(-g_new, normal_new)
+        r_new = -_along(-g_new, normal_new)
         s, y = x_new - x, r_new - r
         improvement = f - f_new
         x, f, g, r, normal = x_new, f_new, g_new, r_new, normal_new
@@ -383,14 +391,14 @@ def _probe(objective, u: np.ndarray, f: float, shape, tol: float):
     return None
 
 
-def _wall(engine: _Likelihood, config: FitConfig,
-          u: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+def _wall(engine: _Likelihood, config: FitConfig, u: np.ndarray,
+          band: float = _LAMBDA_TOL) -> tuple[np.ndarray, np.ndarray | None]:
     """The FIGARCH wall lambda_j >= 0 at ``u``, for `_bfgs`.
 
     When the most negative ARCH(inf) weight lambda_j is rejected, ``u``
     moves onto its wall by Newton steps on lambda_j(u) = 0 along the
-    gradient of lambda_j.  Returns the point and, when some lambda_j is
-    within ``_LAMBDA_TOL`` of 0 there, that gradient in u (the wall's
+    gradient of lambda_j.  Returns the point and, when the smallest
+    lambda_j is below ``band`` there, that gradient in u (the wall's
     normal, pointing inside); else None.
     """
     for _ in range(8):
@@ -400,7 +408,7 @@ def _wall(engine: _Likelihood, config: FitConfig,
             return u, None
         lam = engine.weights(q).lam
         j = int(lam.argmin())
-        if lam[j] >= _LAMBDA_TOL:
+        if lam[j] >= band:
             return u, None
         try:
             rows = engine.weight_jacobian(q, config.d_fixed is None)[:, j]
@@ -440,15 +448,20 @@ def _score_hessian(score, x: np.ndarray) -> np.ndarray:
     """Hessian from forward differences of an exact gradient, symmetrised.
 
     Steps are ``1e-7 * max(1, |x_i|)``, taken as ``(x_i + h) - x_i`` so
-    that the divisor is the step actually made.
+    that the divisor is the step actually made.  Where the forward point
+    has no finite score (past a FIGARCH weight wall the optimum sits on),
+    the step is taken backward instead.
     """
     x = np.asarray(x, dtype=float)
     s0 = score(x)
     H = np.empty((x.size, x.size))
     for i in range(x.size):
-        xs = x.copy()
-        xs[i] += 1e-7 * max(1.0, abs(x[i]))
-        H[:, i] = (score(xs) - s0) / (xs[i] - x[i])
+        for h in (1e-7, -1e-7):
+            xs = x.copy()
+            xs[i] += h * max(1.0, abs(x[i]))
+            H[:, i] = (score(xs) - s0) / (xs[i] - x[i])
+            if np.isfinite(H[:, i]).all():
+                break
     return 0.5 * (H + H.T)
 
 
@@ -518,10 +531,10 @@ def fit(series, config: FitConfig) -> FitResult:
     by lowest start index), and attaches standard errors when the final
     point converged off the boundaries of the transform (``hessian_pd`` is
     False otherwise).  A point has converged when the gradient norm of the
-    per-observation objective, less its push into a FIGARCH weight wall, is
-    below ``_GNORM_CONVERGED``, and no face it sits on hides an inward
-    slope that a probe can climb (see `_shape` and `_probe`).  Raises
-    :class:`EstimationError` when every start is infeasible and
+    per-observation objective, less its push into a FIGARCH weight wall
+    within ``_WALL_BAND``, is below ``_GNORM_CONVERGED``, and no face it
+    sits on hides an inward slope that a probe can climb (see `_shape` and
+    `_probe`).  Raises :class:`EstimationError` when every start is infeasible and
     :class:`DataQualityError` when the likelihood is non-finite at every
     candidate.
     """
@@ -547,14 +560,17 @@ def fit(series, config: FitConfig) -> FitResult:
     def descend(u: np.ndarray, start) -> tuple[np.ndarray, float, np.ndarray, int, bool]:
         """BFGS from ``u``, and again from wherever `_probe` finds a better point.
 
-        Returns the point, objective, gradient, iterations and whether the
-        point converged: gradient norm below ``_GNORM_CONVERGED``, and no
+        Returns the point, objective, gradient (less its push into the
+        wall of a lambda_j below ``_WALL_BAND``), iterations and whether the
+        point converged: that gradient's norm below ``_GNORM_CONVERGED``, and no
         probe into the interior from a face (see `_shape`) gains ``tol``.
         """
         iters = 0
         while True:
             u, f, g, k = _bfgs(objective, u, config.max_iters - iters, config.tol, walls, start)
             iters += k
+            if walls is not None:  # a search stopped just inside a wall is judged on it
+                g = -_along(-g, _wall(engine, config, u, _WALL_BAND)[1])
             shape = _shape(engine, u, g, config)
             small = float(np.linalg.norm(g)) < _GNORM_CONVERGED
             if small and not any((value < _FACE and slope > 0) or (value > 1.0 - _FACE and slope < 0)
@@ -659,11 +675,13 @@ def standard_errors(params: ParamVector, series, config: FitConfig) -> StdErrRep
     The Hessian of the total log-likelihood in the unconstrained coordinates
     comes from forward differences of its exact score (see
     :meth:`models._Likelihood.score`), one score pass per coordinate plus the
-    centre, with steps ``1e-7 * max(1, |u_i|)``; it is symmetrised.  The
-    score is mapped to those coordinates, and the negative inverse Hessian
-    back to the constrained space, through the analytic Jacobian of the
-    inverse transform.  A Hessian that is not negative definite, or a score
-    pass at an infeasible point, yields an absent-but-flagged report.
+    centre, with steps ``1e-7 * max(1, |u_i|)``, taken backward where the
+    forward point is infeasible (an optimum on a lambda >= 0 wall); it is
+    symmetrised.  The score is mapped to those coordinates, and the negative
+    inverse Hessian back to the constrained space, through the analytic
+    Jacobian of the inverse transform.  A Hessian that is not negative
+    definite, or a coordinate infeasible both ways, yields an
+    absent-but-flagged report.
     """
     engine = _make_engine(_extract_returns(series), config)
 

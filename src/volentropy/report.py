@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from collections.abc import Iterable
 
 import numpy as np
 
@@ -20,9 +20,9 @@ from .entropy import EntropyReport
 from .estimation import FitResult, PersistenceCheck
 
 __all__ = [
-    "EntropyEntry",
-    "FitEntry",
+    "entropy_record",
     "file_digest",
+    "fit_record",
     "make_manifest",
     "render_entropy_report",
     "render_fit_report",
@@ -111,115 +111,86 @@ def _table(rows: list[tuple[str, ...]], indent: str = "  ") -> list[str]:
 
 # ------------------------------------------------------------------ fit report
 
-@dataclass(frozen=True)
-class FitEntry:
-    """One (series, family) fit cell: a result or a failure message."""
+def fit_record(series_id: str, family: str, result: FitResult | None = None,
+               persistence: PersistenceCheck | None = None, error: str | None = None) -> dict:
+    """One (series, family) fit as ``--format tree`` prints it: a result or a failure message."""
+    record = {"series": series_id, "family": family, "error": error}
+    if result is None:
+        return record
+    record.update({
+        "innovation": result.innovation,
+        "n_obs": result.n_obs,
+        "mean": result.mean,
+        "free_params": list(result.names),
+        "params": result.params.as_dict(),
+        "stderr": result.stderr,
+        "pvalues": result.pvalues,
+        "significance": result.significance,
+        "loglik": result.loglik,
+        "iterations": result.iterations,
+        "converged": result.converged,
+        "persistence": None if persistence is None else {
+            "total": persistence.total, "stderr": persistence.stderr,
+            "flagged": persistence.flag, "recommendation": persistence.recommendation},
+        "diagnostics": result.diagnostics,
+    })
+    return record
 
-    series_id: str
-    family: str
-    result: FitResult | None
-    persistence: PersistenceCheck | None = None
-    error: str | None = None
+
+def _estimate_cell(rec: dict, name: str) -> str:
+    if name not in rec["free_params"]:
+        return "-"
+    star = _STARS.get((rec["significance"] or {}).get(name, "none"), "")
+    return _fmt6(rec["params"][name]) + star
 
 
-def _estimate_cell(res: FitResult, name: str) -> str:
-    value = getattr(res.params, name)
-    star = _STARS.get((res.significance or {}).get(name, "none"), "")
-    return _fmt6(value) + star
-
-
-def _stderr_cell(res: FitResult, name: str) -> str:
-    if res.stderr is None or name not in res.stderr:
+def _stderr_cell(rec: dict, name: str) -> str:
+    if rec["stderr"] is None or name not in rec["stderr"]:
         return ""
-    return f"({_fmt6(res.stderr[name])})"
+    return f"({_fmt6(rec['stderr'][name])})"
 
 
-def _fit_block_text(family: str, entries: list[FitEntry]) -> list[str]:
+def _persistence_cell(rec: dict) -> str:
+    p = rec["persistence"]
+    if p is None:
+        return "-"
+    return _fmt6(p["total"]) + (" [flagged]" if p["flagged"] else "")
+
+
+def _fit_block_text(family: str, records: list[dict]) -> list[str]:
+    def row(cell, missing: str = "-") -> tuple[str, ...]:  # one cell per series
+        return tuple(cell(r) if "params" in r else missing for r in records)
+
     lines = [f"family: {family}"]
-    fitted = [e for e in entries if e.result is not None]
-    rows: list[tuple[str, ...]] = [("parameter", *(e.series_id for e in entries))]
-
-    names: tuple[str, ...] = ()
-    for e in fitted:
-        if len(e.result.names) > len(names):
-            names = e.result.names
+    rows: list[tuple[str, ...]] = [("parameter", *(r["series"] for r in records))]
+    names = max((r["free_params"] for r in records if "params" in r), key=len, default=[])
     for name in names:
-        rows.append((name, *(
-            _estimate_cell(e.result, name) if e.result is not None and name in e.result.names
-            else "-"
-            for e in entries)))
-        stderr_row = tuple(
-            _stderr_cell(e.result, name) if e.result is not None else ""
-            for e in entries)
+        rows.append((name, *row(lambda r: _estimate_cell(r, name))))
+        stderr_row = row(lambda r: _stderr_cell(r, name), missing="")
         if any(stderr_row):
             rows.append(("", *stderr_row))
 
-    rows.append(("log-likelihood", *(
-        _fmt6(e.result.loglik) if e.result is not None else "-" for e in entries)))
-    rows.append(("observations", *(
-        str(e.result.n_obs) if e.result is not None else "-" for e in entries)))
-    if any(e.persistence is not None for e in entries):
-        rows.append(("alpha+beta", *(
-            _fmt6(e.persistence.total) + (" [flagged]" if e.persistence.flag else "")
-            if e.persistence is not None else "-"
-            for e in entries)))
-    rows.append(("converged", *(
-        ("yes" if e.result.converged else "no") if e.result is not None else "-"
-        for e in entries)))
+    rows.append(("log-likelihood", *row(lambda r: _fmt6(r["loglik"]))))
+    rows.append(("observations", *row(lambda r: str(r["n_obs"]))))
+    if any(r.get("persistence") is not None for r in records):
+        rows.append(("alpha+beta", *row(_persistence_cell)))
+    rows.append(("converged", *row(lambda r: "yes" if r["converged"] else "no")))
 
     lines.extend(_table(rows))
-    for e in entries:
-        if e.error is not None:
-            lines.append(f"  failed: {e.series_id} - {e.error}")
+    for r in records:
+        if r["error"] is not None:
+            lines.append(f"  failed: {r['series']} - {r['error']}")
     return lines
 
 
-def _persistence_dict(p: PersistenceCheck | None) -> dict | None:
-    if p is None:
-        return None
-    return {"total": p.total, "stderr": p.stderr, "flagged": p.flag,
-            "recommendation": p.recommendation}
-
-
-def _fit_entry_dict(e: FitEntry) -> dict:
-    base = {"series": e.series_id, "family": e.family, "error": e.error}
-    res = e.result
-    if res is None:
-        return base
-    base.update({
-        "innovation": res.innovation,
-        "n_obs": res.n_obs,
-        "mean": res.mean,
-        "free_params": list(res.names),
-        "params": res.params.as_dict(),
-        "stderr": res.stderr,
-        "pvalues": res.pvalues,
-        "significance": res.significance,
-        "loglik": res.loglik,
-        "iterations": res.iterations,
-        "converged": res.converged,
-        "persistence": _persistence_dict(e.persistence),
-        "diagnostics": res.diagnostics,
-    })
-    return base
-
-
-def render_fit_report(entries: list[FitEntry], manifest: dict,
-                      fmt: str = "text") -> str:
-    """Fit results as one block per family with one column per series."""
+def render_fit_report(results: list[dict], manifest: dict, fmt: str = "text") -> str:
+    """`fit_record` results as one block per family with one column per series."""
     if fmt == "tree":
-        return _dump_tree({
-            "manifest": manifest,
-            "results": [_fit_entry_dict(e) for e in entries],
-        })
+        return _dump_tree({"manifest": manifest, "results": results})
 
     lines = ["fit report", ""]
-    seen: list[str] = []
-    for e in entries:
-        if e.family not in seen:
-            seen.append(e.family)
-    for family in seen:
-        lines.extend(_fit_block_text(family, [e for e in entries if e.family == family]))
+    for family in dict.fromkeys(r["family"] for r in results):
+        lines.extend(_fit_block_text(family, [r for r in results if r["family"] == family]))
         lines.append("")
     lines.append("significance: ** at 1%, * at 5%")
     lines.append("")
@@ -229,89 +200,75 @@ def render_fit_report(entries: list[FitEntry], manifest: dict,
 
 # -------------------------------------------------------------- entropy report
 
-@dataclass(frozen=True)
-class EntropyEntry:
-    """Entropy results for one series, optionally with windowed sub-reports.
+def entropy_record(series_id: str, report: EntropyReport, bits: bool,
+                   windows: Iterable[tuple[tuple[str, str], EntropyReport]] | None = None
+                   ) -> dict:
+    """Entropies of one series as ``--format tree`` prints it, in bits or nats.
 
     ``windows`` pairs a (start-date, end-date) label with each window's
-    report, in window order.
+    report, in window order; the record then lists them under ``windows``.
     """
+    unit = _LN2 if bits else 1.0  # dividing by 1.0 is exact: nats pass unchanged
 
-    series_id: str
-    report: EntropyReport
-    windows: tuple[tuple[tuple[str, str], EntropyReport], ...] | None = None
+    def values(rep: EntropyReport) -> dict:
+        return {
+            "n_obs": rep.n_obs,
+            "bins": rep.bins,
+            "empty_cells": rep.empty_cells,
+            "cell_width": rep.cell_width,
+            "shannon": rep.shannon / unit,
+            "renyi": [{"order": a, "value": v / unit} for a, v in rep.renyi],
+            "tsallis": [{"index": q, "value": v / unit} for q, v in rep.tsallis],
+        }
 
-
-def _scaled(value: float, bits: bool) -> float:
-    return value / _LN2 if bits else value
-
-
-def _entropy_report_dict(rep: EntropyReport, bits: bool) -> dict:
-    return {
-        "n_obs": rep.n_obs,
-        "bins": rep.bins,
-        "empty_cells": rep.empty_cells,
-        "cell_width": rep.cell_width,
-        "shannon": _scaled(rep.shannon, bits),
-        "renyi": [{"order": a, "value": _scaled(v, bits)} for a, v in rep.renyi],
-        "tsallis": [{"index": q, "value": _scaled(v, bits)} for q, v in rep.tsallis],
-    }
+    record = {"series": series_id, "units": "bits" if bits else "nats", **values(report)}
+    if windows is not None:
+        record["windows"] = [dict(start=start, end=end, **values(w)) for (start, end), w in windows]
+    return record
 
 
-def _entropy_block_text(entry: EntropyEntry, bits: bool) -> list[str]:
-    rep = entry.report
-    lines = [f"series: {entry.series_id}  n={rep.n_obs}  bins={rep.bins}"]
-    lines.append(f"  shannon  {_fmt6(_scaled(rep.shannon, bits))}")
+def _entropy_block_text(rec: dict) -> list[str]:
+    lines = [f"series: {rec['series']}  n={rec['n_obs']}  bins={rec['bins']}"]
+    lines.append(f"  shannon  {_fmt6(rec['shannon'])}")
 
-    orders = [a for a, _ in rep.renyi]
-    indices = [q for q, _ in rep.tsallis]
+    orders = [r["order"] for r in rec["renyi"]]
+    indices = [t["index"] for t in rec["tsallis"]]
     if orders == indices:
         rows = [("index", "renyi", "tsallis")]
-        for (a, rv), (_, tv) in zip(rep.renyi, rep.tsallis):
-            rows.append((_fmt6(a), _fmt6(_scaled(rv, bits)), _fmt6(_scaled(tv, bits))))
+        for r, t in zip(rec["renyi"], rec["tsallis"]):
+            rows.append((_fmt6(r["order"]), _fmt6(r["value"]), _fmt6(t["value"])))
     else:
         rows = [("estimator", "order", "value")]
-        for a, v in rep.renyi:
-            rows.append(("renyi", _fmt6(a), _fmt6(_scaled(v, bits))))
-        for q, v in rep.tsallis:
-            rows.append(("tsallis", _fmt6(q), _fmt6(_scaled(v, bits))))
+        for r in rec["renyi"]:
+            rows.append(("renyi", _fmt6(r["order"]), _fmt6(r["value"])))
+        for t in rec["tsallis"]:
+            rows.append(("tsallis", _fmt6(t["index"]), _fmt6(t["value"])))
     lines.append("")
     lines.extend(_table(rows))
 
-    if entry.windows is not None:
+    if "windows" in rec:
         lines.append("")
         header = ("start", "end", "shannon",
                   *(f"renyi({_fmt6(a)})" for a in orders),
                   *(f"tsallis({_fmt6(q)})" for q in indices))
         rows = [header]
-        for (start, end), wrep in entry.windows:
-            rows.append((start, end, _fmt6(_scaled(wrep.shannon, bits)),
-                         *(_fmt6(_scaled(v, bits)) for _, v in wrep.renyi),
-                         *(_fmt6(_scaled(v, bits)) for _, v in wrep.tsallis)))
+        for w in rec["windows"]:
+            rows.append((w["start"], w["end"], _fmt6(w["shannon"]),
+                         *(_fmt6(r["value"]) for r in w["renyi"]),
+                         *(_fmt6(t["value"]) for t in w["tsallis"])))
         lines.extend(_table(rows))
     return lines
 
 
-def render_entropy_report(entries: list[EntropyEntry], manifest: dict,
-                          fmt: str = "text", bits: bool = False) -> str:
-    """Shannon value plus the Renyi/Tsallis grid for each series."""
-    units = "bits" if bits else "nats"
+def render_entropy_report(results: list[dict], manifest: dict, fmt: str = "text") -> str:
+    """`entropy_record` results: Shannon value plus the Renyi/Tsallis grid for each series."""
     if fmt == "tree":
-        results = []
-        for e in entries:
-            rec = {"series": e.series_id, "units": units}
-            rec.update(_entropy_report_dict(e.report, bits))
-            if e.windows is not None:
-                rec["windows"] = [
-                    dict(start=start, end=end, **_entropy_report_dict(w, bits))
-                    for (start, end), w in e.windows
-                ]
-            results.append(rec)
         return _dump_tree({"manifest": manifest, "results": results})
 
+    units = next((r["units"] for r in results), "nats")
     lines = [f"entropy report (units: {units})", ""]
-    for e in entries:
-        lines.extend(_entropy_block_text(e, bits))
+    for rec in results:
+        lines.extend(_entropy_block_text(rec))
         lines.append("")
     lines.extend(_manifest_text(manifest))
     return "\n".join(lines) + "\n"

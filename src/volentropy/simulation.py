@@ -141,13 +141,16 @@ def squared_autocorr(returns: np.ndarray, max_lag: int,
 
     With ``include_lag0`` the (definitionally unit) lag-0 value is prepended.
     Constant input has no defined autocorrelation and raises
-    :class:`AutocorrUndefinedError`.
+    :class:`AutocorrUndefinedError`; NaN or infinite returns raise
+    :class:`DomainError`.
     """
     r = np.asarray(getattr(returns, "returns", returns), dtype=float)
     if max_lag < 1:
         raise DomainError(f"max_lag must be >= 1, got {max_lag}")
     if r.size <= max_lag:
         raise DomainError(f"need more than {max_lag} observations, got {r.size}")
+    if not np.isfinite(r).all():
+        raise DomainError("returns contain NaN or infinite entries")
 
     x = r * r
     x = x - x.mean()

@@ -6,6 +6,7 @@ import argparse
 import datetime
 import json
 import math
+import re
 import subprocess
 import sys
 import tempfile
@@ -17,8 +18,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from volentropy import FiniteVarianceWarning, entropy_report
+import volentropy.cli as cli
+from volentropy import EstimationError, FiniteVarianceWarning, entropy_report
 from volentropy.cli import _UNRECORDED, build_parser, main
+from volentropy.report import _fmt6
 
 
 def run(*argv: str, cwd=None) -> subprocess.CompletedProcess:
@@ -348,6 +351,127 @@ def test_entropy_invalid_q_fails_without_a_warning(sim_file):
     assert proc.returncode == 1
     assert proc.stderr == "error: Tsallis index must be nonnegative, got nan\n"
     assert proc.stdout == ""
+
+
+# ------------------------------------------------- text as a view of the tree
+
+def _cells(section: str) -> list[list[str]]:
+    """A text table's rows, split into cells at runs of two or more blanks."""
+    return [re.split(r"\s{2,}", line.strip()) for line in section.splitlines()]
+
+
+def _report(argv: list[str], fmt: str, capsys) -> tuple[int, str]:
+    code = main([*argv, "--format", fmt])
+    return code, capsys.readouterr().out
+
+
+def test_fit_text_cells_equal_the_tree_values(tmp_path, monkeypatch, capsys):
+    # "hot" is near-integrated, so alpha + beta is flagged; the fit of "cold" fails
+    assert main(["simulate", "--family", "garch", "--omega", "1e-6", "--alpha", "0.1",
+                 "--beta", "0.895", "--n", "1500", "--seed", "4",
+                 "--output", str(tmp_path / "hot.csv")]) == 0
+    (tmp_path / "cold.csv").write_bytes((tmp_path / "hot.csv").read_bytes())
+    real_fit = cli.fit
+
+    def fit_or_fail(series, config):
+        if series.id == "cold":
+            raise EstimationError("estimation failed: every start was infeasible")
+        return real_fit(series, config)
+
+    monkeypatch.setattr(cli, "fit", fit_or_fail)
+    argv = ["fit", "--input", f"{tmp_path / 'hot.csv'},{tmp_path / 'cold.csv'}", "--returns",
+            "--family", "garch", "--innovation", "gaussian", "--restarts", "0"]
+    capsys.readouterr()
+    text_code, text = _report(argv, "text", capsys)
+    tree_code, tree = _report(argv, "tree", capsys)
+    assert text_code == tree_code == 2  # a failed cell is not a converged fit
+
+    hot, cold = json.loads(tree)["results"]
+    assert cold == {"series": "cold", "family": "garch",
+                    "error": "estimation failed: every start was infeasible"}
+    assert hot["converged"] and hot["persistence"]["flagged"] and hot["stderr"] is not None
+    stars = {"1%": "**", "5%": "*", "none": ""}
+    expected = [["family: garch"], ["parameter", "hot", "cold"]]
+    for name in hot["free_params"]:
+        expected.append([name, _fmt6(hot["params"][name]) + stars[hot["significance"][name]], "-"])
+        expected.append([f"({_fmt6(hot['stderr'][name])})"])
+    expected += [
+        ["log-likelihood", _fmt6(hot["loglik"]), "-"],
+        ["observations", str(hot["n_obs"]), "-"],
+        ["alpha+beta", _fmt6(hot["persistence"]["total"]) + " [flagged]", "-"],
+        ["converged", "yes", "-"],
+        ["failed: cold - estimation failed: every start was infeasible"],
+    ]
+    assert _cells(text.split("\n\n")[1]) == expected
+
+
+@pytest.mark.parametrize("grid", [[], ["--alpha", "0.5,2", "--q", "1.2"]])
+def test_entropy_text_cells_equal_the_tree_values_in_bits(sim_file, grid, capsys):
+    argv = ["entropy", "--input", str(sim_file), "--returns", "--bits",
+            "--window", "500", "--step", "250", *grid]
+    text_code, text = _report(argv, "text", capsys)
+    tree_code, tree = _report(argv, "tree", capsys)
+    assert text_code == tree_code == 0
+
+    (rec,) = json.loads(tree)["results"]
+    nats = entropy_report(np.loadtxt(sim_file, delimiter=",", skiprows=1, usecols=1),
+                          alpha_grid=[r["order"] for r in rec["renyi"]],
+                          q_grid=[t["index"] for t in rec["tsallis"]])
+    assert rec["units"] == "bits"
+    assert rec["shannon"] == pytest.approx(nats.shannon / math.log(2), rel=1e-12)
+    assert [r["value"] for r in rec["renyi"]] == pytest.approx(
+        [v / math.log(2) for _, v in nats.renyi], rel=1e-12)
+
+    header, series, grid_table, window_table, _ = text.split("\n\n")
+    assert header == "entropy report (units: bits)"
+    assert _cells(series) == [[f"series: {rec['series']}", f"n={rec['n_obs']}",
+                               f"bins={rec['bins']}"], ["shannon", _fmt6(rec["shannon"])]]
+    if grid:
+        expected = [["estimator", "order", "value"],
+                    *(["renyi", _fmt6(r["order"]), _fmt6(r["value"])] for r in rec["renyi"]),
+                    *(["tsallis", _fmt6(t["index"]), _fmt6(t["value"])] for t in rec["tsallis"])]
+    else:
+        expected = [["index", "renyi", "tsallis"],
+                    *([_fmt6(r["order"]), _fmt6(r["value"]), _fmt6(t["value"])]
+                      for r, t in zip(rec["renyi"], rec["tsallis"]))]
+    assert _cells(grid_table) == expected
+    assert _cells(window_table) == [
+        ["start", "end", "shannon", *(f"renyi({_fmt6(r['order'])})" for r in rec["renyi"]),
+         *(f"tsallis({_fmt6(t['index'])})" for t in rec["tsallis"])],
+        *([w["start"], w["end"], _fmt6(w["shannon"]),
+           *(_fmt6(r["value"]) for r in w["renyi"]),
+           *(_fmt6(t["value"]) for t in w["tsallis"])] for w in rec["windows"]),
+    ]
+
+
+# ------------------------------------------------------------ hostile inputs
+
+@pytest.mark.parametrize("argv", [
+    ["fit", "--input", ","],
+    ["entropy", "--input", " , "],
+])
+def test_input_naming_no_file_exits_1(argv, capsys):
+    assert main([*argv, "--returns"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: --input names no file")
+
+
+@pytest.mark.parametrize("argv", [
+    ["entropy", "--returns", "--bins", str(10**18)],
+    ["simulate", "--family", "garch", "--omega", "1e-6", "--alpha", "0.1", "--beta", "0.8",
+     "--n", str(10**18)],
+    ["simulate", "--family", "figarch", "--omega", "1e-6", "--alpha", "0.2", "--beta", "0.5",
+     "--d", "0.6", "--n", "100", "--truncation", str(10**18)],
+])
+def test_size_too_large_to_allocate_exits_1(argv, sim_file, tmp_path, capsys):
+    # 10**18 doubles (8 EB) exceed the address space of any 64-bit machine built,
+    # so the allocation fails before any memory is touched
+    where = ["--input", str(sim_file)] if argv[0] == "entropy" else ["--output", str(tmp_path / "x")]
+    assert main([*argv, *where]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: Unable to allocate")
 
 
 # ------------------------------------------------------------------- pipeline

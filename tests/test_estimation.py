@@ -399,6 +399,22 @@ def test_wall_builds_no_weights_at_a_point_the_engine_just_evaluated_or_rejected
     assert len(calls) == built
 
 
+def test_figarch_fit_stopped_just_inside_a_weight_wall_is_converged():
+    # the FIGARCH-t series of cli_pipeline's fit step at run seed 600: the
+    # search stops with lambda_5 = +2.4e-11, above models._LAMBDA_TOL, with
+    # the gradient pushing into that wall
+    true = ParamVector(1e-6, 0.2, 0.5, d=0.6, nu=8.0)
+    series, _ = simulate_path(SimConfig(FIGARCH, true, n=3000, seed=2155371359))
+    config = FitConfig(FIGARCH, restarts=0)
+    res = fit(series, config)
+    lam = _make_engine(series.returns, config).weights(res.params).lam
+    assert models._LAMBDA_TOL < lam.min() < estimation._WALL_BAND
+    assert res.converged
+    assert res.diagnostics["grad_norm"] < 1e-4
+    assert res.stderr is not None and all(math.isfinite(v) and v > 0 for v in res.stderr.values())
+    assert res.loglik == pytest.approx(12942.375779999227, rel=1e-12, abs=0.0)
+
+
 def test_shape_reads_slopes_in_theta_and_the_engine_where_alpha_underflowed():
     true = ParamVector(1e-6, 0.2, 0.5, d=0.6, nu=8.0)
     series, _ = simulate_path(SimConfig(FIGARCH, true, n=1000, seed=1))

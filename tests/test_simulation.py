@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -194,6 +196,16 @@ def test_autocorr_argument_validation():
         squared_autocorr(r, 0)
     with pytest.raises(DomainError):
         squared_autocorr(r, 10)  # need strictly more observations than lags
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_autocorr_rejects_non_finite_returns(bad):
+    r = np.random.default_rng(0).standard_normal(100)
+    r[10] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="NaN or infinite"):
+            squared_autocorr(r, 5)
 
 
 @settings(max_examples=100, deadline=None)
