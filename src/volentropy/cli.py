@@ -8,11 +8,12 @@ from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 from pathlib import Path
 
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .entropy import DEFAULT_ORDER_GRID, _reports, entropy_report
+from .entropy import DEFAULT_ORDER_GRID, FiniteVarianceWarning, _reports, entropy_report
 from .errors import DegenerateSupportError, DomainError, EstimationError, VolentropyError
 from .estimation import INNOVATIONS, FitConfig, fit, persistence_check
 from .models import DEFAULT_TRUNCATION, ModelFamily, ParamVector
@@ -231,30 +232,33 @@ def cmd_entropy(args) -> int:
     q_grid = tuple(args.q)
 
     results: list[dict] = []
-    for series in series_list:
-        rep = entropy_report(series.returns, m=args.bins,
-                             alpha_grid=alpha_grid, q_grid=q_grid)
-        windows = None
-        if args.window is not None:
-            if args.window > len(series):
-                raise DomainError(
-                    f"--window {args.window} exceeds the {len(series)} observations "
-                    f"of series {series.id!r}")
-            step = args.step if args.step is not None else args.window
-            spans = [(series.dates[start].isoformat(),
-                      series.dates[start + args.window - 1].isoformat())
-                     for start in range(0, len(series) - args.window + 1, step)]
-            try:
-                reports = _reports(sliding_window_view(series.returns, args.window)[::step],
-                                   args.bins, alpha_grid, q_grid)
-            except DegenerateSupportError as exc:
-                if exc.row is None:
-                    raise
-                first, last = spans[exc.row]
-                raise DegenerateSupportError(
-                    f"series {series.id!r}, window {first} to {last}: {exc}") from exc
-            windows = zip(spans, reports)
-        results.append(entropy_record(series.id, rep, args.bits, windows))
+    with warnings.catch_warnings():
+        for series in series_list:
+            rep = entropy_report(series.returns, m=args.bins,
+                                 alpha_grid=alpha_grid, q_grid=q_grid)
+            # every series and window has the same orders: say it once per run
+            warnings.simplefilter("ignore", FiniteVarianceWarning)
+            windows = None
+            if args.window is not None:
+                if args.window > len(series):
+                    raise DomainError(
+                        f"--window {args.window} exceeds the {len(series)} observations "
+                        f"of series {series.id!r}")
+                step = args.step if args.step is not None else args.window
+                spans = [(series.dates[start].isoformat(),
+                          series.dates[start + args.window - 1].isoformat())
+                         for start in range(0, len(series) - args.window + 1, step)]
+                try:
+                    reports = _reports(sliding_window_view(series.returns, args.window)[::step],
+                                       args.bins, alpha_grid, q_grid)
+                except DegenerateSupportError as exc:
+                    if exc.row is None:
+                        raise
+                    first, last = spans[exc.row]
+                    raise DegenerateSupportError(
+                        f"series {series.id!r}, window {first} to {last}: {exc}") from exc
+                windows = zip(spans, reports)
+            results.append(entropy_record(series.id, rep, args.bits, windows))
 
     _emit(render_entropy_report(results, _manifest(args), fmt=args.format), args.report_path)
     return EXIT_OK

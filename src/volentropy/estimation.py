@@ -16,12 +16,14 @@ Convergence diagnostics (objective improvement, gradient norms) are defined
 on the *per-observation* (mean) log-likelihood so they are sample-size
 invariant; reported log-likelihoods are totals.
 
-The optimizer's gradient and the standard errors both use the likelihood
-engine's exact score (see :meth:`models._Likelihood.score`), carried to the
-unconstrained coordinates by the analytic Jacobian of the inverse transform.
-Standard errors take the Hessian there from forward differences of that
-score, k + 1 score passes for k free parameters; the same Jacobian maps the
-inverse Hessian back to the constrained space (the delta method).
+The optimizer's gradient is the likelihood engine's exact score (see
+:meth:`models._Likelihood.score`), carried to the unconstrained coordinates
+by the analytic Jacobian of the inverse transform.  Standard errors take the
+engine's exact Hessian (:meth:`models._Likelihood.hessian`, one pass), carried
+there by the same Jacobian plus the transform's curvature; the Jacobian maps
+the inverse Hessian back to the constrained space (the delta method).  A
+Hessian that is not negative definite, or is singular to working precision,
+gives no standard errors.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.linalg import LinAlgError
 
 from .errors import (
     BoundaryError,
@@ -79,6 +80,9 @@ _MAX_HALVINGS = 40          # line-search halvings before a step is given up
 _FACE = 1e-3                # alpha, or d from its nearer bound, on a face (see `_shape`)
 _RIDGE_GAP = 1e-9           # 1 - beta at the end of the IGARCH alpha = 0 face
 _PERSISTENCE_FLAG = 0.98    # strict threshold on alpha + beta
+# Smallest eigenvalue ratio of a scaled -H that still gives a covariance
+# (see `_covariance_from_hessian`): 1000 machine epsilons, about 2.2e-13.
+_MIN_EIGEN_RATIO = 1e3 * float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -188,6 +192,22 @@ def _require_interior(ok: bool, what: str) -> None:
         )
 
 
+def _check_interior(params: ParamVector, family: ModelFamily,
+                    d_fixed: float | None = None) -> None:
+    """Raise :class:`BoundaryError` unless ``params`` is strictly inside the transform's domain."""
+    _require_interior(params.omega > 0, "omega = 0")
+    _require_interior(params.alpha > 0, "alpha = 0")
+    if family is ModelFamily.GARCH:
+        _require_interior(params.beta > 0, "beta = 0")
+        _require_interior(1.0 - params.alpha - params.beta > 0, "alpha + beta = 1")
+    else:
+        _require_interior(0.0 < params.beta < 1.0, "beta boundary")
+        if family is ModelFamily.FIGARCH and d_fixed is None:
+            _require_interior(0.0 < params.d < 1.0, "d boundary")
+    if params.nu is not None:
+        _require_interior(params.nu > 2.0, "nu = 2")
+
+
 def transform_to_unconstrained(params: ParamVector, family: ModelFamily,
                                d_fixed: float | None = None) -> np.ndarray:
     """Map a strictly interior ParamVector to unconstrained coordinates.
@@ -197,27 +217,20 @@ def transform_to_unconstrained(params: ParamVector, family: ModelFamily,
     alpha goes through log and beta/d through logits; nu maps to
     ``log(nu - 2)``.  Boundary points raise :class:`BoundaryError`.
     """
-    _require_interior(params.omega > 0, "omega = 0")
+    _check_interior(params, family, d_fixed)
     u = [math.log(params.omega)]
 
     if family is ModelFamily.GARCH:
         rem = 1.0 - params.alpha - params.beta
-        _require_interior(params.alpha > 0, "alpha = 0")
-        _require_interior(params.beta > 0, "beta = 0")
-        _require_interior(rem > 0, "alpha + beta = 1")
         u += [math.log(params.alpha / rem), math.log(params.beta / rem)]
     else:
         from scipy.special import logit  # imported here: --help and entropy never need it
 
-        _require_interior(params.alpha > 0, "alpha = 0")
-        _require_interior(0.0 < params.beta < 1.0, "beta boundary")
         u += [math.log(params.alpha), float(logit(params.beta))]
         if family is ModelFamily.FIGARCH and d_fixed is None:
-            _require_interior(0.0 < params.d < 1.0, "d boundary")
             u.append(float(logit(params.d)))
 
     if params.nu is not None:
-        _require_interior(params.nu > 2.0, "nu = 2")
         u.append(math.log(params.nu - 2.0))
     return np.array(u, dtype=float)
 
@@ -274,6 +287,30 @@ def _jacobian(params: ParamVector, family: ModelFamily,
     if family is ModelFamily.GARCH:
         J[1, 2] = J[2, 1] = -a * b
     return J
+
+
+def _curvature(params: ParamVector, config: FitConfig, grad: np.ndarray,
+               grad_u: np.ndarray) -> np.ndarray:
+    """``sum_i grad_i d^2 theta_i / du du'``, for the gradient in theta ``grad``.
+
+    The term a Hessian mapped to u gains from the curvature of the maps.
+    Taken twice in the same coordinate, each map's derivative is its first
+    times 1 (the exp maps) or ``1 - 2 theta_j`` (the logistic maps, and the
+    softmax derivatives of both alpha and beta), so the diagonal is that
+    factor times ``grad_u``, the gradient in u.  Only the GARCH softmax has
+    cross terms.
+    """
+    a, b = params.alpha, params.beta
+    garch = config.family is ModelFamily.GARCH
+    factor = [1.0, 1.0 - 2.0 * a if garch else 1.0, 1.0 - 2.0 * b]
+    if config.family is ModelFamily.FIGARCH and config.d_fixed is None:
+        factor.append(1.0 - 2.0 * params.d)
+    if params.nu is not None:
+        factor.append(1.0)
+    C = np.diag(np.array(factor) * grad_u)
+    if garch:
+        C[1, 2] = C[2, 1] = -a * b * ((1.0 - 2.0 * a) * grad[1] + (1.0 - 2.0 * b) * grad[2])
+    return C
 
 
 # ---------------------------------------------------- optimizer and derivatives
@@ -444,39 +481,28 @@ def _ridge_end(u: np.ndarray, config: FitConfig) -> np.ndarray | None:
     return transform_to_unconstrained(end, config.family)
 
 
-def _score_hessian(score, x: np.ndarray) -> np.ndarray:
-    """Hessian from forward differences of an exact gradient, symmetrised.
-
-    Steps are ``1e-7 * max(1, |x_i|)``, taken as ``(x_i + h) - x_i`` so
-    that the divisor is the step actually made.  Where the forward point
-    has no finite score (past a FIGARCH weight wall the optimum sits on),
-    the step is taken backward instead.
-    """
-    x = np.asarray(x, dtype=float)
-    s0 = score(x)
-    H = np.empty((x.size, x.size))
-    for i in range(x.size):
-        for h in (1e-7, -1e-7):
-            xs = x.copy()
-            xs[i] += h * max(1.0, abs(x[i]))
-            H[:, i] = (score(xs) - s0) / (xs[i] - x[i])
-            if np.isfinite(H[:, i]).all():
-                break
-    return 0.5 * (H + H.T)
-
-
 def _covariance_from_hessian(H: np.ndarray) -> np.ndarray | None:
-    """Inverse of -H when -H is positive definite, else None."""
-    from scipy.linalg import cho_factor, cho_solve  # imported here: --help and entropy never need it
+    """Inverse of -H when -H is positive definite and not singular to working precision.
 
+    -H is judged scaled to a unit diagonal, ``S (-H) S``: the diagonal
+    Jacobian of the log and logit maps rescales rows and columns, so a
+    parameter near its bound (IGARCH alpha about 1e-9) shrinks an eigenvalue
+    of -H without making the fit any less identified.  An eigenvalue of the
+    scaled matrix at or below ``_MIN_EIGEN_RATIO`` of its largest is within
+    the rounding of the Hessian's sums, so the covariance would carry no
+    digits.  So it is at the IGARCH ridge end beta = 1 - 1e-9, flat along
+    omega/(1-beta): the fits of fit_ladder seeds 200-219 there sit at
+    1e-17..4e-14, the next IGARCH fits at 1e-12 and above.
+    """
     A = -np.asarray(H, dtype=float)
-    if not np.isfinite(A).all():
+    if not np.isfinite(A).all() or (np.diag(A) <= 0.0).any():
         return None
-    try:
-        factor = cho_factor(A)
-    except LinAlgError:
+    s = 1.0 / np.sqrt(np.diag(A))
+    scale = np.outer(s, s)
+    eig, V = np.linalg.eigh(A * scale)
+    if eig[0] <= _MIN_EIGEN_RATIO * eig[-1]:
         return None
-    return cho_solve(factor, np.eye(A.shape[0]))
+    return (V / eig) @ V.T * scale
 
 
 # ------------------------------------------------------------------- objective
@@ -496,6 +522,18 @@ def _unconstrained_score(engine: _Likelihood, u: np.ndarray,
     params = transform_from_unconstrained(u, config.family, config.innovation, config.d_fixed)
     loglik, grad = engine.score(params, config.d_fixed is not None)
     return loglik, _jacobian(params, config.family, config.d_fixed).T @ grad
+
+
+def _unconstrained_hessian(engine: _Likelihood, params: ParamVector,
+                           config: FitConfig) -> np.ndarray:
+    """Hessian of the total log-likelihood in the unconstrained coordinates of ``params``.
+
+    From one engine pass: ``J' H_theta J`` plus the curvature of the maps
+    (see `_curvature`), which does not vanish off an optimum.
+    """
+    _, grad, H = engine.hessian(params, config.d_fixed is not None)
+    J = _jacobian(params, config.family, config.d_fixed)
+    return J.T @ H @ J + _curvature(params, config, grad, J.T @ grad)
 
 
 def _initial_params(returns: np.ndarray, config: FitConfig,
@@ -631,7 +669,7 @@ def fit(series, config: FitConfig) -> FitResult:
     se = StdErrReport(None, None, None, None, False)
     if best["converged"]:
         try:
-            se = standard_errors(params, returns, config)
+            se = _standard_errors(engine, params, config)
         except BoundaryError:  # alpha, beta or d underflowed onto its bound
             pass
 
@@ -673,26 +711,25 @@ def standard_errors(params: ParamVector, series, config: FitConfig) -> StdErrRep
     """Delta-method standard errors at an optimum.
 
     The Hessian of the total log-likelihood in the unconstrained coordinates
-    comes from forward differences of its exact score (see
-    :meth:`models._Likelihood.score`), one score pass per coordinate plus the
-    centre, with steps ``1e-7 * max(1, |u_i|)``, taken backward where the
-    forward point is infeasible (an optimum on a lambda >= 0 wall); it is
-    symmetrised.  The score is mapped to those coordinates, and the negative
-    inverse Hessian back to the constrained space, through the analytic
-    Jacobian of the inverse transform.  A Hessian that is not negative
-    definite, or a coordinate infeasible both ways, yields an
-    absent-but-flagged report.
+    is exact: the likelihood engine's analytic Hessian in the constrained
+    parameters (see :meth:`models._Likelihood.hessian`), mapped through the
+    analytic Jacobian of the inverse transform plus the curvature of that
+    transform weighted by the score, all from one engine pass.  The same
+    Jacobian maps the negative inverse Hessian back to the constrained space.
+    An infeasible point, or a Hessian that is not negative definite or is
+    singular to working precision (see `_covariance_from_hessian`), yields
+    an absent-but-flagged report; a point on a bound of the transform raises
+    :class:`BoundaryError`.
     """
-    engine = _make_engine(_extract_returns(series), config)
+    return _standard_errors(_make_engine(_extract_returns(series), config), params, config)
 
-    def score(u: np.ndarray) -> np.ndarray:
-        try:
-            return _unconstrained_score(engine, u, config)[1]
-        except (InfeasibleParamsError, DataQualityError):
-            return np.full(u.size, np.nan)
 
-    u0 = transform_to_unconstrained(params, config.family, config.d_fixed)
-    cov_u = _covariance_from_hessian(_score_hessian(score, u0))
+def _standard_errors(engine: _Likelihood, params: ParamVector, config: FitConfig) -> StdErrReport:
+    _check_interior(params, config.family, config.d_fixed)
+    try:
+        cov_u = _covariance_from_hessian(_unconstrained_hessian(engine, params, config))
+    except (InfeasibleParamsError, DataQualityError):
+        cov_u = None
     if cov_u is None:
         return StdErrReport(None, None, None, None, False)
 

@@ -50,13 +50,6 @@ _LAMBDA_TOL = 1e-12
 
 _SMALLEST_NORMAL = float(np.finfo(float).tiny)
 
-# (alpha, beta, d) keys whose weights and convolution a likelihood engine
-# keeps.  A score pass asks twice for its own key (sigma2, then the weights
-# of the gradient), a fit's wall check asks again for the point just
-# evaluated, and the standard errors' score Hessian needs 4 keys: the centre
-# and one step in each of alpha, beta and d.
-_CONV_MEMO_SIZE = 4
-
 
 class ModelFamily(enum.Enum):
     """The three supported conditional-variance families."""
@@ -290,10 +283,9 @@ class _Likelihood:
     engine also keeps the rFFT of the backcast-padded e^2, so each evaluation
     transforms only the kernel.  Since
     ``sigma2 = omega/(1-beta) + conv``, the convolution slice and its weights
-    are memoised on the exact floats (alpha, beta, d): points that move only
-    omega or nu, as the standard errors' score differences do, reuse them,
-    and the lambda weights are built once per distinct key, rejected keys
-    included (:meth:`weights`).
+    are kept for the exact floats (alpha, beta, d) last evaluated: points
+    that move only omega or nu reuse them, and the lambda weights are built
+    once per change of key, rejected keys included (:meth:`weights`).
 
     With ``reject_negative_weights`` a FIGARCH point whose ARCH(inf) weights
     fall below ``-_LAMBDA_TOL`` raises :class:`InfeasibleParamsError` (the
@@ -301,7 +293,9 @@ class _Likelihood:
     conditional variances are rejected.
 
     :meth:`score` adds the exact gradient of the log-likelihood, from the
-    derivative recursions of Fiorentini, Calzolari & Panattoni (1996).
+    derivative recursions of Fiorentini, Calzolari & Panattoni (1996), and
+    :meth:`hessian` its exact second derivatives from the same recursions.
+    Returns whose squares overflow a double raise :class:`DomainError`.
     """
 
     def __init__(self, family: ModelFamily, returns: np.ndarray,
@@ -313,13 +307,21 @@ class _Likelihood:
             raise DomainError("returns must be a nonempty one-dimensional vector")
         if not np.isfinite(r).all():
             raise DomainError("returns contain NaN or infinite entries")
-        e = r - r.mean()
+        with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+            e = r - r.mean()
+            self.e2 = e * e
+            self.backcast = float(self.e2.mean())
+        if not math.isfinite(self.backcast):
+            raise DomainError("returns too large: their squares overflow a double")
         self.family, self.T, self.n = family, T, r.size
-        self.e2 = e * e
-        self.backcast = float(self.e2.mean())
         self.checks_weights = reject_negative_weights and family is ModelFamily.FIGARCH
-        # key -> [weights, convolution or None until one is asked for]
-        self._memo: dict[tuple[float, float, float], list] = {}
+        # (key, [weights, convolution or None until one is asked for]) of the
+        # last (alpha, beta, d) evaluated.  Callers only come back to that key:
+        # a score or Hessian pass asks for it twice (sigma2, then the weight
+        # derivatives), a fit's wall check asks again for the point just
+        # evaluated, and its standard errors for the optimum whose
+        # log-likelihood was just evaluated.
+        self._memo: tuple[tuple[float, float, float], list] | None = None
         if family is ModelFamily.GARCH:
             self._e2_lag = np.concatenate(([self.backcast], self.e2[:-1]))
             return
@@ -336,14 +338,12 @@ class _Likelihood:
 
     def _entry(self, params: ParamVector) -> list:
         key = (params.alpha, params.beta, self._d(params))
-        if key not in self._memo:
-            if len(self._memo) >= _CONV_MEMO_SIZE:
-                del self._memo[next(iter(self._memo))]
-            self._memo[key] = [frac_weights(key[2], self.T, key[0], key[1]), None]
-        return self._memo[key]
+        if self._memo is None or self._memo[0] != key:
+            self._memo = (key, [frac_weights(key[2], self.T, key[0], key[1]), None])
+        return self._memo[1]
 
     def weights(self, params: ParamVector) -> FracWeights:
-        """The ARCH(inf) weights at an IGARCH/FIGARCH point, memoised per (alpha, beta, d)."""
+        """The ARCH(inf) weights at an IGARCH/FIGARCH point, memoised for the last (alpha, beta, d)."""
         return self._entry(params)[0]
 
     def _convolution(self, params: ParamVector) -> np.ndarray:
@@ -402,6 +402,28 @@ class _Likelihood:
         correlation of g with the padded e^2 through the cached rFFT, and the
         weight derivatives from the weight recursion.
         """
+        loglik, grad, _ = self._derivatives(params, fixed_d, second=False)
+        return loglik, grad
+
+    def hessian(self, params: ParamVector,
+                fixed_d: bool = False) -> tuple[float, np.ndarray, np.ndarray]:
+        """Total log-likelihood, its gradient and its Hessian, from one pass.
+
+        Ordered as :meth:`score`.  With ``h_t`` the second derivative of the
+        t-th log-density in sigma2_t and ``s_t = d sigma2_t / d theta``,
+
+            H = sum_t h_t s_t s_t' + sum_t g_t d^2 sigma2_t / d theta^2
+
+        plus the nu terms.  GARCH filters the second derivatives of sigma2
+        with the variance recursion once more.  For IGARCH and FIGARCH,
+        ``s_t`` convolves each row of :meth:`weight_jacobian` with the padded
+        e^2 (a transform pair per row), and the second term is
+        ``d^2 lambda / d theta^2 . c`` with the score's correlation ``c``.
+        """
+        return self._derivatives(params, fixed_d, second=True)
+
+    def _derivatives(self, params: ParamVector, fixed_d: bool, second: bool):
+        """(log-likelihood, gradient, Hessian or None): see :meth:`score` and :meth:`hessian`."""
         vp = self.variance_path(params)
         sig2, e2, nu = vp.sigma2, self.e2, params.nu
         if nu is None:
@@ -411,9 +433,9 @@ class _Likelihood:
             w = x / (1.0 + x)
             g = 0.5 * ((nu + 1.0) * w - 1.0) / sig2
         if self.family is ModelFamily.GARCH:
-            grad = self._garch_score(params, sig2, g)
+            grad, s, curv = self._garch_derivatives(params, sig2, g, second)
         else:
-            grad = self._arch_inf_score(params, g, free_d=(
+            grad, s, curv = self._arch_inf_derivatives(params, g, second, free_d=(
                 self.family is ModelFamily.FIGARCH and not fixed_d))
         if nu is not None:
             from scipy.special import digamma  # imported here: --help and entropy never need it
@@ -422,9 +444,42 @@ class _Likelihood:
                                         - 1.0 / (nu - 2.0))
                         - 0.5 * float(np.log1p(x).sum())
                         + (nu + 1.0) / (2.0 * (nu - 2.0)) * float(w.sum()))
-        return vp.loglik, np.array(grad)
+        if not second:
+            return vp.loglik, np.array(grad), None
 
-    def _garch_score(self, params: ParamVector, sig2: np.ndarray, g: np.ndarray) -> list:
+        # h_t = d g_t / d sigma2_t; for Student-t, with v_t = w_t (1 - w_t),
+        # dw_t/d sigma2_t = -v_t/sigma2_t and dw_t/d nu = -v_t/(nu-2)
+        if nu is None:
+            h = (0.5 - e2 / sig2) / sig2 / sig2
+        else:
+            v = w * (1.0 - w)
+            a = (0.5 * (nu + 1.0)) * v / sig2
+            h = -(g + a) / sig2
+        # s holds d sigma2_t / d theta past omega, whose derivative is 1/(1-beta)
+        # at every t; curv holds sum_t g_t d2 sigma2_t / d theta2 past omega, and in
+        # omega only d2 sigma2_t / d omega d beta = 1/(1-beta)^2 is not 0
+        inv = 1.0 / (1.0 - params.beta)
+        k = s.shape[0] + 1
+        H = np.empty((len(grad), len(grad)))
+        hs = s * h
+        H[0, 0] = inv * inv * float(h.sum())
+        H[0, 1:k] = H[1:k, 0] = inv * hs.sum(axis=1)
+        H[0, 2] = H[2, 0] = H[0, 2] + inv * grad[0]
+        H[1:k, 1:k] = hs @ s.T + curv
+        if nu is not None:
+            from scipy.special import polygamma  # imported here: --help and entropy never need it
+
+            m = 0.5 * w / sig2 - a / (nu - 2.0)  # d g_t / d nu
+            H[0, k] = H[k, 0] = inv * float(m.sum())
+            H[1:k, k] = H[k, 1:k] = s @ m
+            trigamma = polygamma(1, [(nu + 1.0) / 2.0, nu / 2.0])
+            H[k, k] = (self.n * (0.25 * (trigamma[0] - trigamma[1]) + 0.5 / (nu - 2.0) ** 2)
+                       + (0.5 / (nu - 2.0) - 1.5 / (nu - 2.0) ** 2) * float(w.sum())
+                       - (nu + 1.0) / (2.0 * (nu - 2.0) ** 2) * float(v.sum()))
+        return vp.loglik, np.array(grad), H
+
+    def _garch_derivatives(self, params: ParamVector, sig2: np.ndarray, g: np.ndarray,
+                           second: bool) -> tuple[list, np.ndarray | None, np.ndarray | None]:
         # From the pre-sample level s = (omega + alpha*backcast)/(1-beta),
         # d sigma2_t/d omega is 1/(1-beta) at every t.  d sigma2/d alpha and
         # d sigma2/d beta follow the variance recursion with inputs e2_{t-1}
@@ -437,14 +492,30 @@ class _Likelihood:
         x[1, 0] = s_pre
         x[1, 1:] = sig2[:-1]
         state = beta / (1.0 - beta) * np.array([self.backcast, s_pre])
-        d_alpha, d_beta = _ar1_filter(x, beta, state) @ g
-        return [float(g.sum()) / (1.0 - beta), float(d_alpha), float(d_beta)]
+        ds = _ar1_filter(x, beta, state)
+        d_alpha, d_beta = ds @ g
+        g_sum = float(g.sum())
+        grad = [g_sum / (1.0 - beta), float(d_alpha), float(d_beta)]
+        if not second:
+            return grad, None, None
+        # sigma2 is linear in alpha and omega enters only through 1/(1-beta),
+        # so the second derivatives left are d2/d alpha d beta and d2/d beta2:
+        # the recursion again, with inputs d sigma2_{t-1}/d alpha and
+        # 2 d sigma2_{t-1}/d beta, from the pre-sample levels of both
+        # (backcast and 2 s, over (1-beta)^2)
+        x[:, 0] = [self.backcast / (1.0 - beta), 2.0 * s_pre / (1.0 - beta)]
+        x[0, 1:] = ds[0, :-1]
+        x[1, 1:] = 2.0 * ds[1, :-1]
+        d_alpha_beta, d_beta_beta = _ar1_filter(x, beta, beta / (1.0 - beta) * x[:, 0]) @ g
+        return grad, ds, np.array([[0.0, d_alpha_beta], [d_alpha_beta, d_beta_beta]])
 
-    def weight_jacobian(self, params: ParamVector, free_d: bool) -> np.ndarray:
+    def weight_jacobian(self, params: ParamVector, free_d: bool, second: bool = False):
         """d lambda / d (alpha, beta[, d]) at an IGARCH/FIGARCH point, one row each.
 
-        The weights come from :meth:`weights`, so from the memo when the
-        point is there, as it is in a score pass.
+        With ``second``, also the second derivatives, as a symmetric
+        (k, k, T) array: the pair ``(jacobian, second derivatives)``.  The
+        weights come from :meth:`weights`, so from the memo when the point
+        is there, as it is in a score pass.
         """
         alpha, beta, d, T = params.alpha, params.beta, self._d(params), self.T
         w = self.weights(params)
@@ -459,23 +530,73 @@ class _Likelihood:
         if free_d:
             if not _SMALLEST_NORMAL <= d < 1.0:  # 1/d or 1/(d-1) below is not finite
                 raise InfeasibleParamsError(f"the score in d is not finite at d = {d}")
-            # d pi_j / d d = pi_j * sum_{k<=j} 1/(d+1-k)
+            # d pi_j / d d = pi_j * S_j with S_j = sum_{k<=j} 1/(d+1-k)
             j = np.arange(1.0, T + 1.0)
-            d_pi = pi * np.concatenate(([0.0], np.cumsum(1.0 / (d - (j - 1.0)))))
+            inv = np.concatenate(([0.0], 1.0 / (d - (j - 1.0))))
+            S = np.cumsum(inv)
+            d_pi = pi * S
             rows.append((alpha + beta) * d_pi[:-1] - d_pi[1:])
-        return _ar1_filter(np.array(rows), beta)
+        jac = _ar1_filter(np.array(rows), beta)
+        if not second:
+            return jac
+        # Differentiating lambda_j = x_j + beta*lambda_{j-1} once more filters
+        # the derivative of each first-order input; alpha enters x linearly,
+        # and beta the filter, which adds the first-order row of the other
+        # parameter at lag 1 (twice for beta-beta).
+        k = jac.shape[0]
+        x2 = np.zeros((k, k, T))
+        x2[0, 1, 1:] = jac[0, :-1]
+        x2[1, 1, 1:] = 2.0 * jac[1, :-1]
+        if free_d:
+            # d2 pi_j / d d2 = pi_j (S_j^2 - sum_{k<=j} 1/(d+1-k)^2); with the
+            # k = 1 terms 1/d and 1/d^2 taken out of both sums (R, P), that is
+            # 2 R_j pi_j/d + pi_j (R_j^2 - P_j), which neither cancels nor
+            # overflows as d -> 0
+            rest = inv.copy()
+            rest[1] = 0.0
+            R = np.cumsum(rest)
+            d2_pi = 2.0 * R * (pi / d) + pi * (R * R - np.cumsum(rest * rest))
+            x2[0, 2] = d_pi[:-1]
+            x2[1, 2] = d_pi[:-1]
+            x2[1, 2, 1:] += jac[2, :-1]
+            x2[2, 2] = (alpha + beta) * d2_pi[:-1] - d2_pi[1:]
+        upper = np.triu_indices(k)
+        hess = np.empty((k, k, T))
+        hess[upper] = _ar1_filter(x2[upper], beta)
+        hess[upper[::-1]] = hess[upper]
+        return jac, hess
 
-    def _arch_inf_score(self, params: ParamVector, g: np.ndarray, free_d: bool) -> list:
-        T, size, beta, fft = self.T, self._fft_size, params.beta, self._fft
+    def _arch_inf_derivatives(self, params: ParamVector, g: np.ndarray, second: bool,
+                              free_d: bool) -> tuple[list, np.ndarray | None, np.ndarray | None]:
+        T, n, size, beta, fft = self.T, self.n, self._fft_size, params.beta, self._fft
         padded = np.zeros(size)
-        padded[T:T + self.n] = g
+        padded[T:T + n] = g
         c = fft.irfft(fft.rfft(padded) * self._e2_fft.conj(), size)[1:T + 1]
-        grad = self.weight_jacobian(params, free_d) @ c
+        if second:
+            jac, hess = self.weight_jacobian(params, free_d, second=True)
+        else:
+            jac = self.weight_jacobian(params, free_d)
+        grad = jac @ c
 
         # the intercept omega/(1-beta)
         g_sum = float(g.sum())
         grad[1] += params.omega / (1.0 - beta) ** 2 * g_sum
-        return [g_sum / (1.0 - beta), *grad.tolist()]
+        grad = [g_sum / (1.0 - beta), *grad.tolist()]
+        if not second:
+            return grad, None, None
+        # d sigma2_t / d theta: each weight derivative convolved with the
+        # padded e^2 as the weights are in sigma2, plus the intercept's.  One
+        # row at a time: a batched transform measured slower, its larger
+        # temporaries taking fresh pages from the system on every call.
+        s = np.empty((jac.shape[0], n))
+        kernel = np.zeros(T + 1)
+        for row, jac_row in zip(s, jac):
+            kernel[1:] = jac_row
+            row[:] = fft.irfft(self._e2_fft * fft.rfft(kernel, size), size)[T:T + n]
+        s[1] += params.omega / (1.0 - beta) ** 2
+        curv = hess @ c
+        curv[1, 1] += 2.0 * params.omega / (1.0 - beta) ** 3 * g_sum
+        return grad, s, curv
 
 
 def variance_path(family: ModelFamily, params: ParamVector,

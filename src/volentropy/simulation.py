@@ -141,7 +141,8 @@ def squared_autocorr(returns: np.ndarray, max_lag: int,
 
     With ``include_lag0`` the (definitionally unit) lag-0 value is prepended.
     Constant input has no defined autocorrelation and raises
-    :class:`AutocorrUndefinedError`; NaN or infinite returns raise
+    :class:`AutocorrUndefinedError`; NaN or infinite returns, and returns
+    whose squares (or their second moments) overflow a double, raise
     :class:`DomainError`.
     """
     r = np.asarray(getattr(returns, "returns", returns), dtype=float)
@@ -152,9 +153,12 @@ def squared_autocorr(returns: np.ndarray, max_lag: int,
     if not np.isfinite(r).all():
         raise DomainError("returns contain NaN or infinite entries")
 
-    x = r * r
-    x = x - x.mean()
-    denom = float(np.dot(x, x))
+    with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+        x = r * r
+        x = x - x.mean()
+        denom = float(np.dot(x, x))
+    if not math.isfinite(denom):
+        raise DomainError("returns too large: their squares overflow a double")
     if denom <= 0.0:
         raise AutocorrUndefinedError("squared series is constant; autocorrelation undefined")
 

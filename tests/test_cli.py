@@ -240,6 +240,15 @@ def test_entropy_out_of_window_q_warns_but_succeeds(sim_file):
     assert "shannon" in proc.stdout
 
 
+def test_entropy_window_says_a_finite_variance_warning_once_per_run(sim_file):
+    # two series, each with a whole-series report and rolling windows
+    proc = run("entropy", "--input", f"{sim_file},{sim_file}", "--returns",
+               "--q", "2", "--window", "500")
+    assert proc.returncode == 0
+    warned = [line for line in proc.stderr.splitlines() if "FiniteVarianceWarning" in line]
+    assert len(warned) == 1 and "q=2" in warned[0]
+
+
 def test_entropy_bits_rescales_by_log2(sim_file):
     nats = json.loads(run("entropy", "--input", str(sim_file), "--returns",
                           "--format", "tree").stdout)["results"][0]

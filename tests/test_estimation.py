@@ -36,12 +36,11 @@ from volentropy.estimation import (
     _covariance_from_hessian,
     _jacobian,
     _make_engine,
-    _score_hessian,
     _shape,
+    _unconstrained_hessian,
     _unconstrained_score,
     _wall,
 )
-from volentropy.models import _CONV_MEMO_SIZE
 
 GARCH, IGARCH, FIGARCH = ModelFamily.GARCH, ModelFamily.IGARCH, ModelFamily.FIGARCH
 
@@ -186,7 +185,7 @@ def test_config_rejects_nonpositive_truncation(family, T):
 def _fd_hessian(f, x: np.ndarray) -> np.ndarray:
     """Central finite-difference Hessian with steps max(1e-5, 1e-4*|x_i|).
 
-    The reference for the score-difference Hessian of ``standard_errors``.
+    The reference for the analytic Hessian of ``standard_errors``.
     """
     x = np.asarray(x, dtype=float)
     n = x.size
@@ -213,10 +212,8 @@ def _fd_hessian(f, x: np.ndarray) -> np.ndarray:
 
 
 def test_quadratic_objective_gives_exact_half_stderr():
-    # log-likelihood -(theta-2)^2 / (2*0.25): score -(theta-2)/0.25, stderr 0.5
-    score = lambda x: np.array([-(x[0] - 2.0) / 0.25])
-    H = _score_hessian(score, np.array([2.0]))
-    cov = _covariance_from_hessian(H)
+    # log-likelihood -(theta-2)^2 / (2*0.25): Hessian -1/0.25, stderr 0.5
+    cov = _covariance_from_hessian(np.array([[-4.0]]))
     assert cov is not None
     assert math.sqrt(cov[0, 0]) == pytest.approx(0.5, abs=1e-9)
 
@@ -268,16 +265,33 @@ def test_bfgs_reaches_the_rosenbrock_minimum_within_its_budget():
     assert_allclose(x, [1.0, 1.0], atol=1e-8)
 
 
-def test_score_hessian_cross_terms():
-    # score of -(x0^2) - 3 x1^2 + 0.5 x0 x1
-    score = lambda x: np.array([-2.0 * x[0] + 0.5 * x[1], -6.0 * x[1] + 0.5 * x[0]])
-    H = _score_hessian(score, np.array([0.3, -0.7]))
-    assert_allclose(H, [[-2.0, 0.5], [0.5, -6.0]], atol=1e-6)
+def test_covariance_from_a_hessian_with_cross_terms():
+    # Hessian of -(x0^2) - 3 x1^2 + 0.5 x0 x1
+    H = np.array([[-2.0, 0.5], [0.5, -6.0]])
+    cov = _covariance_from_hessian(H)
+    assert_allclose(cov, np.linalg.inv(-H), rtol=1e-14)
 
 
 def test_indefinite_hessian_has_no_covariance():
     assert _covariance_from_hessian(np.array([[1.0, 0.0], [0.0, -1.0]])) is None
     assert _covariance_from_hessian(np.array([[np.nan, 0.0], [0.0, -1.0]])) is None
+
+
+def test_hessian_singular_to_working_precision_has_no_covariance():
+    # eigenvalues 2 and 1e-15 of -H: a Cholesky factor exists but carries no digits
+    H = -np.array([[1.0, 1.0 - 1e-15], [1.0 - 1e-15, 1.0]])
+    np.linalg.cholesky(-H)
+    assert _covariance_from_hessian(H) is None
+
+
+def test_covariance_ignores_a_diagonal_rescaling():
+    # a parameter near its bound (alpha about 1e-9 under the log map) shrinks
+    # a row and a column of -H, not the information in the fit
+    H = np.array([[-2.0, 0.5], [0.5, -6.0]])
+    D = np.diag([1.0, 1e-9])
+    assert np.linalg.eigvalsh(-D @ H @ D).min() < 1e-15
+    assert_allclose(_covariance_from_hessian(D @ H @ D),
+                    np.linalg.inv(D) @ np.linalg.inv(-H) @ np.linalg.inv(D), rtol=1e-12)
 
 
 # -------------------------------------------------------------------------- fit
@@ -308,22 +322,27 @@ def test_fit_rejects_nonpositive_truncation(family, T):
         fit(r, FitConfig(family, T=T))
 
 
-def test_default_figarch_fit_keeps_the_memo_within_its_bound(monkeypatch):
-    sizes = []
+def test_default_figarch_fit_builds_no_weights_for_its_standard_errors(monkeypatch):
+    # the engine keeps the last (alpha, beta, d): the optimum's, whose
+    # log-likelihood the fit evaluates just before its standard errors
+    calls, built = [], []
+    real = models.frac_weights
+    monkeypatch.setattr(models, "frac_weights", lambda *a: calls.append(a) or real(*a))
+    real_se = estimation._standard_errors
 
-    class Recording(models._Likelihood):
-        def _convolution(self, *key):
-            try:
-                return super()._convolution(*key)
-            finally:
-                sizes.append(len(self._memo))
+    def recording(*args):
+        before = len(calls)
+        try:
+            return real_se(*args)
+        finally:
+            built.append(len(calls) - before)
 
-    monkeypatch.setattr(estimation, "_Likelihood", Recording)
+    monkeypatch.setattr(estimation, "_standard_errors", recording)
     true = ParamVector(1e-6, 0.2, 0.5, d=0.6, nu=8.0)
     series, _ = simulate_path(SimConfig(FIGARCH, true, n=5000, seed=3))
-    fit(series, FitConfig(FIGARCH))
-    assert len(sizes) > 100
-    assert max(sizes) == _CONV_MEMO_SIZE
+    res = fit(series, FitConfig(FIGARCH))
+    assert res.stderr is not None and len(calls) > 100
+    assert built == [0]
 
 
 # Where the simplex search with a finite-difference BFGS polish ended on
@@ -548,27 +567,29 @@ def test_standard_errors_cover_truth_in_most_replications():
 
 @pytest.mark.parametrize("n", [3000, 10_000])
 def test_memoised_figarch_score_equals_a_fresh_engine(n, monkeypatch):
+    # the keys a fit's last steps ask for: a score, the Hessian and a wall
+    # check, all at the same (alpha, beta, d)
     true = ParamVector(1e-6, 0.2, 0.5, d=0.6, nu=8.0)
     series, _ = simulate_path(SimConfig(FIGARCH, true, n=n, seed=1))
     config = FitConfig(FIGARCH)
-    visited = []  # the points of one standard-error Hessian
-    _score_hessian(lambda u: visited.append(u.copy()) or np.zeros(u.size),
-                   transform_to_unconstrained(true, FIGARCH))
-    points = [transform_from_unconstrained(u, FIGARCH, "student") for u in visited]
-    fresh = [_make_engine(series.returns, config).score(p) for p in points]
+    ll, grad = _make_engine(series.returns, config).score(true)
+    _, _, H = _make_engine(series.returns, config).hessian(true)
 
     calls = []
     real = models.frac_weights
     monkeypatch.setattr(models, "frac_weights", lambda *a: calls.append(a) or real(*a))
     engine = _make_engine(series.returns, config)
-    for p, (ll, grad) in zip(points, fresh):
-        got_ll, got = engine.score(p)
-        assert np.isfinite(got).all()
-        assert got_ll == ll
-        assert np.array_equal(got, grad)
-    # 6 points, 4 distinct (alpha, beta, d): one set of weights for each
-    assert len(points) == 6
-    assert len(calls) == len(set(calls)) == 4
+    got_ll, got = engine.score(true)
+    assert np.isfinite(got).all()
+    assert got_ll == ll
+    assert np.array_equal(got, grad)
+    got_ll, got, got_H = engine.hessian(true)
+    assert got_ll == ll
+    assert np.array_equal(got, grad) and np.array_equal(got_H, H)
+    u = transform_to_unconstrained(true, FIGARCH)
+    moved, normal = _wall(engine, config, u)
+    assert np.array_equal(moved, u) and normal is None
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("family,true", [
@@ -581,9 +602,109 @@ def test_score_hessian_agrees_with_the_loglik_stencil(family, true):
     engine = _make_engine(series.returns, config)
     at = lambda u: transform_from_unconstrained(u, family, "student")
     u0 = transform_to_unconstrained(true, family)
-    H = _score_hessian(lambda u: _jacobian(at(u), family).T @ engine.score(at(u))[1], u0)
+    H = _unconstrained_hessian(engine, at(u0), config)
     reference = _fd_hessian(lambda u: engine.loglik(at(u)), u0)
     assert np.abs(H - reference).max() <= 1e-3 * np.abs(reference).max()
+
+
+@pytest.fixture(scope="module")
+def hessian_series():
+    """n = 2000 series: GARCH-t for GARCH and IGARCH fits, FIGARCH-t for FIGARCH."""
+    garch = sim_garch(n=2000, seed=5, nu=8.0, beta=0.9)
+    figarch, _ = simulate_path(SimConfig(FIGARCH, ParamVector(1e-6, 0.2, 0.5, d=0.6, nu=8.0),
+                                         n=2000, seed=5))
+    return {GARCH: garch, IGARCH: garch, FIGARCH: figarch}
+
+
+@pytest.mark.parametrize("at_optimum", [True, False])
+@pytest.mark.parametrize("innovation", ["student", "gaussian"])
+@pytest.mark.parametrize("family,d_fixed", [(GARCH, None), (IGARCH, None),
+                                            (FIGARCH, None), (FIGARCH, 0.6)])
+def test_analytic_hessian_matches_central_differences_of_the_score(
+        hessian_series, family, d_fixed, innovation, at_optimum):
+    # fourth-order central differences of the exact score in u, steps
+    # 1e-3 * max(1, |u_i|), within 1e-6 of the largest entry (2e-9 seen);
+    # the IGARCH fits end at beta = 1 - 1e-9, where the score's rounding,
+    # scaled by 1/(1-beta), limits the reference itself (5e-6 seen): 1e-4
+    series = hessian_series[family]
+    config = FitConfig(family, innovation=innovation, restarts=0, d_fixed=d_fixed)
+    params = fit(series, config).params
+    if not at_optimum and family is IGARCH:
+        # the d = 1 weights beyond the first are negative: an intercept this
+        # large keeps sigma2 positive (as in acceptance criterion 1)
+        e2max = float(((series.returns - series.returns.mean()) ** 2).max())
+        params = params.with_(omega=0.08 * e2max, alpha=0.1, beta=0.6)
+    elif not at_optimum:
+        params = params.with_(omega=1.2 * params.omega, alpha=0.9 * params.alpha,
+                              beta=0.95 * params.beta,
+                              d=0.55 if family is FIGARCH and d_fixed is None else params.d)
+    if not at_optimum and params.nu is not None:
+        params = params.with_(nu=1.1 * params.nu)
+    engine = _make_engine(series.returns, config)
+    H = _unconstrained_hessian(engine, params, config)
+    u0 = transform_to_unconstrained(params, family, d_fixed)
+    reference = np.empty_like(H)
+    for i in range(u0.size):
+        h = 1e-3 * max(1.0, abs(u0[i]))
+
+        def at(k):
+            u = u0.copy()
+            u[i] += k * h
+            return _unconstrained_score(engine, u, config)[1]
+
+        reference[:, i] = (8.0 * (at(1) - at(-1)) - (at(2) - at(-2))) / (12.0 * h)
+    tol = 1e-4 if family is IGARCH and at_optimum else 1e-6
+    assert np.abs(H - reference).max() <= tol * np.abs(reference).max()
+
+
+def test_figarch_t_standard_errors_take_one_weight_build_and_eleven_transforms(monkeypatch):
+    # the analytic Hessian needs the weights of one (alpha, beta, d) and 11
+    # one-dimensional transforms: the e^2 transform, the sigma2 convolution
+    # (2), the score's correlation (2) and d sigma2 / d (alpha, beta, d) (6);
+    # forward score differences needed 4 weight builds and 21 transforms
+    import scipy.fft
+
+    true = ParamVector(1e-6, 0.2, 0.5, d=0.6, nu=8.0)
+    series, _ = simulate_path(SimConfig(FIGARCH, true, n=3000, seed=1))
+    weights, transforms = [], []
+    real_weights = models.frac_weights
+    monkeypatch.setattr(models, "frac_weights", lambda *a: weights.append(a) or real_weights(*a))
+    for name in ("rfft", "irfft"):
+        def counting(x, *args, _real=getattr(scipy.fft, name), **kwargs):
+            x = np.asarray(x)
+            transforms.append(x.size // x.shape[-1])  # one transform per row
+            return _real(x, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.fft, name, counting)
+    standard_errors(true, series, FitConfig(FIGARCH))
+    assert len(weights) == 1
+    assert sum(transforms) <= 11
+
+
+def test_fit_passes_its_engine_to_the_standard_errors(monkeypatch):
+    engines = []
+
+    class Recording(models._Likelihood):
+        def __init__(self, *args, **kwargs):
+            engines.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(estimation, "_Likelihood", Recording)
+    res = fit(sim_garch(n=1000, seed=2), FitConfig(GARCH, restarts=0))
+    assert res.stderr is not None and len(engines) == 1
+
+
+@pytest.mark.parametrize("family", [GARCH, FIGARCH])
+def test_returns_whose_squares_overflow_raise_domain_error(family):
+    r = sim_garch(n=200, seed=1).returns.copy()
+    r[17] = 1e200
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="squares overflow"):
+            fit(r, FitConfig(family, innovation="gaussian"))
+        with pytest.raises(DomainError, match="squares overflow"):
+            standard_errors(ParamVector(1e-5, 0.1, 0.5, d=0.4), r,
+                            FitConfig(family, innovation="gaussian"))
 
 
 @pytest.mark.parametrize("config", [
@@ -612,6 +733,23 @@ def test_stderr_absent_when_hessian_not_pd():
     rep = standard_errors(off_optimum, series, FitConfig(GARCH, innovation="gaussian"))
     assert not rep.hessian_pd
     assert rep.stderr is None and rep.pvalues is None and rep.cov is None
+
+
+def test_stderr_absent_at_the_igarch_ridge_end():
+    # An IGARCH-t optimum on a GARCH-t(8) series of 10000 returns, at the
+    # beta = 1 - 1e-9 end of the alpha = 0 face: sigma2 is all but constant
+    # there, so the likelihood sees omega/(1-beta) and not omega and beta
+    # apart.  -H passes a Cholesky test but is singular to working precision.
+    series, _ = simulate_path(SimConfig(GARCH, ParamVector(1e-6, 0.08, 0.91, nu=8.0),
+                                        n=10_000, seed=997880702))
+    end = ParamVector(9.707948509530504e-14, 7.56315455102112e-08, 0.9999999989999959,
+                      d=1.0, nu=2.6417230689383215)
+    config = FitConfig(IGARCH)
+    H = _unconstrained_hessian(_make_engine(series.returns, config), end, config)
+    np.linalg.cholesky(-H)
+    rep = standard_errors(end, series, config)
+    assert not rep.hessian_pd
+    assert rep.stderr is None and rep.cov is None
 
 
 def test_stderr_present_and_positive_at_optimum():

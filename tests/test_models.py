@@ -24,7 +24,7 @@ from volentropy import (
     variance_path,
 )
 import volentropy.models as models
-from volentropy.models import _CONV_MEMO_SIZE, _Likelihood
+from volentropy.models import _Likelihood
 
 GARCH, IGARCH, FIGARCH = ModelFamily.GARCH, ModelFamily.IGARCH, ModelFamily.FIGARCH
 
@@ -238,9 +238,12 @@ def test_score_in_d_at_tiny_d_is_finite_or_a_rejection_without_warnings(d, finit
         warnings.simplefilter("error")
         if finite:
             assert np.isfinite(engine.score(p)[1]).all()
+            assert np.isfinite(engine.hessian(p)[2]).all()
         else:
             with pytest.raises(InfeasibleParamsError, match="score in d"):
                 engine.score(p)
+            with pytest.raises(InfeasibleParamsError, match="score in d"):
+                engine.hessian(p)
 
 
 @pytest.mark.parametrize("free_d", [True, False])
@@ -256,6 +259,15 @@ def test_weight_jacobian_matches_central_differences_of_the_weights(alpha, beta,
         down = frac_weights((theta - h)[2], 200, *(theta - h)[:2]).lam
         assert_allclose(W[k], (up - down) / (2.0 * h[k]), rtol=1e-5, atol=1e-8)
     assert W.shape == (3 if free_d else 2, 200)
+    # the second derivatives, against differences of the first
+    W_again, W2 = engine.weight_jacobian(ParamVector(1e-4, alpha, beta, d=d), free_d, second=True)
+    assert np.array_equal(W_again, W)
+    for k in range(W.shape[0]):
+        h = np.zeros(3)
+        h[k] = 1e-6 * max(theta[k], 1e-3)
+        up, down = (engine.weight_jacobian(ParamVector(1e-4, *x[:2], d=x[2]), free_d)
+                    for x in (theta + h, theta - h))
+        assert_allclose(W2[:, k], (up - down) / (2.0 * h[k]), rtol=1e-5, atol=1e-7)
 
 
 @pytest.mark.parametrize("T", [0, -5])
@@ -310,11 +322,12 @@ def test_engine_neighbours_in_omega_or_nu_share_one_convolution(n):
     p = ParamVector(1e-5, 0.2, 0.5, d=0.6, nu=8.0)
     engine = _Likelihood(FIGARCH, r, reject_negative_weights=True)
     engine.loglik(p)
+    entry = engine._memo
     for q in (p.with_(omega=1.0001e-5), p.with_(omega=0.9999e-5),
               p.with_(nu=8.0008), p.with_(nu=7.9992), p.with_(nu=None)):
         assert engine.loglik(q) == log_likelihood(FIGARCH, q, r)
         assert np.array_equal(engine.variance_path(q).sigma2, variance_path(FIGARCH, q, r).sigma2)
-    assert len(engine._memo) == 1
+    assert engine._memo is entry
 
 
 def test_engine_rejects_negative_weights_on_first_and_memoised_call(monkeypatch):
@@ -337,14 +350,12 @@ def test_engine_rejects_negative_weights_on_first_and_memoised_call(monkeypatch)
 def test_engine_memo_is_bounded_and_evicts_oldest_first():
     r = rng_returns(n=500, seed=8)
     engine = _Likelihood(FIGARCH, r)
-    points = [ParamVector(1e-5, 0.2, 0.5, d=0.3 + 0.01 * k, nu=8.0)
-              for k in range(_CONV_MEMO_SIZE + 6)]
+    points = [ParamVector(1e-5, 0.2, 0.5, d=0.3 + 0.01 * k, nu=8.0) for k in range(6)]
     for p in points:
         engine.loglik(p)
-        assert len(engine._memo) <= _CONV_MEMO_SIZE
-    assert (0.2, 0.5, points[0].d) not in engine._memo
-    assert (0.2, 0.5, points[-1].d) in engine._memo
+        assert engine._memo[0] == (0.2, 0.5, p.d)  # one key: the last evaluated
     assert engine.loglik(points[0]) == log_likelihood(FIGARCH, points[0], r)
+    assert engine._memo[0] == (0.2, 0.5, points[0].d)
 
 
 # ------------------------------------------------------------------------ score
@@ -372,12 +383,9 @@ def _central_difference(f, x, i):
     return (8.0 * (at(1) - at(-1)) - (at(2) - at(-2))) / (12.0 * h)
 
 
-@pytest.mark.parametrize("n", [3000, 10_000])
-@pytest.mark.parametrize("nu", [7.0, None])
-@pytest.mark.parametrize("family,fixed_d", [(GARCH, False), (IGARCH, False),
-                                            (FIGARCH, False), (FIGARCH, True)])
-def test_score_matches_central_differences_of_the_loglik(score_series, family, fixed_d, nu, n):
-    # points off the truth, so that no component of the score is near zero
+def _off_truth(score_series, family, fixed_d, nu, n):
+    """Returns, a point off the truth and the free parameter names, so that
+    no component of the score is near zero."""
     if family is GARCH:
         r = score_series[GARCH, n]
         p = ParamVector(1.2e-6, 0.07, 0.9, nu=nu)
@@ -395,7 +403,15 @@ def test_score_matches_central_differences_of_the_loglik(score_series, family, f
         names.append("d")
     if nu is not None:
         names.append("nu")
+    return r, p, names
 
+
+@pytest.mark.parametrize("n", [3000, 10_000])
+@pytest.mark.parametrize("nu", [7.0, None])
+@pytest.mark.parametrize("family,fixed_d", [(GARCH, False), (IGARCH, False),
+                                            (FIGARCH, False), (FIGARCH, True)])
+def test_score_matches_central_differences_of_the_loglik(score_series, family, fixed_d, nu, n):
+    r, p, names = _off_truth(score_series, family, fixed_d, nu, n)
     engine = _Likelihood(family, r, reject_negative_weights=True)
     ll, score = engine.score(p, fixed_d=fixed_d)
     assert ll == engine.loglik(p)
@@ -403,6 +419,23 @@ def test_score_matches_central_differences_of_the_loglik(score_series, family, f
     f = lambda x: engine.loglik(p.with_(**dict(zip(names, x.tolist()))))
     fd = [_central_difference(f, x0, i) for i in range(x0.size)]
     assert_allclose(score, fd, rtol=1e-6)
+
+
+@pytest.mark.parametrize("nu", [7.0, None])
+@pytest.mark.parametrize("family,fixed_d", [(GARCH, False), (IGARCH, False),
+                                            (FIGARCH, False), (FIGARCH, True)])
+def test_hessian_matches_central_differences_of_the_score(score_series, family, fixed_d, nu):
+    # the same fourth-order differences, of the exact score: within 1e-6 of
+    # each entry (5e-9 seen); the Hessian pass returns the score pass's values
+    r, p, names = _off_truth(score_series, family, fixed_d, nu, 3000)
+    engine = _Likelihood(family, r, reject_negative_weights=True)
+    ll, score, H = engine.hessian(p, fixed_d=fixed_d)
+    ll_score, score_again = engine.score(p, fixed_d=fixed_d)
+    assert ll == ll_score and np.array_equal(score, score_again)
+    x0 = np.array([getattr(p, name) for name in names])
+    f = lambda x: engine.score(p.with_(**dict(zip(names, x.tolist()))), fixed_d=fixed_d)[1]
+    fd = np.column_stack([_central_difference(f, x0, i) for i in range(x0.size)])
+    assert_allclose(H, fd, rtol=1e-6)
 
 
 @given(

@@ -208,6 +208,17 @@ def test_autocorr_rejects_non_finite_returns(bad):
             squared_autocorr(r, 5)
 
 
+@pytest.mark.parametrize("big", [1e100, 1e200])
+def test_autocorr_rejects_returns_whose_squares_overflow(big):
+    # at 1e200 the square overflows; at 1e100 the sum of squared squares does
+    r = np.random.default_rng(0).standard_normal(200)
+    r[10] = big
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="squares overflow"):
+            squared_autocorr(r, 5)
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.floats(-100.0, 100.0), min_size=5, max_size=40), st.integers(1, 3))
 def test_autocorr_always_within_unit_interval(values, max_lag):
