@@ -716,9 +716,10 @@ def standard_errors(params: ParamVector, series, config: FitConfig) -> StdErrRep
     analytic Jacobian of the inverse transform plus the curvature of that
     transform weighted by the score, all from one engine pass.  The same
     Jacobian maps the negative inverse Hessian back to the constrained space.
-    An infeasible point, or a Hessian that is not negative definite or is
-    singular to working precision (see `_covariance_from_hessian`), yields
-    an absent-but-flagged report; a point on a bound of the transform raises
+    An infeasible point, a Hessian that is not negative definite or is
+    singular to working precision (see `_covariance_from_hessian`), or a
+    constrained covariance that overflows a double yields an
+    absent-but-flagged report; a point on a bound of the transform raises
     :class:`BoundaryError`.
     """
     return _standard_errors(_make_engine(_extract_returns(series), config), params, config)
@@ -726,16 +727,23 @@ def standard_errors(params: ParamVector, series, config: FitConfig) -> StdErrRep
 
 def _standard_errors(engine: _Likelihood, params: ParamVector, config: FitConfig) -> StdErrReport:
     _check_interior(params, config.family, config.d_fixed)
-    try:
-        cov_u = _covariance_from_hessian(_unconstrained_hessian(engine, params, config))
-    except (InfeasibleParamsError, DataQualityError):
-        cov_u = None
-    if cov_u is None:
-        return StdErrReport(None, None, None, None, False)
+    absent = StdErrReport(None, None, None, None, False)
+    # At the omega near 1e200 that one extreme return drives a fit to, the
+    # Hessian or the delta-method product can overflow: a covariance that is
+    # not finite is absent (_covariance_from_hessian checks the Hessian).
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            cov_u = _covariance_from_hessian(_unconstrained_hessian(engine, params, config))
+        except (InfeasibleParamsError, DataQualityError):
+            return absent
+        if cov_u is None:
+            return absent
+        J = _jacobian(params, config.family, config.d_fixed)
+        cov = J @ cov_u @ J.T
+    if not np.isfinite(cov).all():
+        return absent
 
     names = param_names(config.family, config.innovation, config.d_fixed)
-    J = _jacobian(params, config.family, config.d_fixed)
-    cov = J @ cov_u @ J.T
     var = np.clip(np.diag(cov), 0.0, None)
     se = np.sqrt(var)
     est = _params_to_vector(params, names)

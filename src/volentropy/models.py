@@ -126,8 +126,9 @@ def frac_weights(d: float, T: int, alpha: float = 0.0, beta: float = 0.0) -> Fra
         Truncation horizon (number of lags retained), >= 1.
     alpha, beta : float
         Model coefficients entering :math:`\\Phi(L) = 1-(\\alpha+\\beta)L`
-        and :math:`1-\\beta L`.  The default (0, 0) is convenient when only
-        the ``pi`` expansion is of interest.
+        and :math:`1-\\beta L`; both finite, with a finite sum.  The
+        default (0, 0) is convenient when only the ``pi`` expansion is of
+        interest.
 
     Notes
     -----
@@ -146,6 +147,8 @@ def frac_weights(d: float, T: int, alpha: float = 0.0, beta: float = 0.0) -> Fra
         raise DomainError(f"d must lie in [0,1], got {d}")
     if T < 1:
         raise DomainError(f"truncation horizon must be >= 1, got {T}")
+    if not math.isfinite(alpha + beta):  # NaN or inf in either, or a sum that overflows
+        raise DomainError(f"alpha and beta must be finite, got alpha={alpha}, beta={beta}")
 
     j = np.arange(1, T + 1, dtype=float)
     pi = np.concatenate(([1.0], np.cumprod((j - 1.0 - d) / j)))
@@ -159,7 +162,11 @@ def frac_weights(d: float, T: int, alpha: float = 0.0, beta: float = 0.0) -> Fra
     phi = alpha + beta
     x = phi * pi[:-1] - pi[1:]
     x[0] -= beta  # folds the leading beta*lambda_0 term out of the recursion
-    lam = _ar1_filter(x, beta)
+    # lambda_j = beta*lambda_{j-1} + x_j in plain Python: the same product and
+    # sum, in the same order, as scipy.signal.lfilter([1], [1, -beta], x), so
+    # the weights are bit for bit lfilter's without importing scipy.signal.
+    y, b = 0.0, float(beta)  # a Python float: numpy scalars are slower and warn on overflow
+    lam = np.fromiter([y := b * y + xi for xi in x.tolist()], float, x.size)
     return FracWeights(pi=pi, lam=lam, T=T)
 
 
@@ -222,7 +229,9 @@ def _ar1_filter(x: np.ndarray, beta: float,
     A 2-D ``x`` is filtered row by row, with one state per row.
     """
     # Imported here: scipy.signal costs over a second of import time that
-    # paths without a variance recursion (--help, entropy) never need.
+    # only a fit needs, for the n-term variance recursion and its derivative
+    # rows.  --help, entropy and simulate never load it: frac_weights runs
+    # its T-term weight recursion in Python for that reason.
     from scipy.signal import lfilter
 
     if state is None:

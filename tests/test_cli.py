@@ -532,3 +532,26 @@ def test_import_help_and_entropy_load_no_scipy(tmp_path):
     assert "usage:" in proc.stdout
     assert len(json.loads(out.read_text())["results"][0]["windows"]) == 7
     assert proc.stdout.splitlines()[-1] == "[]"
+
+
+_SIMULATE_PROBE = """
+import sys
+import volentropy.cli
+out = sys.argv[1]
+for argv in (["--family", "figarch", "--alpha", "0.2", "--beta", "0.4", "--d", "0.6", "--nu", "8"],
+             ["--family", "igarch", "--alpha", "0.01", "--beta", "0.5", "--burn-in", "0"]):
+    assert volentropy.cli.main(["simulate", *argv, "--omega", "1e-5", "--n", "300",
+                                "--seed", "1", "--output", out]) == 0
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+
+
+def test_figarch_and_igarch_simulate_load_no_scipy_signal(tmp_path):
+    """Building the ARCH(inf) weights of a simulation needs no scipy.signal;
+    scipy.special (the Student-t normaliser of the path's log-likelihood) is allowed."""
+    proc = subprocess.run([sys.executable, "-c", _SIMULATE_PROBE, str(tmp_path / "s.csv")],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    loaded = proc.stdout.splitlines()[-1]
+    for heavy in ("scipy.signal", "scipy.stats", "scipy.fft", "scipy.optimize"):
+        assert f"'{heavy}'" not in loaded, loaded

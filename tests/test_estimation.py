@@ -707,6 +707,22 @@ def test_returns_whose_squares_overflow_raise_domain_error(family):
                             FitConfig(family, innovation="gaussian"))
 
 
+@pytest.mark.parametrize("family, big", [(FIGARCH, 1e100), (GARCH, 1e150)])
+def test_extreme_return_whose_covariance_overflows_gives_no_stderr(family, big):
+    # squares finite, so the fit runs, to omega near 1e200, where the
+    # delta-method product (FIGARCH) or the Hessian pass (GARCH) overflows;
+    # a numpy warning there would fail under the RuntimeWarning filter
+    r = 0.01 * np.random.default_rng(0).standard_normal(200)
+    r[50] = big
+    config = FitConfig(family, innovation="gaussian")
+    res = fit(r, config)
+    assert res.converged and res.params.omega > 1e150
+    assert res.stderr is None and res.pvalues is None and res.cov is None
+    assert res.diagnostics["hessian_pd"] is False
+    se = standard_errors(res.params, r, config)
+    assert se.stderr is None and se.cov is None and se.hessian_pd is False
+
+
 @pytest.mark.parametrize("config", [
     FitConfig(FIGARCH, restarts=1, seed=3),
     FitConfig(FIGARCH, innovation="gaussian", restarts=1, seed=3),

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
+from scipy.signal import lfilter
 from scipy.special import binom
 
 from volentropy import (
@@ -150,6 +151,43 @@ def test_lambda_2_closed_form():
     for d, a, b in [(0.3, 0.1, 0.6), (0.6, 0.2, 0.4), (0.9, 0.05, 0.1)]:
         lam = frac_weights(d, 5, a, b).lam
         assert lam[1] == pytest.approx(a * (b - d) + d * (1 - d) / 2.0, rel=1e-12)
+
+
+def lfilter_lambda(w, alpha, beta):
+    """The lambda weights of ``w`` by scipy.signal.lfilter over frac_weights' own inputs."""
+    x = (alpha + beta) * w.pi[:-1] - w.pi[1:]
+    x[0] -= beta
+    return lfilter([1.0], [1.0, -beta], x)
+
+
+@pytest.mark.parametrize("T", [1, 2, 1000])
+@pytest.mark.parametrize("d", [0.0, 5e-324, 0.4, 1.0])
+@pytest.mark.parametrize("beta", [0.0, 0.5, 1.0 - 1e-6])
+def test_lambda_is_lfilter_bit_for_bit(beta, d, T):
+    # the weight recursion runs in plain Python; lfilter is its bit-for-bit reference
+    for alpha in (0.2, -0.05, 1e-9):
+        w = frac_weights(d, T, alpha, beta)
+        assert np.array_equal(w.lam, lfilter_lambda(w, alpha, beta))
+
+
+@given(d=st.floats(0.0, 1.0), alpha=st.floats(-1.0, 1.0), beta=st.floats(0.0, 1.0),
+       T=st.integers(1, 300))
+@settings(max_examples=200, deadline=None)
+def test_lambda_is_lfilter_bit_for_bit_on_random_draws(d, alpha, beta, T):
+    w = frac_weights(d, T, alpha, beta)
+    assert np.array_equal(w.lam, lfilter_lambda(w, alpha, beta))
+
+
+@pytest.mark.parametrize("alpha, beta", [
+    (math.inf, 0.5), (-math.inf, 0.5), (math.nan, 0.5),
+    (0.2, math.inf), (0.2, -math.inf), (0.2, math.nan),
+    (math.inf, -math.inf), (1e308, 1e308),
+])
+def test_frac_weights_rejects_non_finite_alpha_or_beta(alpha, beta):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="alpha and beta must be finite"):
+            frac_weights(0.4, 10, alpha, beta)
 
 
 # --------------------------------------------------------------- variance_path
