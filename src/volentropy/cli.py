@@ -189,7 +189,7 @@ def cmd_fit(args) -> int:
     all_converged = True
     for family in families:
         # --d-fixed constrains the FIGARCH fits only
-        d_fixed = args.d_fixed if family is ModelFamily.FIGARCH else None
+        d_fixed = args.d_fixed if family.pinned_d is None else None
         config = FitConfig(
             family=family,
             innovation=args.innovation,
@@ -268,10 +268,7 @@ def cmd_entropy(args) -> int:
 
 def cmd_simulate(args) -> int:
     family = ModelFamily(args.family)
-    if args.d is not None:
-        d = args.d
-    else:
-        d = 1.0 if family is ModelFamily.IGARCH else 0.0
+    d = args.d if args.d is not None else (family.pinned_d or 0.0)  # FIGARCH: 0 unless --d
     params = ParamVector(args.omega, args.alpha, args.beta, d=d, nu=args.nu)
     config = SimConfig(family, params, n=args.n, burn_in=args.burn_in,
                        T=args.truncation, seed=args.seed)

@@ -28,14 +28,13 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateSupportError, DomainError
+from .errors import DegenerateSupportError, DomainError, _integer
 
 __all__ = [
     "DEFAULT_ORDER_GRID",
@@ -173,16 +172,6 @@ def _sample(values) -> np.ndarray:
     return x
 
 
-def _bin_count(m) -> int:
-    try:
-        m = operator.index(m)
-    except TypeError:
-        raise DomainError(f"bin count must be an integer, got {m!r}") from None
-    if m < 1:
-        raise DomainError(f"bin count must be >= 1, got {m}")
-    return m
-
-
 def _bin(x: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Edges, counts and probabilities of each row of a sample matrix.
 
@@ -241,7 +230,7 @@ def build_histogram(returns, m: int) -> Histogram:
     distinct equal cells, raises :class:`DegenerateSupportError`.
     """
     x = _sample(returns)
-    m = _bin_count(m)
+    m = _integer(m, "bin count")
     edges, counts, probs = _bin(x[None, :], m)
     try:
         return Histogram(edges=edges[0], counts=counts[0], probs=probs[0])
@@ -383,7 +372,7 @@ def _reports(x: np.ndarray, m: int | None, alpha_grid, q_grid,
     if len(alpha_grid) == 0 or len(q_grid) == 0:
         raise DomainError("order grids must be nonempty")
     n = x.shape[1]
-    m = _bin_count(math.ceil(math.sqrt(n)) if m is None else m)
+    m = _integer(math.ceil(math.sqrt(n)) if m is None else m, "bin count")
     alphas = _orders(tuple(alpha_grid), tsallis=False)
     qs = _orders(tuple(q_grid), tsallis=True)
     for q in q_grid:

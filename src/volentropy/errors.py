@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+import operator
+
 
 class VolentropyError(Exception):
     """Base class for all errors raised by this package."""
@@ -55,3 +57,14 @@ class DegenerateSupportError(VolentropyError):
 
 class AutocorrUndefinedError(VolentropyError):
     """Autocorrelation of a constant series is undefined (zero variance)."""
+
+
+def _integer(value, what: str, least: int = 1) -> int:
+    """``value`` as an int; :class:`DomainError` unless it is an integer of at least ``least``."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise DomainError(f"{what} must be an integer, got {value!r}") from None
+    if value < least:
+        raise DomainError(f"{what} must be >= {least}, got {value}")
+    return value

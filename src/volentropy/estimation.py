@@ -28,8 +28,11 @@ gives no standard errors.
 
 from __future__ import annotations
 
+import functools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,6 +43,7 @@ from .errors import (
     EstimationError,
     InfeasibleParamsError,
     InsufficientDataError,
+    _integer,
 )
 from .models import (
     _LAMBDA_TOL,
@@ -109,14 +113,12 @@ class FitConfig:
             raise DomainError(f"innovation must be one of {INNOVATIONS}, got {self.innovation!r}")
         if not self.tol > 0:
             raise DomainError(f"tol must be positive, got {self.tol}")
-        if self.max_iters < 1:
-            raise DomainError(f"max_iters must be >= 1, got {self.max_iters}")
-        if self.restarts < 0:
-            raise DomainError(f"restarts must be >= 0, got {self.restarts}")
-        if self.T < 1:
-            raise DomainError(f"truncation horizon must be >= 1, got {self.T}")
+        _integer(self.max_iters, "max_iters")
+        _integer(self.restarts, "restarts", 0)
+        _integer(self.T, "truncation horizon")
+        _integer(self.seed, "seed", 0)
         if self.d_fixed is not None:
-            if self.family is not ModelFamily.FIGARCH:
+            if self.family.pinned_d is not None:
                 raise DomainError("d_fixed applies only to the FIGARCH family")
             if not (0.0 < self.d_fixed < 1.0):
                 raise DomainError(
@@ -173,39 +175,52 @@ class PersistenceCheck:
 
 # ------------------------------------------------------------------ transforms
 
+class _Map(NamedTuple):
+    """``theta = to_theta(u)`` onto (lo, hi); ``slope`` is d theta/du, ``bend`` d slope/d theta."""
+
+    lo: float
+    hi: float
+    to_theta: Callable[[float], float] | None
+    to_u: Callable[[float], float] | None
+    slope: Callable[[float], float]
+    bend: Callable[[float], float]
+
+
+_LOG = _Map(0.0, math.inf, math.exp, math.log, lambda t: t, lambda t: 1.0)
+_NU = _Map(2.0, math.inf, lambda u: 2.0 + math.exp(u), lambda t: math.log(t - 2.0),
+           lambda t: t - 2.0, lambda t: 1.0)
+# GARCH's (alpha, beta) = (e^a, e^b) / (1 + e^a + e^b), keeping alpha + beta < 1,
+# is the one map of two coordinates (no to_theta, to_u of one): its derivative
+# in its own coordinate is the logistic's, and -alpha beta couples the pair.
+_SOFTMAX = _Map(0.0, 1.0, None, None, lambda t: t * (1.0 - t), lambda t: 1.0 - 2.0 * t)
+
+
+@functools.lru_cache(maxsize=16)
+def _layout(family: ModelFamily, innovation: str,
+            d_fixed: float | None) -> tuple[tuple[str, _Map], ...]:
+    """Free parameters in optimization order, each with its map from u; omega, alpha, beta first."""
+    from scipy.special import expit, logit  # imported here: --help and entropy never need it
+
+    logistic = _SOFTMAX._replace(to_theta=lambda u: float(expit(u)),
+                                 to_u=lambda t: float(logit(t)))
+    alpha, beta = (_SOFTMAX, _SOFTMAX) if family is ModelFamily.GARCH else (_LOG, logistic)
+    layout = [("omega", _LOG), ("alpha", alpha), ("beta", beta)]
+    if family.pinned_d is None and d_fixed is None:
+        layout.append(("d", logistic))
+    if innovation == "student":
+        layout.append(("nu", _NU))
+    return tuple(layout)
+
+
+def _params_layout(params: ParamVector, family: ModelFamily, d_fixed: float | None):
+    """`_layout` of a point: Student-t when it has a ``nu``."""
+    return _layout(family, "gaussian" if params.nu is None else "student", d_fixed)
+
+
 def param_names(family: ModelFamily, innovation: str,
                 d_fixed: float | None = None) -> tuple[str, ...]:
     """Names of the free parameters, in optimization order."""
-    names = ["omega", "alpha", "beta"]
-    if family is ModelFamily.FIGARCH and d_fixed is None:
-        names.append("d")
-    if innovation == "student":
-        names.append("nu")
-    return tuple(names)
-
-
-def _require_interior(ok: bool, what: str) -> None:
-    if not ok:
-        raise BoundaryError(
-            f"{what} sits on a constraint boundary; nudge the parameters into "
-            f"the strict interior before transforming"
-        )
-
-
-def _check_interior(params: ParamVector, family: ModelFamily,
-                    d_fixed: float | None = None) -> None:
-    """Raise :class:`BoundaryError` unless ``params`` is strictly inside the transform's domain."""
-    _require_interior(params.omega > 0, "omega = 0")
-    _require_interior(params.alpha > 0, "alpha = 0")
-    if family is ModelFamily.GARCH:
-        _require_interior(params.beta > 0, "beta = 0")
-        _require_interior(1.0 - params.alpha - params.beta > 0, "alpha + beta = 1")
-    else:
-        _require_interior(0.0 < params.beta < 1.0, "beta boundary")
-        if family is ModelFamily.FIGARCH and d_fixed is None:
-            _require_interior(0.0 < params.d < 1.0, "d boundary")
-    if params.nu is not None:
-        _require_interior(params.nu > 2.0, "nu = 2")
+    return tuple(name for name, _ in _layout(family, innovation, d_fixed))
 
 
 def transform_to_unconstrained(params: ParamVector, family: ModelFamily,
@@ -217,21 +232,16 @@ def transform_to_unconstrained(params: ParamVector, family: ModelFamily,
     alpha goes through log and beta/d through logits; nu maps to
     ``log(nu - 2)``.  Boundary points raise :class:`BoundaryError`.
     """
-    _check_interior(params, family, d_fixed)
-    u = [math.log(params.omega)]
-
-    if family is ModelFamily.GARCH:
-        rem = 1.0 - params.alpha - params.beta
-        u += [math.log(params.alpha / rem), math.log(params.beta / rem)]
-    else:
-        from scipy.special import logit  # imported here: --help and entropy never need it
-
-        u += [math.log(params.alpha), float(logit(params.beta))]
-        if family is ModelFamily.FIGARCH and d_fixed is None:
-            u.append(float(logit(params.d)))
-
-    if params.nu is not None:
-        u.append(math.log(params.nu - 2.0))
+    rem = 1.0 - params.alpha - params.beta  # the softmax's share of neither alpha nor beta
+    u = []
+    for name, m in _params_layout(params, family, d_fixed):
+        theta = getattr(params, name)
+        if not m.lo < theta < m.hi or (m is _SOFTMAX and not rem > 0):
+            raise BoundaryError(
+                f"{name} = {theta} sits on a constraint boundary; "
+                f"nudge the parameters into the strict interior before transforming"
+            )
+        u.append(math.log(theta / rem) if m is _SOFTMAX else m.to_u(theta))
     return np.array(u, dtype=float)
 
 
@@ -239,78 +249,31 @@ def transform_from_unconstrained(u: np.ndarray, family: ModelFamily,
                                  innovation: str,
                                  d_fixed: float | None = None) -> ParamVector:
     """Inverse of :func:`transform_to_unconstrained`."""
+    layout = _layout(family, innovation, d_fixed)
     u = np.asarray(u, dtype=float)
-    omega = math.exp(u[0])
-
-    if family is ModelFamily.GARCH:
+    theta = {name: m.to_theta(x) for (name, m), x in zip(layout, u) if m is not _SOFTMAX}
+    if layout[1][1] is _SOFTMAX:
         a, b = u[1], u[2]
-        m = max(0.0, a, b)  # overflow-stable softmax over (rest, alpha, beta)
-        za, zb, z0 = math.exp(a - m), math.exp(b - m), math.exp(-m)
+        top = max(0.0, a, b)  # overflow-stable softmax over (rest, alpha, beta)
+        za, zb, z0 = math.exp(a - top), math.exp(b - top), math.exp(-top)
         denom = z0 + za + zb
-        alpha, beta, d = za / denom, zb / denom, 0.0
-        k = 3
-    else:
-        from scipy.special import expit  # imported here: --help and entropy never need it
-
-        alpha, beta = math.exp(u[1]), float(expit(u[2]))
-        if family is ModelFamily.IGARCH:
-            d, k = 1.0, 3
-        elif d_fixed is not None:
-            d, k = d_fixed, 3
-        else:
-            d, k = float(expit(u[3])), 4
-
-    nu = 2.0 + math.exp(u[k]) if innovation == "student" else None
-    return ParamVector(omega=omega, alpha=alpha, beta=beta, d=d, nu=nu)
-
-
-def _params_to_vector(params: ParamVector, names: tuple[str, ...]) -> np.ndarray:
-    return np.array([getattr(params, n) for n in names], dtype=float)
+        theta["alpha"], theta["beta"] = za / denom, zb / denom
+    theta.setdefault("d", d_fixed if family.pinned_d is None else family.pinned_d)
+    return ParamVector(**theta)
 
 
 def _jacobian(params: ParamVector, family: ModelFamily,
               d_fixed: float | None = None) -> np.ndarray:
     """d theta / d u of :func:`transform_from_unconstrained` at ``params``.
 
-    Diagonal (exp, logistic and ``2 + exp`` maps), except the softmax block
-    of the GARCH (alpha, beta) pair.
+    Diagonal, each map's ``slope``, except the softmax block of the GARCH
+    (alpha, beta) pair.
     """
-    a, b = params.alpha, params.beta
-    diag = [params.omega, a * (1.0 - a), b * (1.0 - b)]
-    if family is not ModelFamily.GARCH:
-        diag[1] = a
-        if family is ModelFamily.FIGARCH and d_fixed is None:
-            diag.append(params.d * (1.0 - params.d))
-    if params.nu is not None:
-        diag.append(params.nu - 2.0)
-    J = np.diag(diag)
-    if family is ModelFamily.GARCH:
-        J[1, 2] = J[2, 1] = -a * b
+    layout = _params_layout(params, family, d_fixed)
+    J = np.diag([m.slope(getattr(params, name)) for name, m in layout])
+    if layout[1][1] is _SOFTMAX:
+        J[1, 2] = J[2, 1] = -params.alpha * params.beta
     return J
-
-
-def _curvature(params: ParamVector, config: FitConfig, grad: np.ndarray,
-               grad_u: np.ndarray) -> np.ndarray:
-    """``sum_i grad_i d^2 theta_i / du du'``, for the gradient in theta ``grad``.
-
-    The term a Hessian mapped to u gains from the curvature of the maps.
-    Taken twice in the same coordinate, each map's derivative is its first
-    times 1 (the exp maps) or ``1 - 2 theta_j`` (the logistic maps, and the
-    softmax derivatives of both alpha and beta), so the diagonal is that
-    factor times ``grad_u``, the gradient in u.  Only the GARCH softmax has
-    cross terms.
-    """
-    a, b = params.alpha, params.beta
-    garch = config.family is ModelFamily.GARCH
-    factor = [1.0, 1.0 - 2.0 * a if garch else 1.0, 1.0 - 2.0 * b]
-    if config.family is ModelFamily.FIGARCH and config.d_fixed is None:
-        factor.append(1.0 - 2.0 * params.d)
-    if params.nu is not None:
-        factor.append(1.0)
-    C = np.diag(np.array(factor) * grad_u)
-    if garch:
-        C[1, 2] = C[2, 1] = -a * b * ((1.0 - 2.0 * a) * grad[1] + (1.0 - 2.0 * b) * grad[2])
-    return C
 
 
 # ---------------------------------------------------- optimizer and derivatives
@@ -379,51 +342,51 @@ def _bfgs(fun, x: np.ndarray, max_iters: int, tol: float, wall=None, start=None)
 
 def _shape(engine: _Likelihood, u: np.ndarray, r: np.ndarray,
            config: FitConfig) -> list[tuple[int, float, float]]:
-    """(index in u, value, slope) of alpha and a free d, for IGARCH and FIGARCH.
+    """(index in u, value, slope) of alpha and a free d, unless on the GARCH softmax.
 
-    They map alpha through log and d through a logit, so the gradient in u
-    vanishes as alpha -> 0 or d -> 0, 1 and hides a slope in theta that may
-    point back into the interior.  The slope is d loglik / d theta per
-    observation, from the gradient ``r`` in u of the objective (less its
-    push into a wall), divided by the map's derivative; where that
-    underflowed to 0, from the engine's score.  beta is left out: it also
-    moves the intercept omega/(1-beta).
+    Their log and logit maps flatten the gradient in u as alpha -> 0 or
+    d -> 0, 1, which hides a slope in theta that may point back into the
+    interior.  The slope is d loglik / d theta per observation, from the
+    gradient ``r`` in u of the objective (less its push into a wall),
+    divided by the map's derivative; where that underflowed to 0, from the
+    engine's score.  beta is left out: it also moves the intercept
+    omega/(1-beta).
     """
-    if config.family is ModelFamily.GARCH:
+    layout = _layout(config.family, config.innovation, config.d_fixed)
+    faces = [(i, name, m) for i, (name, m) in enumerate(layout)
+             if name in ("alpha", "d") and m is not _SOFTMAX]
+    if not faces:
         return []
     params = transform_from_unconstrained(u, config.family, config.innovation, config.d_fixed)
-    coords = [(1, params.alpha, params.alpha)]
-    if config.family is ModelFamily.FIGARCH and config.d_fixed is None:
-        coords.append((3, params.d, params.d * (1.0 - params.d)))
+    coords = [(i, getattr(params, name), m.slope(getattr(params, name))) for i, name, m in faces]
     if min(jac for _, _, jac in coords) > 0.0:
         return [(i, value, -r[i] / jac) for i, value, jac in coords]
     grad = engine.score(params, config.d_fixed is not None)[1] / engine.n
     return [(i, value, grad[i]) for i, value, _ in coords]
 
 
-def _probe(objective, u: np.ndarray, f: float, shape, tol: float):
+def _probe(objective, u: np.ndarray, f: float, shape, config: FitConfig):
     """Steps in theta along one coordinate of `_shape`, uphill in the log-likelihood.
 
     Coordinates with a slope above ``_GNORM_CONVERGED`` are tried steepest
     first; steps of 1e-6, 4e-6, ... 0.26 go on while the objective falls
     and theta stays inside its bounds.  Returns ``(u, objective(u))`` at
-    the last of them when the run gains at least ``tol``, else None.
+    the last of them when the run gains at least ``config.tol``, else None.
     """
-    from scipy.special import logit  # imported here: --help and entropy never need it
-
+    layout = _layout(config.family, config.innovation, config.d_fixed)
     for i, value, slope in sorted(shape, key=lambda c: -abs(c[2])):
-        f_last, best = f, None
+        f_last, best, m = f, None, layout[i][1]
         for k in range(10 if abs(slope) > _GNORM_CONVERGED else 0):
             theta = value + math.copysign(1e-6 * 4.0 ** k, slope)
-            if not 0.0 < theta < (math.inf if i == 1 else 1.0):
+            if not m.lo < theta < m.hi:
                 break
             v = u.copy()
-            v[i] = math.log(theta) if i == 1 else float(logit(theta))
+            v[i] = m.to_u(theta)
             fg = objective(v)
             if not fg[0] < f_last:
                 break
             f_last, best = fg[0], (v, fg)
-        if best is not None and f - f_last >= tol:
+        if best is not None and f - f_last >= config.tol:
             return best
     return None
 
@@ -451,9 +414,13 @@ def _wall(engine: _Likelihood, config: FitConfig, u: np.ndarray,
             rows = engine.weight_jacobian(q, config.d_fixed is None)[:, j]
         except InfeasibleParamsError:  # d too near 0 or 1 for the derivative in d
             return u, None
+        # the coordinates lambda depends on, in the order of weight_jacobian's rows
+        weighted = [(i, name, m) for i, (name, m) in enumerate(_layout(
+            config.family, config.innovation, config.d_fixed)) if name in ("alpha", "beta", "d")]
         normal = np.zeros(u.size)
         with np.errstate(over="ignore", invalid="ignore"):  # far-out trial points
-            normal[1:1 + rows.size] = rows * np.diag(_jacobian(q, config.family, config.d_fixed))[1:1 + rows.size]
+            for row, (i, name, m) in zip(rows, weighted):
+                normal[i] = row * m.slope(getattr(q, name))
             nn = float(normal @ normal)
         if not 0.0 < nn < math.inf:
             return u, None
@@ -473,7 +440,7 @@ def _ridge_end(u: np.ndarray, config: FitConfig) -> np.ndarray | None:
     search that stops elsewhere on the face does not find that end.  None
     unless ``u`` is an IGARCH point with alpha within ``_FACE`` of 0.
     """
-    if config.family is not ModelFamily.IGARCH or math.exp(u[1]) >= _FACE:
+    if config.family is not ModelFamily.IGARCH or math.exp(u[1]) >= _FACE:  # alpha, on its log map
         return None
     params = transform_from_unconstrained(u, config.family, config.innovation)
     level = params.omega / (1.0 - params.beta)
@@ -528,34 +495,38 @@ def _unconstrained_hessian(engine: _Likelihood, params: ParamVector,
                            config: FitConfig) -> np.ndarray:
     """Hessian of the total log-likelihood in the unconstrained coordinates of ``params``.
 
-    From one engine pass: ``J' H_theta J`` plus the curvature of the maps
-    (see `_curvature`), which does not vanish off an optimum.
+    From one engine pass: ``J' H_theta J`` plus the maps' curvature ``C =
+    sum_i grad_i d^2 theta_i / du du'``, which does not vanish off an
+    optimum.  Its diagonal is each map's ``bend`` times the gradient in u;
+    only the GARCH softmax has cross terms.
     """
     _, grad, H = engine.hessian(params, config.d_fixed is not None)
+    layout = _params_layout(params, config.family, config.d_fixed)
     J = _jacobian(params, config.family, config.d_fixed)
-    return J.T @ H @ J + _curvature(params, config, grad, J.T @ grad)
+    C = np.diag(np.array([m.bend(getattr(params, name)) for name, m in layout]) * (J.T @ grad))
+    if layout[1][1] is _SOFTMAX:
+        a, b = params.alpha, params.beta
+        C[1, 2] = C[2, 1] = -a * b * ((1.0 - 2.0 * a) * grad[1] + (1.0 - 2.0 * b) * grad[2])
+    return J.T @ H @ J + C
 
 
 def _initial_params(returns: np.ndarray, config: FitConfig,
                     rng: np.random.Generator, jitter: bool) -> ParamVector:
+    layout = dict(_layout(config.family, config.innovation, config.d_fixed))
     var = float(returns.var())
     factors = rng.uniform(0.8, 1.2, size=5) if jitter else np.ones(5)
 
     alpha = _ALPHA0 * factors[1]
     beta = min(_BETA0 * factors[2], 0.985)
-    if config.family is ModelFamily.GARCH and alpha + beta > 0.995:
+    if layout["alpha"] is _SOFTMAX and alpha + beta > 0.995:  # inside alpha + beta < 1
         shrink = 0.995 / (alpha + beta)
         alpha, beta = alpha * shrink, beta * shrink
 
     omega = 0.1 * var * (1.0 - _ALPHA0 - _BETA0) * factors[0]
-    d = 0.0
-    if config.family is ModelFamily.IGARCH:
-        d = 1.0
-    elif config.family is ModelFamily.FIGARCH:
-        d = config.d_fixed if config.d_fixed is not None else min(max(_D0 * factors[3], 0.05), 0.95)
-    nu = _NU0 * factors[4] if config.innovation == "student" else None
-    if nu is not None:
-        nu = max(nu, 2.5)
+    d = config.d_fixed if config.family.pinned_d is None else config.family.pinned_d
+    if "d" in layout:
+        d = min(max(_D0 * factors[3], 0.05), 0.95)
+    nu = max(_NU0 * factors[4], 2.5) if "nu" in layout else None
     return ParamVector(omega=omega, alpha=alpha, beta=beta, d=d, nu=nu)
 
 
@@ -614,7 +585,7 @@ def fit(series, config: FitConfig) -> FitResult:
             if small and not any((value < _FACE and slope > 0) or (value > 1.0 - _FACE and slope < 0)
                                  for _, value, slope in shape):
                 return u, f, g, iters, True
-            probe = _probe(objective, u, f, shape, config.tol) if iters < config.max_iters else None
+            probe = _probe(objective, u, f, shape, config) if iters < config.max_iters else None
             if probe is None:
                 return u, f, g, iters, small
             u, start = probe
@@ -682,7 +653,7 @@ def fit(series, config: FitConfig) -> FitResult:
             for s in starts
         ],
     }
-    if config.family is ModelFamily.FIGARCH and config.d_fixed is None:
+    if "d" in names:
         diagnostics["d_boundary_suspect"] = min(params.d, 1.0 - params.d) < 1e-3
     if params.nu is not None and params.nu > 100.0:
         diagnostics["near_gaussian"] = True
@@ -726,7 +697,7 @@ def standard_errors(params: ParamVector, series, config: FitConfig) -> StdErrRep
 
 
 def _standard_errors(engine: _Likelihood, params: ParamVector, config: FitConfig) -> StdErrReport:
-    _check_interior(params, config.family, config.d_fixed)
+    transform_to_unconstrained(params, config.family, config.d_fixed)  # BoundaryError on a bound
     absent = StdErrReport(None, None, None, None, False)
     # At the omega near 1e200 that one extreme return drives a fit to, the
     # Hessian or the delta-method product can overflow: a covariance that is
@@ -746,7 +717,7 @@ def _standard_errors(engine: _Likelihood, params: ParamVector, config: FitConfig
     names = param_names(config.family, config.innovation, config.d_fixed)
     var = np.clip(np.diag(cov), 0.0, None)
     se = np.sqrt(var)
-    est = _params_to_vector(params, names)
+    est = np.array([getattr(params, n) for n in names], dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
         z = np.where(se > 0, est / se, np.inf)
     from scipy.special import ndtr  # imported here: --help and entropy never need it

@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DataQualityError, DomainError, InfeasibleParamsError
+from .errors import DataQualityError, DomainError, InfeasibleParamsError, _integer
 
 __all__ = [
     "ModelFamily",
@@ -65,6 +65,11 @@ class ModelFamily(enum.Enum):
         except ValueError:
             valid = ", ".join(m.value for m in cls)
             raise DomainError(f"unknown family {text!r}; choose from {valid}") from None
+
+    @property
+    def pinned_d(self) -> float | None:
+        """d as the family pins it: 0 for GARCH, 1 for IGARCH, None (free) for FIGARCH."""
+        return {"garch": 0.0, "igarch": 1.0}.get(self.value)
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.value
@@ -145,8 +150,7 @@ def frac_weights(d: float, T: int, alpha: float = 0.0, beta: float = 0.0) -> Fra
     """
     if not (0.0 <= d <= 1.0):
         raise DomainError(f"d must lie in [0,1], got {d}")
-    if T < 1:
-        raise DomainError(f"truncation horizon must be >= 1, got {T}")
+    T = _integer(T, "truncation horizon")
     if not math.isfinite(alpha + beta):  # NaN or inf in either, or a sum that overflows
         raise DomainError(f"alpha and beta must be finite, got alpha={alpha}, beta={beta}")
 
@@ -189,28 +193,23 @@ def validate_params(family: ModelFamily, params: ParamVector,
         if not math.isfinite(getattr(params, name)):
             raise DomainError(f"{name} must be finite, got {getattr(params, name)}")
 
-    if family is ModelFamily.GARCH:
-        if params.d != 0.0:
-            raise DomainError(f"d is fixed at 0 for GARCH, got {params.d}")
+    if family.pinned_d is not None:
+        if params.d != family.pinned_d:
+            raise DomainError(f"d is fixed at {family.pinned_d:g} for {family.name}, got {params.d}")
         if params.alpha < 0 or params.beta < 0:
-            raise DomainError("alpha and beta must be nonnegative for GARCH")
+            raise DomainError(f"alpha and beta must be nonnegative for {family.name}")
+    elif not (0.0 <= params.d <= 1.0):
+        raise DomainError(f"d must lie in [0,1], got {params.d}")
+    if family is ModelFamily.GARCH:
         if params.alpha + params.beta >= 1:
             raise DomainError(
                 f"alpha + beta must lie below 1 for covariance stationarity, "
                 f"got {params.alpha + params.beta}"
             )
-    elif family is ModelFamily.IGARCH:
-        if params.d != 1.0:
-            raise DomainError(f"d is fixed at 1 for IGARCH, got {params.d}")
-        if params.alpha < 0 or params.beta < 0:
-            raise DomainError("alpha and beta must be nonnegative for IGARCH")
-        if params.beta >= 1:
-            raise DomainError(f"beta must lie below 1 for the ARCH(inf) engine, got {params.beta}")
-    elif family is ModelFamily.FIGARCH:
-        if not (0.0 <= params.d <= 1.0):
-            raise DomainError(f"d must lie in [0,1], got {params.d}")
-        if params.beta < 0 or params.beta >= 1:
-            raise DomainError(f"beta must lie in [0,1) for the ARCH(inf) engine, got {params.beta}")
+        return
+    if params.beta < 0 or params.beta >= 1:
+        raise DomainError(f"beta must lie in [0,1) for the ARCH(inf) engine, got {params.beta}")
+    if family is ModelFamily.FIGARCH:
         lam = frac_weights(params.d, T, params.alpha, params.beta).lam
         bad = np.nonzero(lam < -_LAMBDA_TOL)[0]
         if bad.size:
@@ -218,8 +217,6 @@ def validate_params(family: ModelFamily, params: ParamVector,
             raise InfeasibleParamsError(
                 f"ARCH(inf) weights must be nonnegative: lambda_{j} = {lam[bad[0]]:.3e} < 0"
             )
-    else:  # pragma: no cover - exhaustive enum
-        raise DomainError(f"unknown family {family!r}")
 
 
 def _ar1_filter(x: np.ndarray, beta: float,
@@ -309,8 +306,7 @@ class _Likelihood:
 
     def __init__(self, family: ModelFamily, returns: np.ndarray,
                  T: int = DEFAULT_TRUNCATION, reject_negative_weights: bool = False):
-        if T < 1:
-            raise DomainError(f"truncation horizon must be >= 1, got {T}")
+        T = _integer(T, "truncation horizon")
         r = np.asarray(returns, dtype=float)
         if r.ndim != 1 or r.size == 0:
             raise DomainError("returns must be a nonempty one-dimensional vector")
@@ -323,6 +319,7 @@ class _Likelihood:
         if not math.isfinite(self.backcast):
             raise DomainError("returns too large: their squares overflow a double")
         self.family, self.T, self.n = family, T, r.size
+        self._pinned_d = family.pinned_d  # looked up once: `_d` reads it on every evaluation
         self.checks_weights = reject_negative_weights and family is ModelFamily.FIGARCH
         # (key, [weights, convolution or None until one is asked for]) of the
         # last (alpha, beta, d) evaluated.  Callers only come back to that key:
@@ -343,7 +340,7 @@ class _Likelihood:
         self._e2_fft = fft.rfft(e2_ext, self._fft_size)
 
     def _d(self, params: ParamVector) -> float:
-        return 1.0 if self.family is ModelFamily.IGARCH else params.d
+        return params.d if self._pinned_d is None else self._pinned_d
 
     def _entry(self, params: ParamVector) -> list:
         key = (params.alpha, params.beta, self._d(params))
@@ -369,6 +366,9 @@ class _Likelihood:
             entry[1] = full[self.T:self.T + self.n].copy()
         return entry[1]
 
+    # one extreme return can overflow sigma2 (the transform product, for IGARCH
+    # and FIGARCH) or its log-likelihood: both are rejected below
+    @np.errstate(over="ignore", invalid="ignore")
     def variance_path(self, params: ParamVector) -> VariancePath:
         if params.nu is not None and not 2.0 < params.nu < math.inf:
             raise InfeasibleParamsError(f"nu = {params.nu} outside (2, inf)")
@@ -383,7 +383,7 @@ class _Likelihood:
             sig2 = params.omega / (1.0 - params.beta) + self._convolution(params)
 
         if not np.isfinite(sig2).all() or (sig2 <= 0.0).any():
-            worst = float(np.nanmin(sig2))
+            worst = float(np.min(sig2))
             raise InfeasibleParamsError(
                 f"non-positive conditional variance encountered (min sigma2 = {worst:.3e})"
             )
@@ -431,6 +431,7 @@ class _Likelihood:
         """
         return self._derivatives(params, fixed_d, second=True)
 
+    @np.errstate(over="ignore", invalid="ignore")  # an overflowed score is rejected below
     def _derivatives(self, params: ParamVector, fixed_d: bool, second: bool):
         """(log-likelihood, gradient, Hessian or None): see :meth:`score` and :meth:`hessian`."""
         vp = self.variance_path(params)
@@ -444,8 +445,8 @@ class _Likelihood:
         if self.family is ModelFamily.GARCH:
             grad, s, curv = self._garch_derivatives(params, sig2, g, second)
         else:
-            grad, s, curv = self._arch_inf_derivatives(params, g, second, free_d=(
-                self.family is ModelFamily.FIGARCH and not fixed_d))
+            free_d = self._pinned_d is None and not fixed_d
+            grad, s, curv = self._arch_inf_derivatives(params, g, second, free_d)
         if nu is not None:
             from scipy.special import digamma  # imported here: --help and entropy never need it
 
@@ -453,6 +454,8 @@ class _Likelihood:
                                         - 1.0 / (nu - 2.0))
                         - 0.5 * float(np.log1p(x).sum())
                         + (nu + 1.0) / (2.0 * (nu - 2.0)) * float(w.sum()))
+        if not all(map(math.isfinite, grad)):  # overflowed at an extreme return
+            raise InfeasibleParamsError("the score is not finite at this point")
         if not second:
             return vp.loglik, np.array(grad), None
 

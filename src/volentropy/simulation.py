@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AutocorrUndefinedError, DomainError, InfeasibleParamsError
+from .errors import AutocorrUndefinedError, DomainError, InfeasibleParamsError, _integer
 from .models import (
     DEFAULT_TRUNCATION,
     ModelFamily,
@@ -45,12 +45,10 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise DomainError(f"path length must be >= 1, got {self.n}")
-        if self.burn_in < 0:
-            raise DomainError(f"burn_in must be >= 0, got {self.burn_in}")
-        if self.T < 1:
-            raise DomainError(f"truncation horizon must be >= 1, got {self.T}")
+        _integer(self.n, "path length")
+        _integer(self.burn_in, "burn_in", 0)
+        _integer(self.T, "truncation horizon")
+        _integer(self.seed, "seed", 0)
         validate_params(self.family, self.params, T=self.T)
 
 
@@ -74,10 +72,9 @@ def _simulate_garch(p: ParamVector, z: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return e, sig2
 
 
-def _simulate_arch_inf(p: ParamVector, d: float, z: np.ndarray, T: int
-                       ) -> tuple[np.ndarray, np.ndarray]:
+def _simulate_arch_inf(p: ParamVector, z: np.ndarray, T: int) -> tuple[np.ndarray, np.ndarray]:
     n = z.size
-    lam = frac_weights(d, T, p.alpha, p.beta).lam
+    lam = frac_weights(p.d, T, p.alpha, p.beta).lam
     lam_rev = lam[::-1].copy()
     base = p.omega / (1.0 - p.beta)
 
@@ -118,9 +115,8 @@ def simulate_path(config: SimConfig) -> tuple[ReturnSeries, VariancePath]:
 
     if config.family is ModelFamily.GARCH:
         e, sig2 = _simulate_garch(p, z)
-    else:
-        d = 1.0 if config.family is ModelFamily.IGARCH else p.d
-        e, sig2 = _simulate_arch_inf(p, d, z, config.T)
+    else:  # validate_params holds p.d at the family's pinned d
+        e, sig2 = _simulate_arch_inf(p, z, config.T)
 
     e, sig2 = e[config.burn_in:], sig2[config.burn_in:]
     loglik = _loglik_from_path(sig2, e * e, p.nu)
@@ -146,8 +142,7 @@ def squared_autocorr(returns: np.ndarray, max_lag: int,
     :class:`DomainError`.
     """
     r = np.asarray(getattr(returns, "returns", returns), dtype=float)
-    if max_lag < 1:
-        raise DomainError(f"max_lag must be >= 1, got {max_lag}")
+    max_lag = _integer(max_lag, "max_lag")
     if r.size <= max_lag:
         raise DomainError(f"need more than {max_lag} observations, got {r.size}")
     if not np.isfinite(r).all():

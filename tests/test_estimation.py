@@ -19,6 +19,7 @@ from volentropy import (
     InfeasibleParamsError,
     InsufficientDataError,
     ModelFamily,
+    VolentropyError,
     ParamVector,
     SimConfig,
     fit,
@@ -91,7 +92,7 @@ interior = st.tuples(
 def test_transform_roundtrip_all_families(vals, student):
     omega, alpha, share, d, nu = vals
     nu = nu if student else None
-    for family in (GARCH, IGARCH, FIGARCH):
+    for family, d_fixed in ((GARCH, None), (IGARCH, None), (FIGARCH, None), (FIGARCH, d)):
         if family is GARCH:
             beta = share * (1.0 - alpha) * 0.999  # keep alpha + beta < 1
             p = ParamVector(omega, alpha, beta, d=0.0, nu=nu)
@@ -99,9 +100,9 @@ def test_transform_roundtrip_all_families(vals, student):
             p = ParamVector(omega, alpha, min(share, 0.99), d=1.0, nu=nu)
         else:
             p = ParamVector(omega, alpha, min(share, 0.99), d=d, nu=nu)
-        u = transform_to_unconstrained(p, family)
+        u = transform_to_unconstrained(p, family, d_fixed)
         q = transform_from_unconstrained(u, family,
-                                         "student" if student else "gaussian")
+                                         "student" if student else "gaussian", d_fixed)
         assert q.omega == pytest.approx(p.omega, rel=1e-10)
         assert q.alpha == pytest.approx(p.alpha, rel=1e-10, abs=1e-12)
         assert q.beta == pytest.approx(p.beta, rel=1e-10, abs=1e-12)
@@ -157,6 +158,9 @@ def test_config_rejects_d_fixed_at_boundaries():
     (IGARCH, ParamVector(1e-5, 0.1, 0.6, d=1.0, nu=6.0), None),
     (FIGARCH, ParamVector(1e-5, 0.2, 0.5, d=0.6, nu=6.0), None),
     (FIGARCH, ParamVector(1e-5, 0.2, 0.5, d=0.6), 0.6),
+    (IGARCH, ParamVector(1e-5, 0.1, 0.6, d=1.0), None),
+    (FIGARCH, ParamVector(1e-5, 0.2, 0.5, d=0.6), None),
+    (FIGARCH, ParamVector(1e-5, 0.2, 0.5, d=0.6, nu=6.0), 0.6),
 ])
 def test_jacobian_matches_central_differences_of_the_transform(family, p, d_fixed):
     innovation = "gaussian" if p.nu is None else "student"
@@ -721,6 +725,22 @@ def test_extreme_return_whose_covariance_overflows_gives_no_stderr(family, big):
     assert res.diagnostics["hessian_pd"] is False
     se = standard_errors(res.params, r, config)
     assert se.stderr is None and se.cov is None and se.hessian_pd is False
+
+
+@pytest.mark.parametrize("big", [1e151, 1e152, 1e153, 5e153, 1e154])
+@pytest.mark.parametrize("family", [GARCH, IGARCH, FIGARCH])
+def test_fit_at_an_extreme_return_ends_in_a_result_or_a_documented_error(family, big):
+    # squares finite, but trial points overflow the transform product
+    # (IGARCH, FIGARCH) or the score: they are rejected, not a numpy warning
+    r = 0.01 * np.random.default_rng(0).standard_normal(200)
+    r[50] = big
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            res = fit(r, FitConfig(family, innovation="gaussian", restarts=0))
+        except VolentropyError:
+            return
+    assert isinstance(res, FitResult) and math.isfinite(res.loglik)
 
 
 @pytest.mark.parametrize("config", [

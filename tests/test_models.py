@@ -13,6 +13,7 @@ from scipy.special import binom
 
 from volentropy import (
     DomainError,
+    FitConfig,
     InfeasibleParamsError,
     ModelFamily,
     ParamVector,
@@ -20,6 +21,7 @@ from volentropy import (
     frac_weights,
     log_likelihood,
     simulate_path,
+    squared_autocorr,
     student_logpdf,
     validate_params,
     variance_path,
@@ -314,6 +316,25 @@ def test_nonpositive_truncation_rejected(family, T):
     p = ParamVector(1e-5, 0.1, 0.5, d=0.0 if family is GARCH else 0.4)
     with pytest.raises(DomainError, match="truncation horizon must be >= 1"):
         variance_path(family, p, rng_returns(), T=T)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: FitConfig(GARCH, T=10.5),
+    lambda: FitConfig(GARCH, max_iters=2.5),
+    lambda: FitConfig(GARCH, restarts=1.5),
+    lambda: FitConfig(GARCH, seed=1.5),
+    lambda: SimConfig(GARCH, ParamVector(1e-5, 0.1, 0.5), n=10.5),
+    lambda: SimConfig(GARCH, ParamVector(1e-5, 0.1, 0.5), n=10, burn_in=1.5),
+    lambda: SimConfig(GARCH, ParamVector(1e-5, 0.1, 0.5), n=10, T=2.5),
+    lambda: SimConfig(GARCH, ParamVector(1e-5, 0.1, 0.5), n=10, seed=1.5),
+    lambda: squared_autocorr(rng_returns(), 2.5),
+    lambda: frac_weights(0.4, 2.5),
+    lambda: variance_path(FIGARCH, ParamVector(1e-5, 0.1, 0.5, d=0.4), rng_returns(), T=2.5),
+], ids=["fit-T", "fit-max_iters", "fit-restarts", "fit-seed", "sim-n", "sim-burn_in", "sim-T",
+        "sim-seed", "acf-max_lag", "frac_weights-T", "engine-T"])
+def test_a_size_that_is_not_an_integer_is_a_domain_error(make):
+    with pytest.raises(DomainError, match="must be an integer"):
+        make()
 
 
 def test_family_parser_ignores_case_and_names_the_choices():
