@@ -10,23 +10,22 @@ import argparse
 import sys
 import warnings
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from numpy.lib.stride_tricks import sliding_window_view
-
-from .entropy import DEFAULT_ORDER_GRID, FiniteVarianceWarning, _reports, entropy_report
-from .errors import DegenerateSupportError, DomainError, EstimationError, VolentropyError
-from .estimation import INNOVATIONS, FitConfig, fit, persistence_check
-from .models import DEFAULT_TRUNCATION, ModelFamily, ParamVector
-from .report import (
-    entropy_record,
-    fit_record,
-    make_manifest,
-    render_entropy_report,
-    render_fit_report,
-    render_simulate_report,
+# Only what the parser reads is imported here, so --help and a usage error
+# load no numpy.  Each command imports what it computes with.
+from .config import (
+    DEFAULT_BURN_IN,
+    DEFAULT_ORDER_GRID,
+    DEFAULT_TRUNCATION,
+    INNOVATIONS,
+    FitConfig,
+    ModelFamily,
 )
-from .series import ReturnSeries, load_prices, load_returns, to_log_returns
-from .simulation import DEFAULT_BURN_IN, SimConfig, simulate_path
+from .errors import DegenerateSupportError, DomainError, EstimationError, VolentropyError
+
+if TYPE_CHECKING:
+    from .series import ReturnSeries
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -138,6 +137,8 @@ def build_parser() -> _Parser:
 # ------------------------------------------------------------------- loading
 
 def _load_series(args) -> list[ReturnSeries]:
+    from .series import load_prices, load_returns, to_log_returns
+
     paths = _csv_list(args.input)
     if not paths:
         raise DomainError(f"--input names no file: {args.input!r}")
@@ -156,6 +157,8 @@ def _load_series(args) -> list[ReturnSeries]:
 
 def _manifest(args, **resolved) -> dict:
     """The run manifest: every parsed flag but ``_UNRECORDED``, with ``resolved`` values."""
+    from .report import make_manifest
+
     config = {k: v for k, v in vars(args).items() if k not in _UNRECORDED}
     return make_manifest(args.command, _csv_list(getattr(args, "input", "")),
                          {**config, **resolved}, seed=args.seed)
@@ -171,6 +174,9 @@ def _emit(text: str, output: str | None) -> None:
 # ----------------------------------------------------------------------- fit
 
 def cmd_fit(args) -> int:
+    from .estimation import fit, persistence_check
+    from .report import fit_record, render_fit_report
+
     families = [ModelFamily.from_string(name) for name in _csv_list(args.family)]
     if not families:
         raise DomainError("at least one family is required")
@@ -220,6 +226,11 @@ def cmd_fit(args) -> int:
 # ------------------------------------------------------------------- entropy
 
 def cmd_entropy(args) -> int:
+    from numpy.lib.stride_tricks import sliding_window_view
+
+    from .entropy import FiniteVarianceWarning, _reports, entropy_report
+    from .report import entropy_record, render_entropy_report
+
     if args.step is not None and args.window is None:
         raise DomainError("--step requires --window")
     if args.window is not None and args.window < 2:
@@ -267,6 +278,10 @@ def cmd_entropy(args) -> int:
 # ------------------------------------------------------------------ simulate
 
 def cmd_simulate(args) -> int:
+    from .models import ParamVector
+    from .report import render_simulate_report
+    from .simulation import SimConfig, simulate_path
+
     family = ModelFamily(args.family)
     d = args.d if args.d is not None else (family.pinned_d or 0.0)  # FIGARCH: 0 unless --d
     params = ParamVector(args.omega, args.alpha, args.beta, d=d, nu=args.nu)

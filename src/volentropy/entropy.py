@@ -34,6 +34,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .config import DEFAULT_ORDER_GRID
 from .errors import DegenerateSupportError, DomainError, _integer
 
 __all__ = [
@@ -47,8 +48,6 @@ __all__ = [
     "shannon",
     "tsallis",
 ]
-
-DEFAULT_ORDER_GRID = (1.4, 1.45, 1.5)
 
 # Tsallis indices for finite-variance data belong to [1, 5/3); outside that
 # window the estimator is still defined, so we warn rather than refuse.

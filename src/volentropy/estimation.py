@@ -36,6 +36,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .config import INNOVATIONS, FitConfig, ModelFamily
 from .errors import (
     BoundaryError,
     DataQualityError,
@@ -43,12 +44,9 @@ from .errors import (
     EstimationError,
     InfeasibleParamsError,
     InsufficientDataError,
-    _integer,
 )
 from .models import (
     _LAMBDA_TOL,
-    DEFAULT_TRUNCATION,
-    ModelFamily,
     ParamVector,
     _Likelihood,
     validate_params,
@@ -66,8 +64,6 @@ __all__ = [
     "transform_from_unconstrained",
     "transform_to_unconstrained",
 ]
-
-INNOVATIONS = ("gaussian", "student")
 
 # Warm start of the estimation design: variance-scaled intercept around a
 # persistent-but-stationary point, mid-range d, moderately heavy tails.
@@ -87,44 +83,6 @@ _PERSISTENCE_FLAG = 0.98    # strict threshold on alpha + beta
 # Smallest eigenvalue ratio of a scaled -H that still gives a covariance
 # (see `_covariance_from_hessian`): 1000 machine epsilons, about 2.2e-13.
 _MIN_EIGEN_RATIO = 1e3 * float(np.finfo(float).eps)
-
-
-@dataclass(frozen=True)
-class FitConfig:
-    """Estimation settings: family, innovation law, and optimizer budget.
-
-    ``max_iters`` bounds the BFGS iterations from each start.  A step
-    gaining less than ``tol`` in the per-observation negative
-    log-likelihood ends a BFGS run, after one steepest-descent retry if it
-    was quasi-Newton; so does a probe out of a face gaining less.
-    """
-
-    family: ModelFamily
-    innovation: str = "student"
-    T: int = DEFAULT_TRUNCATION
-    max_iters: int = 2000
-    tol: float = 1e-9
-    restarts: int = 2
-    seed: int = 0
-    d_fixed: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.innovation not in INNOVATIONS:
-            raise DomainError(f"innovation must be one of {INNOVATIONS}, got {self.innovation!r}")
-        if not self.tol > 0:
-            raise DomainError(f"tol must be positive, got {self.tol}")
-        _integer(self.max_iters, "max_iters")
-        _integer(self.restarts, "restarts", 0)
-        _integer(self.T, "truncation horizon")
-        _integer(self.seed, "seed", 0)
-        if self.d_fixed is not None:
-            if self.family.pinned_d is not None:
-                raise DomainError("d_fixed applies only to the FIGARCH family")
-            if not (0.0 < self.d_fixed < 1.0):
-                raise DomainError(
-                    "d_fixed must lie strictly inside (0,1); the d=1 boundary is "
-                    "the IGARCH family and d=0 is plain GARCH"
-                )
 
 
 @dataclass(frozen=True)
@@ -543,7 +501,10 @@ def fit(series, config: FitConfig) -> FitResult:
     per-observation objective, less its push into a FIGARCH weight wall
     within ``_WALL_BAND``, is below ``_GNORM_CONVERGED``, and no face it
     sits on hides an inward slope that a probe can climb (see `_shape` and
-    `_probe`).  Raises :class:`EstimationError` when every start is infeasible and
+    `_probe`).  Raises :class:`EstimationError` when every start is infeasible,
+    :class:`DomainError` instead when the returns are also large enough to
+    overflow the ARCH(inf) transform (see
+    :attr:`models._Likelihood.transform_may_overflow`), and
     :class:`DataQualityError` when the likelihood is non-finite at every
     candidate.
     """
@@ -629,6 +590,9 @@ def fit(series, config: FitConfig) -> FitResult:
     if best is None:
         if quality_failures and all(not s.get("feasible") for s in starts):
             raise DataQualityError("log-likelihood non-finite at every candidate start")
+        if engine.transform_may_overflow:
+            raise DomainError("returns too large: the ARCH(inf) transform of their squares "
+                              "overflows a double at every start")
         raise EstimationError("estimation failed: every start was infeasible")
 
     params = transform_from_unconstrained(best["u"], config.family,

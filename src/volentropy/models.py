@@ -22,12 +22,12 @@ returns.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .config import DEFAULT_TRUNCATION, ModelFamily
 from .errors import DataQualityError, DomainError, InfeasibleParamsError, _integer
 
 __all__ = [
@@ -43,36 +43,10 @@ __all__ = [
     "DEFAULT_TRUNCATION",
 ]
 
-DEFAULT_TRUNCATION = 1000
-
 # Numerical slack when checking nonnegativity of the ARCH(inf) weights.
 _LAMBDA_TOL = 1e-12
 
 _SMALLEST_NORMAL = float(np.finfo(float).tiny)
-
-
-class ModelFamily(enum.Enum):
-    """The three supported conditional-variance families."""
-
-    GARCH = "garch"
-    IGARCH = "igarch"
-    FIGARCH = "figarch"
-
-    @classmethod
-    def from_string(cls, text: str) -> "ModelFamily":
-        try:
-            return cls(text.strip().lower())
-        except ValueError:
-            valid = ", ".join(m.value for m in cls)
-            raise DomainError(f"unknown family {text!r}; choose from {valid}") from None
-
-    @property
-    def pinned_d(self) -> float | None:
-        """d as the family pins it: 0 for GARCH, 1 for IGARCH, None (free) for FIGARCH."""
-        return {"garch": 0.0, "igarch": 1.0}.get(self.value)
-
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return self.value
 
 
 @dataclass(frozen=True)
@@ -338,6 +312,19 @@ class _Likelihood:
         # full linear-convolution length of e2_ext (n+T) and the kernel (T+1)
         self._fft_size = fft.next_fast_len(self.n + 2 * T, True)
         self._e2_fft = fft.rfft(e2_ext, self._fft_size)
+
+    @property
+    def transform_may_overflow(self) -> bool:
+        """Whether these returns are large enough to overflow an IGARCH/FIGARCH convolution.
+
+        The zero bin of the padded e^2 transform is their sum, the largest
+        modulus of any bin.  The inverse transform sums ``_fft_size``
+        products of bins before it scales by ``1/_fft_size``, so when that
+        sum times the size exceeds a double, weights summing to about 1 can
+        overflow it.  GARCH has no transform.
+        """
+        return (self.family is not ModelFamily.GARCH
+                and not math.isfinite(float(self._e2_fft[0].real) * self._fft_size))
 
     def _d(self, params: ParamVector) -> float:
         return params.d if self._pinned_d is None else self._pinned_d

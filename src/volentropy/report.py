@@ -12,12 +12,15 @@ import hashlib
 import json
 import math
 from collections.abc import Iterable
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import __version__
-from .entropy import EntropyReport
-from .estimation import FitResult, PersistenceCheck
+
+if TYPE_CHECKING:  # annotations only: rendering a simulate report loads neither module
+    from .entropy import EntropyReport
+    from .estimation import FitResult, PersistenceCheck
 
 __all__ = [
     "entropy_record",

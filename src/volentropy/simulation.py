@@ -14,10 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import DEFAULT_BURN_IN, DEFAULT_TRUNCATION, ModelFamily
 from .errors import AutocorrUndefinedError, DomainError, InfeasibleParamsError, _integer
 from .models import (
-    DEFAULT_TRUNCATION,
-    ModelFamily,
     ParamVector,
     VariancePath,
     _loglik_from_path,
@@ -27,8 +26,6 @@ from .models import (
 from .series import ReturnSeries
 
 __all__ = ["SimConfig", "simulate_path", "squared_autocorr"]
-
-DEFAULT_BURN_IN = 2000
 
 _EPOCH = dt.date(2000, 1, 1)
 

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import volentropy.cli as cli
+import volentropy.estimation as estimation
 from volentropy import EstimationError, FiniteVarianceWarning, entropy_report
 from volentropy.cli import _UNRECORDED, build_parser, main
 from volentropy.report import _fmt6
@@ -380,14 +380,14 @@ def test_fit_text_cells_equal_the_tree_values(tmp_path, monkeypatch, capsys):
                  "--beta", "0.895", "--n", "1500", "--seed", "4",
                  "--output", str(tmp_path / "hot.csv")]) == 0
     (tmp_path / "cold.csv").write_bytes((tmp_path / "hot.csv").read_bytes())
-    real_fit = cli.fit
+    real_fit = estimation.fit
 
     def fit_or_fail(series, config):
         if series.id == "cold":
             raise EstimationError("estimation failed: every start was infeasible")
         return real_fit(series, config)
 
-    monkeypatch.setattr(cli, "fit", fit_or_fail)
+    monkeypatch.setattr(estimation, "fit", fit_or_fail)  # `fit` imports it when it runs
     argv = ["fit", "--input", f"{tmp_path / 'hot.csv'},{tmp_path / 'cold.csv'}", "--returns",
             "--family", "garch", "--innovation", "gaussian", "--restarts", "0"]
     capsys.readouterr()
@@ -532,6 +532,34 @@ def test_import_help_and_entropy_load_no_scipy(tmp_path):
     assert "usage:" in proc.stdout
     assert len(json.loads(out.read_text())["results"][0]["windows"]) == 7
     assert proc.stdout.splitlines()[-1] == "[]"
+
+
+_NO_NUMPY_PROBE = """
+import runpy
+import sys
+import volentropy
+loaded, codes = ["numpy" in sys.modules], []
+for argv in (["--help"], ["fit", "--help"], ["entropy", "--help"], ["simulate", "--help"],
+             ["fit"]):
+    sys.argv = ["volentropy", *argv]
+    try:
+        runpy.run_module("volentropy", run_name="__main__", alter_sys=True)
+    except SystemExit as exc:
+        codes.append(exc.code)
+    loaded.append("numpy" in sys.modules)
+volentropy.fit
+loaded.append("numpy" in sys.modules)
+print([codes, loaded])
+"""
+
+
+def test_import_help_and_usage_errors_load_no_numpy():
+    """`import volentropy`, each --help and a usage error load no numpy; the
+    first library name read from the package does."""
+    proc = subprocess.run([sys.executable, "-c", _NO_NUMPY_PROBE], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert "the following arguments are required: --input" in proc.stderr
+    assert proc.stdout.splitlines()[-1] == str([[0, 0, 0, 0, 1], [False] * 6 + [True]])
 
 
 _SIMULATE_PROBE = """

@@ -743,6 +743,27 @@ def test_fit_at_an_extreme_return_ends_in_a_result_or_a_documented_error(family,
     assert isinstance(res, FitResult) and math.isfinite(res.loglik)
 
 
+@pytest.mark.parametrize("family, big, completes", [
+    (IGARCH, 1e153, False), (IGARCH, 5e153, False), (IGARCH, 1e154, False),
+    (FIGARCH, 1e153, False), (FIGARCH, 5e153, False), (FIGARCH, 1e154, False),
+    (FIGARCH, 3e152, True), (GARCH, 1e153, True), (GARCH, 5e153, True),
+])
+def test_returns_that_overflow_the_transform_at_every_start_name_the_returns(family, big, completes):
+    # one return large enough that every start's ARCH(inf) convolution
+    # overflows: the error names the returns, not an infeasible start; a
+    # fit that some start survives (FIGARCH at 3e152, GARCH) still returns
+    r = 0.01 * np.random.default_rng(0).standard_normal(200)
+    r[50] = big
+    config = FitConfig(family, innovation="gaussian", restarts=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if completes:
+            assert math.isfinite(fit(r, config).loglik)
+        else:
+            with pytest.raises(DomainError, match="returns too large: the ARCH"):
+                fit(r, config)
+
+
 @pytest.mark.parametrize("config", [
     FitConfig(FIGARCH, restarts=1, seed=3),
     FitConfig(FIGARCH, innovation="gaussian", restarts=1, seed=3),
