@@ -1,7 +1,8 @@
 """Command-line interface: ``fit``, ``entropy``, ``simulate``.
 
 Exit codes: 0 on success, 1 for input/validation problems, 2 when a fit ran
-but failed to converge (a partial report is still emitted).
+but failed to converge or raised an error, which its cell of the report
+records (the report is still emitted).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .config import (
     FitConfig,
     ModelFamily,
 )
-from .errors import DegenerateSupportError, DomainError, EstimationError, VolentropyError
+from .errors import DegenerateSupportError, DomainError, VolentropyError
 
 if TYPE_CHECKING:
     from .series import ReturnSeries
@@ -209,7 +210,7 @@ def cmd_fit(args) -> int:
         for series in series_list:
             try:
                 result = fit(series, config)
-            except EstimationError as exc:
+            except VolentropyError as exc:  # recorded in its cell: the other fits still run
                 results.append(fit_record(series.id, family.value, error=str(exc)))
                 all_converged = False
                 continue

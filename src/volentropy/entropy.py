@@ -36,6 +36,7 @@ import numpy as np
 
 from .config import DEFAULT_ORDER_GRID
 from .errors import DegenerateSupportError, DomainError, _integer
+from .series import _as_returns
 
 __all__ = [
     "DEFAULT_ORDER_GRID",
@@ -162,15 +163,6 @@ class EntropyReport:
 
 # ------------------------------------------------------------------- binning
 
-def _sample(values) -> np.ndarray:
-    x = np.asarray(getattr(values, "returns", values), dtype=float)
-    if x.ndim != 1:
-        raise DomainError(f"expected a 1-D sample, got shape {x.shape}")
-    if x.size == 0:
-        raise DomainError("cannot bin an empty sample")
-    return x
-
-
 def _bin(x: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Edges, counts and probabilities of each row of a sample matrix.
 
@@ -228,7 +220,7 @@ def build_histogram(returns, m: int) -> Histogram:
     one cell.  A sample with zero range, or a range that cannot hold ``m``
     distinct equal cells, raises :class:`DegenerateSupportError`.
     """
-    x = _sample(returns)
+    x = _as_returns(returns)
     m = _integer(m, "bin count")
     edges, counts, probs = _bin(x[None, :], m)
     try:
@@ -416,7 +408,8 @@ def entropy_report(returns, m: int | None = None,
                    q_grid: tuple[float, ...] = DEFAULT_ORDER_GRID) -> EntropyReport:
     """Build one histogram and evaluate all three entropy families on it.
 
-    ``m`` defaults to ceil(sqrt(n)).  Tsallis indices outside [1, 5/3) emit
+    ``returns`` is a :class:`ReturnSeries` or a sample vector.  ``m``
+    defaults to ceil(sqrt(n)).  Tsallis indices outside [1, 5/3) emit
     :class:`FiniteVarianceWarning` but are still evaluated.
     """
-    return _reports(_sample(returns)[None, :], m, alpha_grid, q_grid, stacklevel=3)[0]
+    return _reports(_as_returns(returns)[None, :], m, alpha_grid, q_grid, stacklevel=3)[0]

@@ -432,11 +432,7 @@ def _covariance_from_hessian(H: np.ndarray) -> np.ndarray | None:
 
 # ------------------------------------------------------------------- objective
 
-def _extract_returns(series) -> np.ndarray:
-    return np.asarray(getattr(series, "returns", series), dtype=float)
-
-
-def _make_engine(returns: np.ndarray, config: FitConfig) -> _Likelihood:
+def _make_engine(returns, config: FitConfig) -> _Likelihood:
     """The engine of a fit or of its standard errors: negative FIGARCH weights are rejected."""
     return _Likelihood(config.family, returns, config.T, reject_negative_weights=True)
 
@@ -508,11 +504,10 @@ def fit(series, config: FitConfig) -> FitResult:
     :class:`DataQualityError` when the likelihood is non-finite at every
     candidate.
     """
-    returns = _extract_returns(series)
-    n = returns.size
+    engine = _make_engine(series, config)
+    returns, n = engine.returns, engine.n
     if n < 50:
         raise InsufficientDataError(f"need at least 50 observations to fit, got {n}")
-    engine = _make_engine(returns, config)
     quality_failures = 0
 
     def objective(u: np.ndarray) -> tuple[float, np.ndarray | None]:
@@ -618,7 +613,7 @@ def fit(series, config: FitConfig) -> FitResult:
         ],
     }
     if "d" in names:
-        diagnostics["d_boundary_suspect"] = min(params.d, 1.0 - params.d) < 1e-3
+        diagnostics["d_boundary_suspect"] = min(params.d, 1.0 - params.d) < _FACE
     if params.nu is not None and params.nu > 100.0:
         diagnostics["near_gaussian"] = True
 
@@ -657,7 +652,7 @@ def standard_errors(params: ParamVector, series, config: FitConfig) -> StdErrRep
     absent-but-flagged report; a point on a bound of the transform raises
     :class:`BoundaryError`.
     """
-    return _standard_errors(_make_engine(_extract_returns(series), config), params, config)
+    return _standard_errors(_make_engine(series, config), params, config)
 
 
 def _standard_errors(engine: _Likelihood, params: ParamVector, config: FitConfig) -> StdErrReport:

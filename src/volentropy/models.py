@@ -29,6 +29,7 @@ import numpy as np
 
 from .config import DEFAULT_TRUNCATION, ModelFamily
 from .errors import DataQualityError, DomainError, InfeasibleParamsError, _integer
+from .series import _as_returns
 
 __all__ = [
     "ModelFamily",
@@ -278,21 +279,17 @@ class _Likelihood:
     Returns whose squares overflow a double raise :class:`DomainError`.
     """
 
-    def __init__(self, family: ModelFamily, returns: np.ndarray,
+    def __init__(self, family: ModelFamily, returns,
                  T: int = DEFAULT_TRUNCATION, reject_negative_weights: bool = False):
         T = _integer(T, "truncation horizon")
-        r = np.asarray(returns, dtype=float)
-        if r.ndim != 1 or r.size == 0:
-            raise DomainError("returns must be a nonempty one-dimensional vector")
-        if not np.isfinite(r).all():
-            raise DomainError("returns contain NaN or infinite entries")
+        r = _as_returns(returns)
         with np.errstate(over="ignore", invalid="ignore"):  # checked just below
             e = r - r.mean()
             self.e2 = e * e
             self.backcast = float(self.e2.mean())
         if not math.isfinite(self.backcast):
             raise DomainError("returns too large: their squares overflow a double")
-        self.family, self.T, self.n = family, T, r.size
+        self.family, self.T, self.returns, self.n = family, T, r, r.size
         self._pinned_d = family.pinned_d  # looked up once: `_d` reads it on every evaluation
         self.checks_weights = reject_negative_weights and family is ModelFamily.FIGARCH
         # (key, [weights, convolution or None until one is asked for]) of the
@@ -599,8 +596,8 @@ class _Likelihood:
 
 
 def variance_path(family: ModelFamily, params: ParamVector,
-                  returns: np.ndarray, T: int = DEFAULT_TRUNCATION) -> VariancePath:
-    """Conditional-variance path and total log-likelihood for a return vector.
+                  returns, T: int = DEFAULT_TRUNCATION) -> VariancePath:
+    """Conditional-variance path and total log-likelihood of a series or return vector.
 
     The caller is responsible for the family invariants (see
     :func:`validate_params`); this function only signals *infeasibility*:
@@ -615,6 +612,6 @@ def variance_path(family: ModelFamily, params: ParamVector,
 
 
 def log_likelihood(family: ModelFamily, params: ParamVector,
-                   returns: np.ndarray, T: int = DEFAULT_TRUNCATION) -> float:
-    """Total log-likelihood (nats); see :func:`variance_path` for conventions."""
+                   returns, T: int = DEFAULT_TRUNCATION) -> float:
+    """Total log-likelihood (nats) of a series or return vector; see :func:`variance_path`."""
     return variance_path(family, params, returns, T=T).loglik

@@ -38,13 +38,35 @@ class PricePoint:
             raise DomainError(f"non-positive price {self.close!r} at {self.date}")
 
 
+def _as_returns(values) -> np.ndarray:
+    """The return vector of ``values``: a :class:`ReturnSeries`, or the vector itself.
+
+    Every function that takes returns reads them through here.  Complex,
+    text and object entries raise :class:`DomainError` before any
+    conversion (integers convert to float), and so does anything but a
+    nonempty one-dimensional vector of finite values.
+    """
+    try:
+        r = np.asarray(getattr(values, "returns", values))
+    except ValueError:  # a ragged nested sequence
+        raise DomainError("returns must be a vector of numbers, got a ragged sequence") from None
+    if r.dtype.kind not in "biuf":
+        raise DomainError(f"returns must be real numbers, got dtype {r.dtype}")
+    if r.ndim != 1 or r.size == 0:
+        raise DomainError(f"returns must be a nonempty one-dimensional vector, got shape {r.shape}")
+    r = r.astype(float, copy=False)
+    if not np.isfinite(r).all():
+        raise DomainError("returns contain non-finite entries (NaN or infinite)")
+    return r
+
+
 @dataclass(frozen=True)
 class ReturnSeries:
     """A timestamped log-return vector with origin metadata.
 
     ``dates[t]`` is the date the return ``returns[t]`` was realised (the later
-    day of each consecutive price pair).  Lengths must agree and every return
-    must be finite.
+    day of each consecutive price pair).  Lengths must agree, and the returns
+    must be a nonempty vector of finite real numbers.
     """
 
     id: str
@@ -53,17 +75,11 @@ class ReturnSeries:
     source: str = ""
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.returns, dtype=float)
+        arr = _as_returns(self.returns)
         object.__setattr__(self, "returns", arr)
         object.__setattr__(self, "dates", tuple(self.dates))
-        if arr.ndim != 1:
-            raise DomainError("returns must be a one-dimensional vector")
         if len(self.dates) != arr.size:
-            raise DomainError(
-                f"length mismatch: {len(self.dates)} dates vs {arr.size} returns"
-            )
-        if not np.isfinite(arr).all():
-            raise DomainError("returns contain NaN or infinite entries")
+            raise DomainError(f"length mismatch: {len(self.dates)} dates vs {arr.size} returns")
 
     def __len__(self) -> int:
         return self.returns.size

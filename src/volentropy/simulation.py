@@ -23,7 +23,7 @@ from .models import (
     frac_weights,
     validate_params,
 )
-from .series import ReturnSeries
+from .series import ReturnSeries, _as_returns
 
 __all__ = ["SimConfig", "simulate_path", "squared_autocorr"]
 
@@ -128,9 +128,8 @@ def simulate_path(config: SimConfig) -> tuple[ReturnSeries, VariancePath]:
     return series, VariancePath(sigma2=sig2, loglik=loglik)
 
 
-def squared_autocorr(returns: np.ndarray, max_lag: int,
-                     include_lag0: bool = False) -> np.ndarray:
-    """Sample autocorrelation of the squared series at lags 1..max_lag.
+def squared_autocorr(returns, max_lag: int, include_lag0: bool = False) -> np.ndarray:
+    """Sample autocorrelation of the squared returns of a series or vector at lags 1..max_lag.
 
     With ``include_lag0`` the (definitionally unit) lag-0 value is prepended.
     Constant input has no defined autocorrelation and raises
@@ -138,12 +137,10 @@ def squared_autocorr(returns: np.ndarray, max_lag: int,
     whose squares (or their second moments) overflow a double, raise
     :class:`DomainError`.
     """
-    r = np.asarray(getattr(returns, "returns", returns), dtype=float)
+    r = _as_returns(returns)
     max_lag = _integer(max_lag, "max_lag")
     if r.size <= max_lag:
         raise DomainError(f"need more than {max_lag} observations, got {r.size}")
-    if not np.isfinite(r).all():
-        raise DomainError("returns contain NaN or infinite entries")
 
     with np.errstate(over="ignore", invalid="ignore"):  # checked just below
         x = r * r

@@ -483,6 +483,32 @@ def test_size_too_large_to_allocate_exits_1(argv, sim_file, tmp_path, capsys):
     assert err.startswith("error: Unable to allocate")
 
 
+def test_fit_error_is_recorded_in_its_cell_and_the_other_fits_kept(tmp_path, capsys):
+    # one return at 1e153 overflows the IGARCH ARCH(inf) transform at every
+    # start, while the GARCH recursion still converges on the same series
+    r = 0.01 * np.random.default_rng(0).standard_normal(200)
+    r[50] = 1e153
+    day = datetime.date(2000, 1, 1)
+    (tmp_path / "big.csv").write_text("date,return\n" + "".join(
+        f"{day + datetime.timedelta(days=i)},{v!r}\n" for i, v in enumerate(r.tolist())))
+    argv = ["fit", "--input", str(tmp_path / "big.csv"), "--returns",
+            "--family", "garch,igarch", "--innovation", "gaussian", "--restarts", "0"]
+    message = ("returns too large: the ARCH(inf) transform of their squares "
+               "overflows a double at every start")
+    capsys.readouterr()
+    text_code, text = _report(argv, "text", capsys)
+    tree_code, tree = _report(argv, "tree", capsys)
+    assert text_code == tree_code == 2  # a failed cell is not a converged fit
+
+    garch, igarch = json.loads(tree)["results"]
+    assert garch["error"] is None and garch["converged"] is True
+    assert garch["loglik"] == pytest.approx(-70212.56, abs=0.01)
+    assert igarch == {"series": "big", "family": "igarch", "error": message}
+    garch_text, igarch_text = text.split("family: igarch")
+    assert re.search(r"converged\s+yes", garch_text)
+    assert f"failed: big - {message}" in igarch_text
+
+
 # ------------------------------------------------------------------- pipeline
 
 def test_simulate_fit_entropy_pipeline(tmp_path):

@@ -1,5 +1,6 @@
 import datetime as dt
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,13 +10,25 @@ from hypothesis import strategies as st
 from volentropy import (
     DomainError,
     DuplicateDateError,
+    FitConfig,
     InsufficientDataError,
+    ModelFamily,
+    ParamVector,
     ParseError,
     PricePoint,
     ReturnSeries,
+    SimConfig,
+    build_histogram,
+    entropy_report,
+    fit,
     load_prices,
     load_returns,
+    log_likelihood,
+    simulate_path,
+    squared_autocorr,
+    standard_errors,
     to_log_returns,
+    variance_path,
 )
 
 
@@ -198,3 +211,82 @@ def test_return_series_rejects_nan():
 def test_return_series_rejects_length_mismatch():
     with pytest.raises(DomainError):
         ReturnSeries(id="x", dates=(dt.date(2000, 1, 1),), returns=np.array([0.1, 0.2]))
+
+
+# ------------------------------------------------- the return-vector contract
+
+GARCH = ModelFamily.GARCH
+POINT = ParamVector(1e-5, 0.1, 0.8)
+DATES = tuple(dt.date(2000, 1, 1) + dt.timedelta(days=i) for i in range(60))
+
+
+def _with(value: float) -> np.ndarray:
+    r = 0.01 * np.sin(np.arange(60.0))
+    r[17] = value
+    return r
+
+
+ENTRY_POINTS = {
+    "ReturnSeries": lambda r: ReturnSeries("x", DATES, r),
+    "fit": lambda r: fit(r, FitConfig(GARCH, restarts=0)),
+    "standard_errors": lambda r: standard_errors(POINT, r, FitConfig(GARCH)),
+    "variance_path": lambda r: variance_path(GARCH, POINT, r),
+    "log_likelihood": lambda r: log_likelihood(GARCH, POINT, r),
+    "squared_autocorr": lambda r: squared_autocorr(r, 5),
+    "entropy_report": lambda r: entropy_report(r),
+    "build_histogram": lambda r: build_histogram(r, 8),
+}
+
+HOSTILE = {
+    "2-D": np.ones((10, 60)),
+    "None": None,
+    "empty": np.array([]),
+    "NaN": _with(np.nan),
+    "+inf": _with(np.inf),
+    "-inf": _with(-np.inf),
+    "complex": np.full(60, 1 + 1j),
+    "text": np.array(["0.01"] * 60),
+    "text list": ["0.01"] * 60,
+    "object": np.array([0.01] * 60, dtype=object),
+    "ragged": [[0.01, 0.02], [0.03]],
+}
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+@pytest.mark.parametrize("case", HOSTILE)
+def test_hostile_returns_raise_domain_error_at_every_entry_point(entry, case):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError) as info:
+            ENTRY_POINTS[entry](HOSTILE[case])
+    if case.endswith(("NaN", "inf")):
+        assert "non-finite" in str(info.value) and "NaN or infinite" in str(info.value)
+
+
+def test_fit_tells_an_empty_vector_from_a_short_one():
+    with pytest.raises(DomainError, match="nonempty"):
+        fit(np.array([]), FitConfig(GARCH))
+    with pytest.raises(InsufficientDataError, match="at least 50"):
+        fit(_with(0.0)[:49], FitConfig(GARCH))
+
+
+def test_series_and_its_returns_give_the_same_results():
+    series, _ = simulate_path(SimConfig(GARCH, POINT, n=600, seed=5))
+    r = series.returns
+    a, b = variance_path(GARCH, POINT, series), variance_path(GARCH, POINT, r)
+    assert np.array_equal(a.sigma2, b.sigma2) and a.loglik == b.loglik
+    assert log_likelihood(GARCH, POINT, series) == log_likelihood(GARCH, POINT, r)
+    assert np.array_equal(squared_autocorr(series, 10), squared_autocorr(r, 10))
+    assert entropy_report(series) == entropy_report(r)
+    config = FitConfig(GARCH, innovation="gaussian", restarts=0)
+    x, y = fit(series, config), fit(r, config)
+    assert (x.params, x.loglik, x.stderr, x.iterations, x.diagnostics) == (
+        y.params, y.loglik, y.stderr, y.iterations, y.diagnostics)
+    assert np.array_equal(x.cov, y.cov)
+
+
+def test_integer_returns_convert_to_float():
+    ints = np.arange(-30, 30) % 7
+    assert np.array_equal(ReturnSeries("x", DATES, ints).returns, ints.astype(float))
+    assert entropy_report(ints) == entropy_report(ints.astype(float))
+    assert np.array_equal(squared_autocorr(list(ints), 5), squared_autocorr(ints.astype(float), 5))
