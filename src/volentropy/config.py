@@ -60,10 +60,11 @@ class ModelFamily(enum.Enum):
 class FitConfig:
     """Estimation settings: family, innovation law, and optimizer budget.
 
-    ``max_iters`` bounds the BFGS iterations from each start.  A step
+    ``max_iters`` bounds the iterations of each BFGS run: a start's, and
+    its rerun from off a face (see ``estimation._off_face``).  A step
     gaining less than ``tol`` in the per-observation negative
     log-likelihood ends a BFGS run, after one steepest-descent retry if it
-    was quasi-Newton; so does a probe out of a face gaining less.
+    was quasi-Newton.
     """
 
     family: ModelFamily

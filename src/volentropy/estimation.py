@@ -4,13 +4,14 @@ The optimizer works in an unconstrained space reached through a bijective
 reparameterization (log for scale parameters, logistic maps for bounded
 ones, a softmax-style map enforcing ``alpha + beta < 1`` for GARCH).  Each
 fit runs BFGS on the exact score, with a line search that halves any step
-landing on a rejected point, multistarted from jittered warm starts.  Three
+landing on a rejected point, multistarted from jittered warm starts.  Two
 features of these models need more than that.  FIGARCH's lambda_j >= 0
 walls: a rejected point is moved back onto its wall and the search slides
-along it.  The faces alpha -> 0 and d -> 0, 1, where the log and logit maps
-flatten the gradient: a point there is checked, and probed, in theta.  And
-the IGARCH alpha = 0 face, flat along omega/(1-beta): a fit ending on it is
-rerun from the face's beta -> 1 end.
+along it.  And the faces alpha -> 0 and d -> 0, 1, where the log and logit
+maps flatten the gradient: a search that stops on one whose slope in theta
+points inside is rerun from the warm start's alpha or d, and an IGARCH
+search that stops on its alpha = 0 face, flat along omega/(1-beta), from
+that face's beta -> 1 end (`_off_face`); the better run is kept.
 
 Convergence diagnostics (objective improvement, gradient norms) are defined
 on the *per-observation* (mean) log-likelihood so they are sample-size
@@ -77,7 +78,7 @@ _GNORM_CONVERGED = 1e-4     # gradient norm bound entering `converged`
 # search at this band moves optima it finds today.
 _WALL_BAND = 1e-8
 _MAX_HALVINGS = 40          # line-search halvings before a step is given up
-_FACE = 1e-3                # alpha, or d from its nearer bound, on a face (see `_shape`)
+_FACE = 1e-3                # alpha, or d from its nearer bound, on a face (see `_off_face`)
 _RIDGE_GAP = 1e-9           # 1 - beta at the end of the IGARCH alpha = 0 face
 _PERSISTENCE_FLAG = 0.98    # strict threshold on alpha + beta
 # Smallest eigenvalue ratio of a scaled -H that still gives a covariance
@@ -298,57 +299,6 @@ def _bfgs(fun, x: np.ndarray, max_iters: int, tol: float, wall=None, start=None)
     return x, f, r, max_iters
 
 
-def _shape(engine: _Likelihood, u: np.ndarray, r: np.ndarray,
-           config: FitConfig) -> list[tuple[int, float, float]]:
-    """(index in u, value, slope) of alpha and a free d, unless on the GARCH softmax.
-
-    Their log and logit maps flatten the gradient in u as alpha -> 0 or
-    d -> 0, 1, which hides a slope in theta that may point back into the
-    interior.  The slope is d loglik / d theta per observation, from the
-    gradient ``r`` in u of the objective (less its push into a wall),
-    divided by the map's derivative; where that underflowed to 0, from the
-    engine's score.  beta is left out: it also moves the intercept
-    omega/(1-beta).
-    """
-    layout = _layout(config.family, config.innovation, config.d_fixed)
-    faces = [(i, name, m) for i, (name, m) in enumerate(layout)
-             if name in ("alpha", "d") and m is not _SOFTMAX]
-    if not faces:
-        return []
-    params = transform_from_unconstrained(u, config.family, config.innovation, config.d_fixed)
-    coords = [(i, getattr(params, name), m.slope(getattr(params, name))) for i, name, m in faces]
-    if min(jac for _, _, jac in coords) > 0.0:
-        return [(i, value, -r[i] / jac) for i, value, jac in coords]
-    grad = engine.score(params, config.d_fixed is not None)[1] / engine.n
-    return [(i, value, grad[i]) for i, value, _ in coords]
-
-
-def _probe(objective, u: np.ndarray, f: float, shape, config: FitConfig):
-    """Steps in theta along one coordinate of `_shape`, uphill in the log-likelihood.
-
-    Coordinates with a slope above ``_GNORM_CONVERGED`` are tried steepest
-    first; steps of 1e-6, 4e-6, ... 0.26 go on while the objective falls
-    and theta stays inside its bounds.  Returns ``(u, objective(u))`` at
-    the last of them when the run gains at least ``config.tol``, else None.
-    """
-    layout = _layout(config.family, config.innovation, config.d_fixed)
-    for i, value, slope in sorted(shape, key=lambda c: -abs(c[2])):
-        f_last, best, m = f, None, layout[i][1]
-        for k in range(10 if abs(slope) > _GNORM_CONVERGED else 0):
-            theta = value + math.copysign(1e-6 * 4.0 ** k, slope)
-            if not m.lo < theta < m.hi:
-                break
-            v = u.copy()
-            v[i] = m.to_u(theta)
-            fg = objective(v)
-            if not fg[0] < f_last:
-                break
-            f_last, best = fg[0], (v, fg)
-        if best is not None and f - f_last >= config.tol:
-            return best
-    return None
-
-
 def _wall(engine: _Likelihood, config: FitConfig, u: np.ndarray,
           band: float = _LAMBDA_TOL) -> tuple[np.ndarray, np.ndarray | None]:
     """The FIGARCH wall lambda_j >= 0 at ``u``, for `_bfgs`.
@@ -388,22 +338,49 @@ def _wall(engine: _Likelihood, config: FitConfig, u: np.ndarray,
     return u, normal
 
 
-def _ridge_end(u: np.ndarray, config: FitConfig) -> np.ndarray | None:
-    """The beta -> 1 end of the IGARCH alpha = 0 face through ``u``, with alpha restored.
+def _off_face(u: np.ndarray, g: np.ndarray, config: FitConfig) -> np.ndarray | None:
+    """Where a search stopped at ``u`` on a face restarts, or None.
 
-    The IGARCH weights are lambda_1 = 1 + alpha and lambda_j =
-    -alpha (1-beta) beta^(j-2) beyond, so at alpha = 0 they are (1, 0, ...)
-    whatever beta, and the face is flat along omega/(1-beta) = const.  Only
-    at its beta -> 1 end can alpha grow without the negative weights, and a
-    search that stops elsewhere on the face does not find that end.  None
-    unless ``u`` is an IGARCH point with alpha within ``_FACE`` of 0.
+    The log map of alpha and the logistic map of d flatten the gradient in
+    u as alpha -> 0 or d -> 0, 1, which hides a slope in theta that may
+    point back inside.  An alpha within ``_FACE`` of 0 restarts at
+    ``_ALPHA0``, and a free d within ``_FACE`` of 0 or 1 at ``_D0``, when
+    the log-likelihood's slope in theta, from the gradient ``g`` in u of
+    the objective, points inside by at least ``_GNORM_CONVERGED`` (an alpha
+    that underflowed to 0.0 has a zero map slope, and restarts).  GARCH's
+    softmax pair has no face here.
+
+    An IGARCH point on its alpha face restarts from the face's beta -> 1
+    end, whatever the slope.  The IGARCH weights are lambda_1 = 1 + alpha
+    and lambda_j = -alpha (1-beta) beta^(j-2) beyond, so at alpha = 0 they
+    are (1, 0, ...) whatever beta, and the face is flat along
+    omega/(1-beta) = const.  Only at its beta -> 1 end can alpha grow
+    without the negative weights, and a search that stops elsewhere on the
+    face does not find that end.
     """
-    if config.family is not ModelFamily.IGARCH or math.exp(u[1]) >= _FACE:  # alpha, on its log map
+    layout = _layout(config.family, config.innovation, config.d_fixed)
+    if layout[1][1] is _SOFTMAX:
         return None
-    params = transform_from_unconstrained(u, config.family, config.innovation)
-    level = params.omega / (1.0 - params.beta)
-    end = params.with_(omega=level * _RIDGE_GAP, alpha=_ALPHA0, beta=1.0 - _RIDGE_GAP)
-    return transform_to_unconstrained(end, config.family)
+    params = transform_from_unconstrained(u, config.family, config.innovation, config.d_fixed)
+    if config.family is ModelFamily.IGARCH:
+        if params.alpha >= _FACE:
+            return None
+        level = params.omega / (1.0 - params.beta)
+        end = params.with_(omega=level * _RIDGE_GAP, alpha=_ALPHA0, beta=1.0 - _RIDGE_GAP)
+        return transform_to_unconstrained(end, config.family)
+    restart = None
+    for i, (name, m) in enumerate(layout):
+        theta = getattr(params, name) if name in ("alpha", "d") else None
+        if theta is not None and theta < _FACE:
+            inward = -g[i]  # the objective falls as theta grows
+        elif name == "d" and theta > 1.0 - _FACE:
+            inward = g[i]
+        else:
+            continue
+        if inward >= _GNORM_CONVERGED * m.slope(theta):
+            restart = u.copy() if restart is None else restart
+            restart[i] = m.to_u(_ALPHA0 if name == "alpha" else _D0)
+    return restart
 
 
 def _covariance_from_hessian(H: np.ndarray) -> np.ndarray | None:
@@ -495,9 +472,10 @@ def fit(series, config: FitConfig) -> FitResult:
     point converged off the boundaries of the transform (``hessian_pd`` is
     False otherwise).  A point has converged when the gradient norm of the
     per-observation objective, less its push into a FIGARCH weight wall
-    within ``_WALL_BAND``, is below ``_GNORM_CONVERGED``, and no face it
-    sits on hides an inward slope that a probe can climb (see `_shape` and
-    `_probe`).  Raises :class:`EstimationError` when every start is infeasible,
+    within ``_WALL_BAND``, is below ``_GNORM_CONVERGED``.  A start whose
+    search stops on a face is rerun once from where `_off_face` says, when
+    that point is feasible, and the better of the two runs is kept.
+    Raises :class:`EstimationError` when every start is infeasible,
     :class:`DomainError` instead when the returns are also large enough to
     overflow the ARCH(inf) transform (see
     :attr:`models._Likelihood.transform_may_overflow`), and
@@ -523,28 +501,16 @@ def fit(series, config: FitConfig) -> FitResult:
         return -loglik / n, -grad / n
 
     def descend(u: np.ndarray, start) -> tuple[np.ndarray, float, np.ndarray, int, bool]:
-        """BFGS from ``u``, and again from wherever `_probe` finds a better point.
+        """BFGS from ``u``: the point, objective, gradient, iterations and whether it converged.
 
-        Returns the point, objective, gradient (less its push into the
-        wall of a lambda_j below ``_WALL_BAND``), iterations and whether the
-        point converged: that gradient's norm below ``_GNORM_CONVERGED``, and no
-        probe into the interior from a face (see `_shape`) gains ``tol``.
+        The gradient is less its push into the wall of a lambda_j below
+        ``_WALL_BAND``, and the point converged when its norm is below
+        ``_GNORM_CONVERGED``.
         """
-        iters = 0
-        while True:
-            u, f, g, k = _bfgs(objective, u, config.max_iters - iters, config.tol, walls, start)
-            iters += k
-            if walls is not None:  # a search stopped just inside a wall is judged on it
-                g = -_along(-g, _wall(engine, config, u, _WALL_BAND)[1])
-            shape = _shape(engine, u, g, config)
-            small = float(np.linalg.norm(g)) < _GNORM_CONVERGED
-            if small and not any((value < _FACE and slope > 0) or (value > 1.0 - _FACE and slope < 0)
-                                 for _, value, slope in shape):
-                return u, f, g, iters, True
-            probe = _probe(objective, u, f, shape, config) if iters < config.max_iters else None
-            if probe is None:
-                return u, f, g, iters, small
-            u, start = probe
+        u, f, g, iters = _bfgs(objective, u, config.max_iters, config.tol, walls, start)
+        if walls is not None:  # a search stopped just inside a wall is judged on it
+            g = -_along(-g, _wall(engine, config, u, _WALL_BAND)[1])
+        return u, f, g, iters, float(np.linalg.norm(g)) < _GNORM_CONVERGED
 
     walls = (lambda u: _wall(engine, config, u)) if engine.checks_weights else None
     rng = np.random.default_rng(config.seed)
@@ -567,10 +533,10 @@ def fit(series, config: FitConfig) -> FitResult:
             continue
 
         run = descend(u0, fg0)
-        ridge = _ridge_end(run[0], config)
-        fg_ridge = (math.inf, None) if ridge is None else objective(ridge)
-        if math.isfinite(fg_ridge[0]):
-            run = min(run, descend(ridge, fg_ridge), key=lambda r: r[1])
+        restart = _off_face(run[0], run[2], config)
+        fg_restart = (math.inf, None) if restart is None else objective(restart)
+        if math.isfinite(fg_restart[0]):
+            run = min(run, descend(restart, fg_restart), key=lambda r: r[1])
         u_best, f_best, g_best, iters, converged = run
         gnorm = float(np.linalg.norm(g_best))
         record = {

@@ -223,11 +223,22 @@ def _garch_recursion(omega: float, alpha: float, beta: float,
 
 
 def _student_log_norm(nu: float) -> float:
-    """Log normalising constant of the standardized Student-t density."""
-    from scipy.special import gammaln  # imported here: --help and entropy never need it
+    """Log normalising constant of the standardized Student-t density.
 
-    return (gammaln((nu + 1.0) / 2.0) - gammaln(nu / 2.0)
-            - 0.5 * math.log(math.pi * (nu - 2.0)))
+    ln Gamma(x + 1/2) - ln Gamma(x), x = nu/2, is the difference of two
+    numbers near x ln x, which cancels at large nu (an error of 4.8e-3 at
+    nu = 1e13).
+    Above nu = 1e4 it is the series 1/2 ln x - 1/(8x) + 1/(192x^3), within
+    2e-15 of it for nu >= 1e3.
+    """
+    if nu > 1e4:
+        x = nu / 2.0
+        gamma_ratio = 0.5 * math.log(x) - 1.0 / (8.0 * x) + 1.0 / (192.0 * x ** 3)
+    else:
+        from scipy.special import gammaln  # imported here: --help and entropy never need it
+
+        gamma_ratio = gammaln((nu + 1.0) / 2.0) - gammaln(nu / 2.0)
+    return gamma_ratio - 0.5 * math.log(math.pi * (nu - 2.0))
 
 
 def student_logpdf(z: np.ndarray | float, nu: float) -> np.ndarray | float:

@@ -37,7 +37,7 @@ from volentropy.estimation import (
     _covariance_from_hessian,
     _jacobian,
     _make_engine,
-    _shape,
+    _off_face,
     _unconstrained_hessian,
     _unconstrained_score,
     _wall,
@@ -438,22 +438,43 @@ def test_figarch_fit_stopped_just_inside_a_weight_wall_is_converged():
     assert res.loglik == pytest.approx(12942.375779999227, rel=1e-12, abs=0.0)
 
 
-def test_shape_reads_slopes_in_theta_and_the_engine_where_alpha_underflowed():
-    true = ParamVector(1e-6, 0.2, 0.5, d=0.6, nu=8.0)
-    series, _ = simulate_path(SimConfig(FIGARCH, true, n=1000, seed=1))
+def test_off_face_restarts_a_search_stopped_on_a_face_whose_slope_points_inside():
     config = FitConfig(FIGARCH)
-    engine = _make_engine(series.returns, config)
-    u = transform_to_unconstrained(true, FIGARCH)
-    r = np.array([0.0, -3e-4, 0.0, 1e-4, 0.0])
-    index, value, slope = zip(*_shape(engine, u, r, config))
-    assert index == (1, 3)
-    assert_allclose(value, [0.2, 0.6], rtol=1e-12)
-    assert_allclose(slope, [3e-4 / 0.2, -1e-4 / 0.24], rtol=1e-12)
-    u[1] = -800.0  # alpha = 0.0: the slope comes from the score in theta
-    params = transform_from_unconstrained(u, FIGARCH, "student")
-    grad = engine.score(params)[1] / series.returns.size
-    assert _shape(engine, u, r, config) == [(1, 0.0, grad[1]), (3, params.d, grad[3])]
-    assert _shape(engine, u, r, FitConfig(GARCH)) == []
+    at = lambda **kw: transform_to_unconstrained(
+        ParamVector(1e-6, 0.2, 0.5, d=0.6, nu=8.0).with_(**kw), FIGARCH)
+    g = np.zeros(5)
+    assert _off_face(at(), g, config) is None  # interior
+    u = at(alpha=1e-4)
+    slope = estimation._GNORM_CONVERGED * 1e-4  # the bound, as d objective / du
+    for g1, expected in ((-1.01 * slope, True), (-0.99 * slope, False), (slope, False)):
+        g[1] = g1  # the objective falls as alpha grows only when g[1] < 0
+        restart = _off_face(u, g, config)
+        assert (restart is not None) is expected
+        if expected:
+            assert_allclose(restart, np.r_[u[0], math.log(estimation._ALPHA0), u[2:]], rtol=1e-15)
+
+    u, g = at(d=1.0 - 1e-4), np.zeros(5)
+    g[3] = 1e-7  # the objective falls as d shrinks; the map's slope is about 1e-4
+    restart = _off_face(u, g, config)
+    assert_allclose(restart, np.r_[u[:3], 0.0, u[4]], atol=1e-15)  # d = _D0 = 0.5
+    assert _off_face(u, -g, config) is None
+
+    u, g = at(), np.zeros(5)
+    u[1] = -800.0  # alpha underflowed to 0.0: its map's slope is 0, so it restarts
+    assert transform_from_unconstrained(u, FIGARCH, "student").alpha == 0.0
+    assert _off_face(u, g, config)[1] == math.log(estimation._ALPHA0)
+
+    igarch = ParamVector(2e-6, 1e-5, 0.6, d=1.0, nu=8.0)
+    end = _off_face(transform_to_unconstrained(igarch, IGARCH), np.ones(4), FitConfig(IGARCH))
+    q = transform_from_unconstrained(end, IGARCH, "student")
+    assert q.alpha == pytest.approx(estimation._ALPHA0, rel=1e-15)
+    assert q.beta == pytest.approx(1.0 - estimation._RIDGE_GAP, rel=1e-15)
+    assert q.omega / (1.0 - q.beta) == pytest.approx(igarch.omega / (1.0 - igarch.beta), rel=1e-6)
+    assert _off_face(transform_to_unconstrained(igarch.with_(alpha=0.1), IGARCH),
+                     np.ones(4), FitConfig(IGARCH)) is None
+
+    garch = transform_to_unconstrained(ParamVector(1e-6, 1e-5, 0.9, nu=8.0), GARCH)
+    assert _off_face(garch, -np.ones(4), FitConfig(GARCH)) is None
 
 
 def test_fit_at_an_underflowed_optimum_returns_without_standard_errors(monkeypatch):
@@ -464,7 +485,6 @@ def test_fit_at_an_underflowed_optimum_returns_without_standard_errors(monkeypat
         return x, fun(x)[0], np.zeros(x.size), 7
 
     monkeypatch.setattr(estimation, "_bfgs", optimum_on_the_boundary)
-    monkeypatch.setattr(estimation, "_shape", lambda *args: [])  # no face to probe
     true = ParamVector(1e-6, 0.2, 0.5, d=0.6, nu=8.0)
     series, _ = simulate_path(SimConfig(FIGARCH, true, n=1000, seed=1))
     res = fit(series, FitConfig(FIGARCH, restarts=0))
@@ -472,6 +492,15 @@ def test_fit_at_an_underflowed_optimum_returns_without_standard_errors(monkeypat
     assert res.stderr is None and res.pvalues is None and res.cov is None
     assert res.diagnostics["hessian_pd"] is False
     assert math.isfinite(res.loglik)
+
+
+def test_student_fit_of_gaussian_data_converges_to_the_gaussian_fit():
+    # nu climbed to 1.6e15 on the rounding of the Student-t normaliser
+    series, _ = simulate_path(SimConfig(GARCH, ParamVector(1e-5, 0.08, 0.9), n=1500, seed=633))
+    res = fit(series, FitConfig(GARCH))
+    assert res.converged and res.diagnostics["near_gaussian"]
+    gaussian = fit(series, FitConfig(GARCH, innovation="gaussian"))
+    assert res.loglik == pytest.approx(gaussian.loglik, abs=1e-3)
 
 
 def test_fit_recovers_garch_roughly_at_small_n():

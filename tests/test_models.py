@@ -556,6 +556,12 @@ def test_student_tends_to_gaussian_for_large_nu():
     assert abs(ll_t - ll_gauss) < 1e-3
 
 
+def test_student_logpdf_at_huge_nu_is_the_standard_normal():
+    # ln Gamma((nu+1)/2) - ln Gamma(nu/2) as a difference of gammaln cancels there
+    z = np.linspace(-6.0, 6.0, 25)
+    assert_allclose(student_logpdf(z, 1e15), scipy.stats.norm.logpdf(z), rtol=0.0, atol=1e-12)
+
+
 def test_student_density_integrates_to_one_on_finite_range():
     mass, _ = quad(lambda z: math.exp(student_logpdf(z, 5.0)), -50.0, 50.0)
     assert mass == pytest.approx(1.0, abs=1e-6)
