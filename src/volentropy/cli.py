@@ -183,6 +183,8 @@ def cmd_fit(args) -> int:
         raise DomainError("at least one family is required")
 
     if args.d_fixed is not None:
+        if ModelFamily.FIGARCH not in families:
+            raise DomainError("--d-fixed applies only to --family figarch")
         if args.d_fixed >= 1.0:
             raise DomainError(
                 "--d-fixed 1 selects the integrated boundary; request --family igarch instead")

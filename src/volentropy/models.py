@@ -18,6 +18,10 @@ form under the shared backcast convention.
 Innovations are demeaned returns, :math:`e_t = y_t - \\bar y`; pre-sample
 :math:`e^2` values are backcast with the sample mean of the squared demeaned
 returns.
+
+:class:`_Likelihood` is the one place a conditional-variance path becomes a
+log-likelihood: :func:`variance_path`, :func:`log_likelihood` and every fit
+evaluate through it.
 """
 
 from __future__ import annotations
@@ -233,7 +237,8 @@ def _student_log_norm(nu: float) -> float:
     """
     if nu > 1e4:
         x = nu / 2.0
-        gamma_ratio = 0.5 * math.log(x) - 1.0 / (8.0 * x) + 1.0 / (192.0 * x ** 3)
+        # x * x * x, not x ** 3: a float ** raises OverflowError above nu ~ 1e103
+        gamma_ratio = 0.5 * math.log(x) - 1.0 / (8.0 * x) + 1.0 / (192.0 * x * x * x)
     else:
         from scipy.special import gammaln  # imported here: --help and entropy never need it
 
@@ -246,26 +251,14 @@ def student_logpdf(z: np.ndarray | float, nu: float) -> np.ndarray | float:
 
     This is the innovation density used by the Student-t likelihood: a
     classical :math:`t_\\nu` variate rescaled by :math:`\\sqrt{(\\nu-2)/\\nu}`
-    so that its variance is exactly 1 for every ``nu > 2``.
+    so that its variance is exactly 1 for every ``nu > 2``.  A ``nu`` that is
+    not finite or not above 2 raises :class:`DomainError`.
     """
-    if not nu > 2:
-        raise DomainError(f"nu must exceed 2, got {nu}")
+    if not 2 < nu < math.inf:
+        raise DomainError(f"nu must be finite and exceed 2, got {nu}")
     z = np.asarray(z, dtype=float)
     out = _student_log_norm(nu) - ((nu + 1.0) / 2.0) * np.log1p(z * z / (nu - 2.0))
     return out if out.ndim else float(out)
-
-
-def _loglik_from_path(sigma2: np.ndarray, e2: np.ndarray, nu: float | None) -> float:
-    n = e2.size
-    if nu is None:
-        ll = -0.5 * (n * math.log(2.0 * math.pi)
-                     + np.log(sigma2).sum()
-                     + (e2 / sigma2).sum())
-    else:
-        ll = (n * _student_log_norm(nu)
-              - 0.5 * np.log(sigma2).sum()
-              - ((nu + 1.0) / 2.0) * np.log1p(e2 / ((nu - 2.0) * sigma2)).sum())
-    return float(ll)
 
 
 class _Likelihood:
@@ -383,7 +376,16 @@ class _Likelihood:
                 f"non-positive conditional variance encountered (min sigma2 = {worst:.3e})"
             )
 
-        ll = _loglik_from_path(sig2, self.e2, params.nu)
+        nu, e2 = params.nu, self.e2
+        if nu is None:
+            ll = -0.5 * (self.n * math.log(2.0 * math.pi)
+                         + np.log(sig2).sum()
+                         + (e2 / sig2).sum())
+        else:
+            ll = (self.n * _student_log_norm(nu)
+                  - 0.5 * np.log(sig2).sum()
+                  - ((nu + 1.0) / 2.0) * np.log1p(e2 / ((nu - 2.0) * sig2)).sum())
+        ll = float(ll)
         if not math.isfinite(ll):
             raise DataQualityError("log-likelihood is not finite on this series")
         return VariancePath(sigma2=sig2, loglik=ll)

@@ -2,7 +2,8 @@
 
 The simulator is the independent oracle behind the estimation tests: it
 draws i.i.d. standardized innovations, builds conditional variances with the
-same recursions the likelihood uses, and emits ``e_t = z_t * sigma_t``.
+same recursions the likelihood uses, and emits ``e_t = z_t * sigma_t`` with
+those variances.  It evaluates no likelihood; :mod:`volentropy.models` does.
 Everything is a pure function of the config, including the seed.
 """
 
@@ -16,13 +17,7 @@ import numpy as np
 
 from .config import DEFAULT_BURN_IN, DEFAULT_TRUNCATION, ModelFamily
 from .errors import AutocorrUndefinedError, DomainError, InfeasibleParamsError, _integer
-from .models import (
-    ParamVector,
-    VariancePath,
-    _loglik_from_path,
-    frac_weights,
-    validate_params,
-)
+from .models import ParamVector, frac_weights, validate_params
 from .series import ReturnSeries, _as_returns
 
 __all__ = ["SimConfig", "simulate_path", "squared_autocorr"]
@@ -98,10 +93,10 @@ def _simulate_arch_inf(p: ParamVector, z: np.ndarray, T: int) -> tuple[np.ndarra
     return e, sig2
 
 
-def simulate_path(config: SimConfig) -> tuple[ReturnSeries, VariancePath]:
-    """Simulate a return path plus its conditional-variance path.
+def simulate_path(config: SimConfig) -> tuple[ReturnSeries, np.ndarray]:
+    """Simulate a return path plus its conditional variances ``sigma2``.
 
-    The first ``burn_in`` observations are discarded.  Output dates are
+    The first ``burn_in`` observations of both are discarded.  Output dates are
     synthetic consecutive days so the series round-trips through the file
     loaders.  Identical configs (including seed) give identical output.
     """
@@ -116,8 +111,6 @@ def simulate_path(config: SimConfig) -> tuple[ReturnSeries, VariancePath]:
         e, sig2 = _simulate_arch_inf(p, z, config.T)
 
     e, sig2 = e[config.burn_in:], sig2[config.burn_in:]
-    loglik = _loglik_from_path(sig2, e * e, p.nu)
-
     dates = tuple(_EPOCH + dt.timedelta(days=i) for i in range(config.n))
     series = ReturnSeries(
         id=f"sim-{config.family.value}",
@@ -125,7 +118,7 @@ def simulate_path(config: SimConfig) -> tuple[ReturnSeries, VariancePath]:
         returns=e,
         source=f"simulated(family={config.family.value}, n={config.n}, seed={config.seed})",
     )
-    return series, VariancePath(sigma2=sig2, loglik=loglik)
+    return series, sig2
 
 
 def squared_autocorr(returns, max_lag: int, include_lag0: bool = False) -> np.ndarray:

@@ -177,6 +177,16 @@ def test_fit_d_fixed_boundary_suggests_family(sim_file):
     assert "--family garch" in proc.stderr
 
 
+@pytest.mark.parametrize("family,d_fixed", [("garch", "0.5"), ("garch", "0"),
+                                             ("garch,igarch", "1")])
+def test_fit_d_fixed_without_figarch_exits_1(sim_file, family, d_fixed):
+    proc = run("fit", "--input", str(sim_file), "--returns",
+               "--family", family, "--d-fixed", d_fixed)
+    assert proc.returncode == 1
+    assert "--d-fixed applies only to --family figarch" in proc.stderr
+    assert proc.stdout == ""
+
+
 def test_fit_empty_file_exits_1(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text("date,close\n")
@@ -600,12 +610,11 @@ print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 """
 
 
-def test_figarch_and_igarch_simulate_load_no_scipy_signal(tmp_path):
-    """Building the ARCH(inf) weights of a simulation needs no scipy.signal;
-    scipy.special (the Student-t normaliser of the path's log-likelihood) is allowed."""
+def test_figarch_and_igarch_simulate_load_no_scipy(tmp_path):
+    """A FIGARCH-t and an IGARCH simulation load no scipy module: the ARCH(inf)
+    weights need no scipy.signal, and a simulation evaluates no likelihood, so
+    no Student-t normaliser from scipy.special."""
     proc = subprocess.run([sys.executable, "-c", _SIMULATE_PROBE, str(tmp_path / "s.csv")],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    loaded = proc.stdout.splitlines()[-1]
-    for heavy in ("scipy.signal", "scipy.stats", "scipy.fft", "scipy.optimize"):
-        assert f"'{heavy}'" not in loaded, loaded
+    assert proc.stdout.splitlines()[-1] == "[]"

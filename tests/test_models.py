@@ -556,10 +556,30 @@ def test_student_tends_to_gaussian_for_large_nu():
     assert abs(ll_t - ll_gauss) < 1e-3
 
 
-def test_student_logpdf_at_huge_nu_is_the_standard_normal():
-    # ln Gamma((nu+1)/2) - ln Gamma(nu/2) as a difference of gammaln cancels there
+@pytest.mark.parametrize("nu", [1e15, 1e200, 1e300])
+def test_student_logpdf_at_huge_nu_is_the_standard_normal(nu):
+    # ln Gamma((nu+1)/2) - ln Gamma(nu/2) as a difference of gammaln cancels
+    # there, and a float ** in its series overflows above nu ~ 1e103
     z = np.linspace(-6.0, 6.0, 25)
-    assert_allclose(student_logpdf(z, 1e15), scipy.stats.norm.logpdf(z), rtol=0.0, atol=1e-12)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert_allclose(student_logpdf(z, nu), scipy.stats.norm.logpdf(z), rtol=0.0, atol=1e-12)
+
+
+def test_student_loglik_at_huge_nu_is_the_gaussian_loglik():
+    r = rng_returns(n=150, seed=7)
+    p = ParamVector(1e-5, 0.1, 0.7)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ll_t = log_likelihood(GARCH, p.with_(nu=1e200), r)
+    assert ll_t == pytest.approx(log_likelihood(GARCH, p, r), rel=1e-13)
+
+
+def test_student_logpdf_rejects_infinite_nu():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="finite"):
+            student_logpdf(0.0, math.inf)
 
 
 def test_student_density_integrates_to_one_on_finite_range():

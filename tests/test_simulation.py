@@ -50,9 +50,8 @@ def test_same_config_same_seed_is_bit_identical():
     s1, v1 = simulate_path(cfg)
     s2, v2 = simulate_path(cfg)
     assert np.array_equal(s1.returns, s2.returns)
-    assert np.array_equal(v1.sigma2, v2.sigma2)
+    assert np.array_equal(v1, v2)
     assert s1.dates == s2.dates
-    assert v1.loglik == v2.loglik
 
 
 def test_different_seeds_give_different_paths():
@@ -65,8 +64,8 @@ def test_different_seeds_give_different_paths():
 # --------------------------------------------------------------- moment checks
 
 def test_iid_case_has_unit_variance(iid_path):
-    series, vpath = iid_path
-    assert np.all(vpath.sigma2 == 1.0)
+    series, sigma2 = iid_path
+    assert np.all(sigma2 == 1.0)
     assert 0.97 <= float(series.returns.var()) <= 1.03
 
 
@@ -78,17 +77,17 @@ def test_garch_matches_unconditional_variance():
 
 
 def test_gaussian_standardized_residuals_have_normal_kurtosis():
-    series, vpath = simulate_path(
+    series, sigma2 = simulate_path(
         SimConfig(GARCH, ParamVector(1e-6, 0.08, 0.91), n=1_000_000, seed=2))
-    z = series.returns / np.sqrt(vpath.sigma2)
+    z = series.returns / np.sqrt(sigma2)
     assert 2.9 <= float(stats.kurtosis(z, fisher=False)) <= 3.1
 
 
 def test_student_standardized_residuals_match_t8_moments():
     # standardized t_8 has variance 1 and kurtosis 3 + 6/(nu-4) = 4.5
-    series, vpath = simulate_path(
+    series, sigma2 = simulate_path(
         SimConfig(GARCH, ParamVector(1e-6, 0.08, 0.91, nu=8.0), n=1_000_000, seed=3))
-    z = series.returns / np.sqrt(vpath.sigma2)
+    z = series.returns / np.sqrt(sigma2)
     assert 0.97 <= float(z.var()) <= 1.03
     assert 3.8 <= float(stats.kurtosis(z, fisher=False)) <= 5.5
 
@@ -117,11 +116,10 @@ def test_burn_in_discards_exactly_the_prefix(family, params):
 
 def test_output_lengths_dates_and_metadata():
     cfg = SimConfig(GARCH, ParamVector(1e-5, 0.1, 0.7), n=64, seed=5)
-    series, vpath = simulate_path(cfg)
+    series, sigma2 = simulate_path(cfg)
     assert len(series) == 64
-    assert vpath.sigma2.shape == (64,)
-    assert np.all(vpath.sigma2 > 0)
-    assert np.isfinite(vpath.loglik)
+    assert sigma2.shape == (64,)
+    assert np.all(sigma2 > 0)
     assert len(set(series.dates)) == 64
     assert all(b > a for a, b in zip(series.dates, series.dates[1:]))
     assert series.id == "sim-garch"
