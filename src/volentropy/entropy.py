@@ -6,13 +6,13 @@ cell width) is applied, so the values are nonnegative and bounded by ``ln m``
 for ``m`` cells.
 
 Binning writes out numpy's histogram rule for ``m`` equal bins over
-``(min, max)``, so that a matrix of samples (one per row, such as rolling
-windows) is binned at once with numpy's edges and counts bit for bit:
-edges ``linspace(lo, hi, m + 1)``; cell ``int((x - lo) / (hi - lo) * m)``
-with the maximum kept in the last cell; a one-ulp correction against the
-edges (a value below its cell's left edge moves down, one at or above its
-right edge moves up unless its cell is the last); counts by ``bincount``.
-Every binned row passes the :class:`Histogram` invariants.
+``(min, max)``, with numpy's edges and counts bit for bit: edges
+``linspace(lo, hi, m + 1)``; cell ``int((x - lo) / (hi - lo) * m)`` with the
+maximum kept in the last cell; a one-ulp correction against the edges (a value
+below its cell's left edge moves down, one at or above its right edge moves up
+unless its cell is the last); counts by ``bincount``.  One sample is binned as
+a vector, a matrix of samples (one per row, such as rolling windows) in blocks
+of rows, and every histogram passes the :class:`Histogram` invariants.
 
 All entropies of one histogram come out of one block over the occupied-cell
 probabilities ``p``: ``log p`` once, then the Renyi orders and the Tsallis
@@ -75,17 +75,17 @@ class FiniteVarianceWarning(UserWarning):
 
 
 def _check_cells(edges: np.ndarray, probs: np.ndarray) -> None:
-    """The :class:`Histogram` invariants, checked on every row at once."""
-    widths = edges[:, 1:] - edges[:, :-1]
+    """The :class:`Histogram` invariants along the last axis: of one histogram, or of every row."""
+    widths = edges[..., 1:] - edges[..., :-1]
     if not (widths > 0).all():
         raise DomainError("edges must be strictly increasing")
-    mean_width = widths.sum(axis=1) / widths.shape[1]
-    if (np.abs(widths - mean_width[:, None]).max(axis=1)
+    mean_width = widths.sum(axis=-1) / widths.shape[-1]
+    if (np.abs(widths - mean_width[..., None]).max(axis=-1)
             > _EQUIDISTANT_RTOL * mean_width).any():
         raise DomainError("cells must be equidistant")
     if (probs < 0).any():
         raise DomainError("cell probabilities must be nonnegative")
-    total = probs.sum(axis=1)
+    total = probs.sum(axis=-1)
     off = np.abs(total - 1.0) > 1e-12
     if off.any():
         raise DomainError(f"cell probabilities must sum to 1, got {total[off][0]!r}")
@@ -119,7 +119,7 @@ class Histogram:
             raise DomainError(
                 f"counts and probs must have length {m} to match {m + 1} edges"
             )
-        _check_cells(edges[None, :], probs[None, :])
+        _check_cells(edges, probs)
 
     @property
     def m(self) -> int:
@@ -163,6 +163,32 @@ class EntropyReport:
 
 # ------------------------------------------------------------------- binning
 
+def _unbinnable(lo: float, hi: float, n: int, row: int) -> DomainError | DegenerateSupportError:
+    """The error of a support [lo, hi] of ``n`` values with no room for cells."""
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        return DomainError("sample contains non-finite values")
+    if lo == hi:
+        return DegenerateSupportError(
+            f"all {n} observations equal {lo!r}; histogram support has zero width", row)
+    return DegenerateSupportError(
+        f"support [{lo!r}, {hi!r}] is too wide: its width overflows a double", row)
+
+
+def _bin_one(x: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Edges, counts and probabilities of one sample vector, binned as :func:`_bin` bins a row."""
+    lo, hi = float(x.min()), float(x.max())
+    width = hi - lo
+    if not 0.0 < width < math.inf:
+        raise _unbinnable(lo, hi, x.size, 0)
+    edges = np.arange(m + 1.0) * (width / m) + lo
+    edges[-1] = hi
+    cell = np.minimum(((x - lo) / width * m).astype(np.intp), m - 1)
+    cell -= x < edges[cell]
+    cell += (x >= edges[cell + 1]) & (cell != m - 1)
+    counts = np.bincount(cell, minlength=m)
+    return edges, counts, counts / x.size
+
+
 def _bin(x: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Edges, counts and probabilities of each row of a sample matrix.
 
@@ -179,14 +205,7 @@ def _bin(x: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     binnable = (width > 0.0) & (width < math.inf)
     if not binnable.all():
         i = int(np.argmin(binnable))
-        lo_i, hi_i = float(lo[i]), float(hi[i])
-        if not (math.isfinite(lo_i) and math.isfinite(hi_i)):
-            raise DomainError("sample contains non-finite values")
-        if lo_i == hi_i:
-            raise DegenerateSupportError(
-                f"all {n} observations equal {lo_i!r}; histogram support has zero width", i)
-        raise DegenerateSupportError(
-            f"support [{lo_i!r}, {hi_i!r}] is too wide: its width overflows a double", i)
+        raise _unbinnable(float(lo[i]), float(hi[i]), n, i)
 
     # np.linspace(lo, hi, m + 1) of each row, as linspace computes it
     edges = np.arange(m + 1.0) * (width / m)[:, None] + lo[:, None]
@@ -212,6 +231,15 @@ def _too_narrow(m: int, exc: DomainError) -> DegenerateSupportError:
         f"support is too narrow for {m} equal cells at the magnitude of its values ({exc})")
 
 
+def _histogram(x: np.ndarray, m: int) -> Histogram:
+    """The histogram of a validated return vector in ``m`` cells."""
+    edges, counts, probs = _bin_one(x, m)
+    try:
+        return Histogram(edges=edges, counts=counts, probs=probs)
+    except DomainError as exc:
+        raise _too_narrow(m, exc) from exc
+
+
 def build_histogram(returns, m: int) -> Histogram:
     """Bin a sample into ``m`` equidistant cells spanning [min, max].
 
@@ -221,12 +249,7 @@ def build_histogram(returns, m: int) -> Histogram:
     distinct equal cells, raises :class:`DegenerateSupportError`.
     """
     x = _as_returns(returns)
-    m = _integer(m, "bin count")
-    edges, counts, probs = _bin(x[None, :], m)
-    try:
-        return Histogram(edges=edges[0], counts=counts[0], probs=probs[0])
-    except DomainError as exc:
-        raise _too_narrow(m, exc) from exc
+    return _histogram(x, _integer(m, "bin count"))
 
 
 # --------------------------------------------------------------------- block
@@ -234,6 +257,7 @@ def build_histogram(returns, m: int) -> Histogram:
 class _Orders(NamedTuple):
     """A validated grid of Renyi orders or Tsallis indices."""
 
+    values: tuple             # the orders as floats
     column: np.ndarray        # the orders as a (k, 1) column
     denominator: np.ndarray   # 1 - alpha or q - 1; 1 on the Shannon rows
     shannon: tuple            # rows within _ONE_TOL of 1: report the Shannon value
@@ -268,7 +292,8 @@ def _orders(grid: tuple, tsallis: bool) -> _Orders:
     denominator = np.array(denominator)
     column.flags.writeable = denominator.flags.writeable = False
     overflow = not tsallis and any(v > _OVERFLOW_ORDER for v in grid)
-    return _Orders(column, denominator, tuple(shannon), tuple(exact), overflow)
+    return _Orders(tuple(column[:, 0].tolist()), column, denominator, tuple(shannon),
+                   tuple(exact), overflow)
 
 
 _NONE = _orders((), tsallis=False)
@@ -350,19 +375,12 @@ def tsallis(h: Histogram, q: float) -> float:
 
 # ------------------------------------------------------------------- reports
 
-def _reports(x: np.ndarray, m: int | None, alpha_grid, q_grid,
-             stacklevel: int = 2) -> tuple[EntropyReport, ...]:
-    """:func:`entropy_report` of each row of a 2-D sample matrix.
-
-    Each row, such as one rolling window of a series, gets its own histogram
-    over its own range; ``m`` defaults to ceil(sqrt(row length)).  A row
-    of zero or overflowing width raises :class:`DegenerateSupportError`
-    with its index in ``x``.  ``stacklevel`` is that of the
-    :class:`FiniteVarianceWarning`, counted from here: 2 points at the caller.
-    """
+def _grids(n: int, m: int | None, alpha_grid, q_grid,
+           stacklevel: int) -> tuple[int, _Orders, _Orders]:
+    """Bin count (ceil(sqrt(n)) by default) and order grids of reports on ``n``-value samples;
+    each Tsallis index outside [1, 5/3) warns at ``stacklevel``, counted from here."""
     if len(alpha_grid) == 0 or len(q_grid) == 0:
         raise DomainError("order grids must be nonempty")
-    n = x.shape[1]
     m = _integer(math.ceil(math.sqrt(n)) if m is None else m, "bin count")
     alphas = _orders(tuple(alpha_grid), tsallis=False)
     qs = _orders(tuple(q_grid), tsallis=True)
@@ -374,8 +392,30 @@ def _reports(x: np.ndarray, m: int | None, alpha_grid, q_grid,
                 FiniteVarianceWarning,
                 stacklevel=stacklevel,
             )
-    alpha_list, q_list = alphas.column[:, 0].tolist(), qs.column[:, 0].tolist()
+    return m, alphas, qs
 
+
+def _report(probs: np.ndarray, n: int, empty: int, width: float,
+            alphas: _Orders, qs: _Orders) -> EntropyReport:
+    """The report of a histogram's ``probs``, its empty cells and its cell width."""
+    s, r, t = _block(probs[probs > 0.0], alphas, qs)
+    return EntropyReport(shannon=s, renyi=tuple(zip(alphas.values, r.tolist())),
+                         tsallis=tuple(zip(qs.values, t.tolist())), bins=probs.size,
+                         n_obs=n, empty_cells=empty, cell_width=width)
+
+
+def _reports(x: np.ndarray, m: int | None, alpha_grid, q_grid,
+             stacklevel: int = 2) -> tuple[EntropyReport, ...]:
+    """:func:`entropy_report` of each row of a 2-D sample matrix.
+
+    Each row, such as one rolling window of a series, gets its own histogram
+    over its own range; ``m`` defaults to ceil(sqrt(row length)).  A row
+    of zero or overflowing width raises :class:`DegenerateSupportError`
+    with its index in ``x``.  ``stacklevel`` is that of the
+    :class:`FiniteVarianceWarning`, counted from here: 2 points at the caller.
+    """
+    n = x.shape[1]
+    m, alphas, qs = _grids(n, m, alpha_grid, q_grid, stacklevel + 1)
     out = []
     per_block = max(1, _BLOCK_VALUES // n)
     for first in range(0, x.shape[0], per_block):
@@ -389,17 +429,7 @@ def _reports(x: np.ndarray, m: int | None, alpha_grid, q_grid,
             raise _too_narrow(m, exc) from exc
         empty = (counts == 0).sum(axis=1).tolist()
         width = ((edges[:, -1] - edges[:, 0]) / m).tolist()
-        for i, row in enumerate(probs):
-            s, r, t = _block(row[row > 0.0], alphas, qs)
-            out.append(EntropyReport(
-                shannon=s,
-                renyi=tuple(zip(alpha_list, r.tolist())),
-                tsallis=tuple(zip(q_list, t.tolist())),
-                bins=m,
-                n_obs=n,
-                empty_cells=empty[i],
-                cell_width=width[i],
-            ))
+        out.extend(_report(p, n, e, w, alphas, qs) for p, e, w in zip(probs, empty, width))
     return tuple(out)
 
 
@@ -412,4 +442,8 @@ def entropy_report(returns, m: int | None = None,
     defaults to ceil(sqrt(n)).  Tsallis indices outside [1, 5/3) emit
     :class:`FiniteVarianceWarning` but are still evaluated.
     """
-    return _reports(_as_returns(returns)[None, :], m, alpha_grid, q_grid, stacklevel=3)[0]
+    x = _as_returns(returns)
+    m, alphas, qs = _grids(x.size, m, alpha_grid, q_grid, stacklevel=3)
+    h = _histogram(x, m)
+    return _report(h.probs, x.size, m - int(np.count_nonzero(h.counts)),
+                   float(h.edges[-1] - h.edges[0]) / m, alphas, qs)

@@ -243,7 +243,12 @@ def _student_log_norm(nu: float) -> float:
         from scipy.special import gammaln  # imported here: --help and entropy never need it
 
         gamma_ratio = gammaln((nu + 1.0) / 2.0) - gammaln(nu / 2.0)
-    return gamma_ratio - 0.5 * math.log(math.pi * (nu - 2.0))
+    scale = math.pi * (nu - 2.0)
+    if scale == math.inf:
+        # the product overflows above nu ~ 5.7e307, where (nu - 2)/2 equals the
+        # series' x: its ln x cancels but for the rounding of one sum
+        return gamma_ratio - 0.5 * (math.log(2.0 * math.pi) + math.log((nu - 2.0) / 2.0))
+    return gamma_ratio - 0.5 * math.log(scale)
 
 
 def student_logpdf(z: np.ndarray | float, nu: float) -> np.ndarray | float:
@@ -482,9 +487,13 @@ class _Likelihood:
             H[0, k] = H[k, 0] = inv * float(m.sum())
             H[1:k, k] = H[k, 1:k] = s @ m
             trigamma = polygamma(1, [(nu + 1.0) / 2.0, nu / 2.0])
-            H[k, k] = (self.n * (0.25 * (trigamma[0] - trigamma[1]) + 0.5 / (nu - 2.0) ** 2)
-                       + (0.5 / (nu - 2.0) - 1.5 / (nu - 2.0) ** 2) * float(w.sum())
-                       - (nu + 1.0) / (2.0 * (nu - 2.0) ** 2) * float(v.sum()))
+            try:
+                sq = (nu - 2.0) ** 2
+            except OverflowError:  # nu above ~1.3e154: each 1/(nu-2)^2 term is 0
+                sq = math.inf
+            H[k, k] = (self.n * (0.25 * (trigamma[0] - trigamma[1]) + 0.5 / sq)
+                       + (0.5 / (nu - 2.0) - 1.5 / sq) * float(w.sum())
+                       - (nu + 1.0) / (2.0 * sq) * float(v.sum()))
         return vp.loglik, np.array(grad), H
 
     def _garch_derivatives(self, params: ParamVector, sig2: np.ndarray, g: np.ndarray,

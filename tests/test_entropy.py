@@ -228,6 +228,22 @@ def test_matrix_binning_equals_numpy_histogram_row_by_row(data):
         _assert_bins_like_numpy(row, m, binned)
 
 
+@settings(max_examples=300, deadline=None)
+@given(binnable_samples())
+def test_report_of_a_sample_equals_the_report_of_its_matrix_row(sample):
+    # a sample is binned as a vector, a matrix row by row: both give the same
+    # report, or the same error
+    x, m = sample
+    outcomes = []
+    for report in (lambda: entropy_report(x, m=m),
+                   lambda: _reports(x[None, :], m, DEFAULT_ORDER_GRID, DEFAULT_ORDER_GRID)[0]):
+        try:
+            outcomes.append(repr(report()))  # repr: the field types too
+        except (DomainError, DegenerateSupportError) as exc:
+            outcomes.append((type(exc), str(exc), getattr(exc, "row", None)))
+    assert outcomes[0] == outcomes[1]
+
+
 _ORDERS = st.one_of(
     st.sampled_from([0.5, 1.0, 1.0 - _ONE_TOL / 2, 1.0 + _ONE_TOL / 2, 1.0 + 1e-6,
                      1.4, 1.45, 2.0, 3.0]),

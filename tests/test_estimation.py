@@ -22,6 +22,7 @@ from volentropy import (
     VolentropyError,
     ParamVector,
     SimConfig,
+    StdErrReport,
     fit,
     log_likelihood,
     param_names,
@@ -808,6 +809,22 @@ def test_standard_errors_at_a_boundary_optimum_are_finite_or_flagged(config):
         rep = standard_errors(res.params, series, config)
     if rep.hessian_pd:
         assert all(math.isfinite(v) and v > 0 for v in rep.stderr.values())
+    else:
+        assert rep.stderr is None and rep.cov is None
+
+
+@pytest.mark.parametrize("nu", [1e155, 1e300])
+def test_standard_errors_at_huge_nu_end_in_a_report(nu):
+    # the Hessian's nu-nu entry squares nu - 2, and a float ** raises
+    # OverflowError above nu ~ 1.3e154; each 1/(nu - 2)^2 term is 0 there
+    r = 0.01 * np.random.default_rng(0).standard_normal(500)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = standard_errors(ParamVector(1e-5, 0.1, 0.7, nu=nu), r,
+                              FitConfig(GARCH, innovation="student"))
+    assert isinstance(rep, StdErrReport)
+    if rep.hessian_pd:
+        assert all(math.isfinite(v) for v in rep.stderr.values())
     else:
         assert rep.stderr is None and rep.cov is None
 

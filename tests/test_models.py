@@ -1,4 +1,5 @@
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -556,10 +557,11 @@ def test_student_tends_to_gaussian_for_large_nu():
     assert abs(ll_t - ll_gauss) < 1e-3
 
 
-@pytest.mark.parametrize("nu", [1e15, 1e200, 1e300])
+@pytest.mark.parametrize("nu", [1e15, 1e200, 1e300, 1e308, sys.float_info.max])
 def test_student_logpdf_at_huge_nu_is_the_standard_normal(nu):
     # ln Gamma((nu+1)/2) - ln Gamma(nu/2) as a difference of gammaln cancels
-    # there, and a float ** in its series overflows above nu ~ 1e103
+    # there, a float ** in its series overflows above nu ~ 1e103, and
+    # pi * (nu - 2) above nu ~ 5.7e307
     z = np.linspace(-6.0, 6.0, 25)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -573,6 +575,15 @@ def test_student_loglik_at_huge_nu_is_the_gaussian_loglik():
         warnings.simplefilter("error")
         ll_t = log_likelihood(GARCH, p.with_(nu=1e200), r)
     assert ll_t == pytest.approx(log_likelihood(GARCH, p, r), rel=1e-13)
+
+
+def test_student_loglik_at_the_largest_nu_is_the_gaussian_loglik():
+    r = rng_returns(n=150, seed=7)
+    p = ParamVector(1e-5, 0.1, 0.7)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ll_t = log_likelihood(GARCH, p.with_(nu=1e308), r)
+    assert ll_t == pytest.approx(log_likelihood(GARCH, p, r), rel=1e-14)
 
 
 def test_student_logpdf_rejects_infinite_nu():
