@@ -74,21 +74,29 @@ class FiniteVarianceWarning(UserWarning):
     """A Tsallis index lies outside [1, 5/3), the finite-variance window."""
 
 
+@np.errstate(over="ignore", invalid="ignore")  # not finite: fails a test below
 def _check_cells(edges: np.ndarray, probs: np.ndarray) -> None:
-    """The :class:`Histogram` invariants along the last axis: of one histogram, or of every row."""
+    """The :class:`Histogram` invariants along the last axis: of one histogram, or of every row.
+
+    Each test fails on NaN (``min`` carries it, and every comparison with it
+    is false), and a span that is not finite, from an infinite edge or
+    widths whose sum overflows, is named before the cells' equidistance.
+    """
     widths = edges[..., 1:] - edges[..., :-1]
-    if not (widths > 0).all():
+    if not widths.min() > 0:
         raise DomainError("edges must be strictly increasing")
     mean_width = widths.sum(axis=-1) / widths.shape[-1]
-    if (np.abs(widths - mean_width[..., None]).max(axis=-1)
-            > _EQUIDISTANT_RTOL * mean_width).any():
-        raise DomainError("cells must be equidistant")
-    if (probs < 0).any():
+    finite = mean_width < math.inf
+    if not ((np.abs(widths - mean_width[..., None]).max(axis=-1)
+             <= _EQUIDISTANT_RTOL * mean_width) & finite).all():
+        raise DomainError("cells must be equidistant" if finite.all()
+                          else "edges must span a finite width")
+    if not probs.min() >= 0:
         raise DomainError("cell probabilities must be nonnegative")
     total = probs.sum(axis=-1)
-    off = np.abs(total - 1.0) > 1e-12
-    if off.any():
-        raise DomainError(f"cell probabilities must sum to 1, got {total[off][0]!r}")
+    close = abs(total - 1.0) <= 1e-12
+    if not close.all():
+        raise DomainError(f"cell probabilities must sum to 1, got {total[~close][0]!r}")
 
 
 @dataclass(frozen=True)

@@ -6,12 +6,14 @@ ones, a softmax-style map enforcing ``alpha + beta < 1`` for GARCH).  Each
 fit runs BFGS on the exact score, with a line search that halves any step
 landing on a rejected point, multistarted from jittered warm starts.  Two
 features of these models need more than that.  FIGARCH's lambda_j >= 0
-walls: a rejected point is moved back onto its wall and the search slides
-along it.  And the faces alpha -> 0 and d -> 0, 1, where the log and logit
-maps flatten the gradient: a search that stops on one whose slope in theta
-points inside is rerun from the warm start's alpha or d, and an IGARCH
-search that stops on its alpha = 0 face, flat along omega/(1-beta), from
-that face's beta -> 1 end (`_off_face`); the better run is kept.
+walls: a trial point a wall rejects is moved back onto that wall before
+the likelihood is evaluated, so each trial point is evaluated once, and
+the search slides along the wall.  And the faces alpha -> 0 and d -> 0, 1,
+where the log and logit maps flatten the gradient: a search that stops on
+one whose slope in theta points inside is rerun from the warm start's
+alpha or d, and an IGARCH search that stops on its alpha = 0 face, flat
+along omega/(1-beta), from that face's beta -> 1 end (`_off_face`); the
+better run is kept.
 
 Convergence diagnostics (objective improvement, gradient norms) are defined
 on the *per-observation* (mean) log-likelihood so they are sample-size
@@ -48,6 +50,7 @@ from .errors import (
 )
 from .models import (
     _LAMBDA_TOL,
+    _SMALLEST_NORMAL,
     ParamVector,
     _Likelihood,
     validate_params,
@@ -248,15 +251,16 @@ def _bfgs(fun, x: np.ndarray, max_iters: int, tol: float, wall=None, start=None)
     ``fun(x)`` returns the objective and its gradient, or ``(inf, None)`` at
     a rejected point; a step landing there, or failing the Armijo test, is
     halved (scipy's line searches cannot backtrack from ``inf``).  When
-    given, ``wall(x_new)`` moves a point a wall rejects back onto that wall,
-    and returns it with the normal of the wall it is on, or None.
-    On a wall, steps and the gradient lose their component into it, so the
-    search slides along the wall.  A quasi-Newton step gaining less than
-    ``tol`` is retried as steepest descent; a steepest-descent step gaining
-    less than ``tol`` ends the search, as do ``max_iters`` iterations.
-    ``start`` is ``fun(x)`` when already known.  Returns ``(x, f, r,
-    iterations)``, ``r`` the gradient at ``x`` less its push into the wall
-    ``x`` ends on.
+    given, ``wall(x)`` is asked before ``fun``: it returns the point to
+    evaluate (``x``, or ``x`` moved back onto the wall that rejects it) and
+    the normal of the wall that point is on, or None; ``fun`` is then
+    called once per trial point.  On a wall, steps and the gradient lose
+    their component into it, so the search slides along the wall.  A
+    quasi-Newton step gaining less than ``tol`` is retried as steepest
+    descent; a steepest-descent step gaining less than ``tol`` ends the
+    search, as do ``max_iters`` iterations.  ``start`` is ``fun(x)`` when
+    already known.  Returns ``(x, f, r, iterations)``, ``r`` the gradient
+    at ``x`` less its push into the wall ``x`` ends on.
     """
     f, g = fun(x) if start is None else start
     scale, normal = 1.0, None  # scale: s'y / y'y of the last update
@@ -268,12 +272,8 @@ def _bfgs(fun, x: np.ndarray, max_iters: int, tol: float, wall=None, start=None)
             H, fresh, p = scale * np.eye(x.size), True, -scale * r
         t = 1.0 / max(1.0, np.linalg.norm(p)) if fresh else 1.0
         for _ in range(_MAX_HALVINGS):
-            x_new, normal_new = x + t * p, None
+            x_new, normal_new = (x + t * p, None) if wall is None else wall(x + t * p)
             f_new, g_new = fun(x_new)
-            if wall is not None:
-                x_wall, normal_new = wall(x_new)
-                if x_wall is not x_new:
-                    x_new, (f_new, g_new) = x_wall, fun(x_wall)
             if f_new <= f + 1e-4 * min(0.0, g @ (x_new - x)):
                 break
             t *= 0.5
@@ -322,13 +322,10 @@ def _wall(engine: _Likelihood, config: FitConfig, u: np.ndarray,
             rows = engine.weight_jacobian(q, config.d_fixed is None)[:, j]
         except InfeasibleParamsError:  # d too near 0 or 1 for the derivative in d
             return u, None
-        # the coordinates lambda depends on, in the order of weight_jacobian's rows
-        weighted = [(i, name, m) for i, (name, m) in enumerate(_layout(
-            config.family, config.innovation, config.d_fixed)) if name in ("alpha", "beta", "d")]
-        normal = np.zeros(u.size)
+        grad = np.zeros(u.size)  # lambda_j's gradient in theta: only alpha, beta[, d] enter
+        grad[1:1 + rows.size] = rows
         with np.errstate(over="ignore", invalid="ignore"):  # far-out trial points
-            for row, (i, name, m) in zip(rows, weighted):
-                normal[i] = row * m.slope(getattr(q, name))
+            normal = _jacobian(q, config.family, config.d_fixed).T @ grad
             nn = float(normal @ normal)
         if not 0.0 < nn < math.inf:
             return u, None
@@ -475,9 +472,11 @@ def fit(series, config: FitConfig) -> FitResult:
     within ``_WALL_BAND``, is below ``_GNORM_CONVERGED``.  A start whose
     search stops on a face is rerun once from where `_off_face` says, when
     that point is feasible, and the better of the two runs is kept.
-    Raises :class:`EstimationError` when every start is infeasible,
-    :class:`DomainError` instead when the returns are also large enough to
-    overflow the ARCH(inf) transform (see
+    Raises :class:`DomainError` before any start when the returns are
+    constant or so small that their mean squared deviation (the backcast)
+    is zero or subnormal; :class:`EstimationError` when every start is
+    infeasible, :class:`DomainError` instead when the returns are also large
+    enough to overflow the ARCH(inf) transform (see
     :attr:`models._Likelihood.transform_may_overflow`), and
     :class:`DataQualityError` when the likelihood is non-finite at every
     candidate.
@@ -486,6 +485,9 @@ def fit(series, config: FitConfig) -> FitResult:
     returns, n = engine.returns, engine.n
     if n < 50:
         raise InsufficientDataError(f"need at least 50 observations to fit, got {n}")
+    if engine.backcast < _SMALLEST_NORMAL:  # the warm start scales omega to it
+        raise DomainError(f"returns constant or too small: their mean squared deviation, "
+                          f"{engine.backcast:.3g}, is below the smallest normal double")
     quality_failures = 0
 
     def objective(u: np.ndarray) -> tuple[float, np.ndarray | None]:
@@ -514,8 +516,8 @@ def fit(series, config: FitConfig) -> FitResult:
 
     walls = (lambda u: _wall(engine, config, u)) if engine.checks_weights else None
     rng = np.random.default_rng(config.seed)
-    starts: list[dict] = []
-    best: dict | None = None
+    starts: list[dict] = []  # the diagnostics entry of each start
+    best = None  # the run of least objective
 
     for start_idx in range(1 + config.restarts):
         p0 = _initial_params(returns, config, rng, jitter=start_idx > 0)
@@ -529,7 +531,8 @@ def fit(series, config: FitConfig) -> FitResult:
                 break
             u0[0] += math.log(10.0)
         else:
-            starts.append({"loglik": None, "converged": False, "feasible": False})
+            starts.append({"loglik": None, "converged": False, "grad_norm": None,
+                           "feasible": False})
             continue
 
         run = descend(u0, fg0)
@@ -537,46 +540,37 @@ def fit(series, config: FitConfig) -> FitResult:
         fg_restart = (math.inf, None) if restart is None else objective(restart)
         if math.isfinite(fg_restart[0]):
             run = min(run, descend(restart, fg_restart), key=lambda r: r[1])
-        u_best, f_best, g_best, iters, converged = run
-        gnorm = float(np.linalg.norm(g_best))
-        record = {
-            "u": u_best, "objective": float(f_best), "iterations": int(iters),
-            "converged": converged, "grad_norm": gnorm, "feasible": True,
-            "loglik": -float(f_best) * n,
-        }
-        starts.append(record)
-        if best is None or f_best < best["objective"]:
-            best = record
+        starts.append({"loglik": -float(run[1]) * n, "converged": run[4],
+                       "grad_norm": float(np.linalg.norm(run[2])), "feasible": True})
+        if best is None or run[1] < best[1]:
+            best = run
 
     if best is None:
-        if quality_failures and all(not s.get("feasible") for s in starts):
+        if quality_failures:
             raise DataQualityError("log-likelihood non-finite at every candidate start")
         if engine.transform_may_overflow:
             raise DomainError("returns too large: the ARCH(inf) transform of their squares "
                               "overflows a double at every start")
         raise EstimationError("estimation failed: every start was infeasible")
 
-    params = transform_from_unconstrained(best["u"], config.family,
-                                          config.innovation, config.d_fixed)
+    u_best, f_best, g_best, iters, converged = best
+    params = transform_from_unconstrained(u_best, config.family, config.innovation, config.d_fixed)
     validate_params(config.family, params, T=config.T)
     loglik = engine.loglik(params)  # re-evaluated at the returned optimum
     names = param_names(config.family, config.innovation, config.d_fixed)
 
     se = StdErrReport(None, None, None, None, False)
-    if best["converged"]:
+    if converged:
         try:
             se = _standard_errors(engine, params, config)
         except BoundaryError:  # alpha, beta or d underflowed onto its bound
             pass
 
     diagnostics = {
-        "grad_norm": best["grad_norm"],
-        "objective": best["objective"],
+        "grad_norm": float(np.linalg.norm(g_best)),
+        "objective": float(f_best),
         "hessian_pd": se.hessian_pd,
-        "starts": [
-            {k: s.get(k) for k in ("loglik", "converged", "grad_norm", "feasible")}
-            for s in starts
-        ],
+        "starts": starts,
     }
     if "d" in names:
         diagnostics["d_boundary_suspect"] = min(params.d, 1.0 - params.d) < _FACE
@@ -586,7 +580,7 @@ def fit(series, config: FitConfig) -> FitResult:
     return FitResult(
         params=params, stderr=se.stderr, pvalues=se.pvalues,
         significance=se.significance, loglik=loglik,
-        converged=best["converged"], iterations=best["iterations"],
+        converged=converged, iterations=int(iters),
         n_obs=n, family=config.family, innovation=config.innovation,
         mean=float(returns.mean()), names=names, cov=se.cov,
         diagnostics=diagnostics,

@@ -360,8 +360,9 @@ class _Likelihood:
         return entry[1]
 
     # one extreme return can overflow sigma2 (the transform product, for IGARCH
-    # and FIGARCH) or its log-likelihood: both are rejected below
-    @np.errstate(over="ignore", invalid="ignore")
+    # and FIGARCH) or its log-likelihood, and a product with sigma2 can
+    # underflow to 0 and divide by it: all are rejected below
+    @np.errstate(over="ignore", invalid="ignore", divide="ignore")
     def variance_path(self, params: ParamVector) -> VariancePath:
         if params.nu is not None and not 2.0 < params.nu < math.inf:
             raise InfeasibleParamsError(f"nu = {params.nu} outside (2, inf)")
@@ -433,7 +434,7 @@ class _Likelihood:
         """
         return self._derivatives(params, fixed_d, second=True)
 
-    @np.errstate(over="ignore", invalid="ignore")  # an overflowed score is rejected below
+    @np.errstate(over="ignore", invalid="ignore", divide="ignore")  # non-finite: rejected below
     def _derivatives(self, params: ParamVector, fixed_d: bool, second: bool):
         """(log-likelihood, gradient, Hessian or None): see :meth:`score` and :meth:`hessian`."""
         vp = self.variance_path(params)

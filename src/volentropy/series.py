@@ -91,7 +91,7 @@ def _sniff_delimiter(header_line: str) -> str:
 
 def _read_rows(path: str) -> tuple[list[str], list[tuple[int, list[str]]]]:
     """Return (header, [(line_number, fields), ...]) for a delimited file."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:  # a byte-order mark is skipped
         first = fh.readline()
         if not first.strip():
             raise InsufficientDataError(f"no observations in {path}")

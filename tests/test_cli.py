@@ -519,6 +519,20 @@ def test_fit_error_is_recorded_in_its_cell_and_the_other_fits_kept(tmp_path, cap
     assert f"failed: big - {message}" in igarch_text
 
 
+def test_fit_of_constant_returns_names_the_returns_in_its_cell(tmp_path, capsys):
+    day = datetime.date(2000, 1, 1)
+    (tmp_path / "flat.csv").write_text("date,return\n" + "".join(
+        f"{day + datetime.timedelta(days=i)},0.5\n" for i in range(100)))
+    argv = ["fit", "--input", str(tmp_path / "flat.csv"), "--returns",
+            "--family", "garch,figarch", "--restarts", "0"]
+    message = ("returns constant or too small: their mean squared deviation, 0, "
+               "is below the smallest normal double")
+    capsys.readouterr()
+    code, text = _report(argv, "text", capsys)
+    assert code == 2
+    assert text.count(f"failed: flat - {message}") == 2
+
+
 # ------------------------------------------------------------------- pipeline
 
 def test_simulate_fit_entropy_pipeline(tmp_path):

@@ -104,6 +104,18 @@ def test_histogram_type_invariants_enforced():
     with pytest.raises(DomainError, match="increasing"):
         Histogram(edges=np.array([0.0, 0.5, 0.5, 1.0]), counts=np.array([1, 1, 2]),
                   probs=np.array([0.25, 0.25, 0.5]))
+    # NaN and infinite values fail too, with no numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="nonnegative"):
+            Histogram(edges=np.array([0.0, 1.0, 2.0]), counts=np.array([1, 1]),
+                      probs=np.array([np.nan, 1.0]))
+        with pytest.raises(DomainError, match="finite width"):
+            Histogram(edges=np.array([0.0, 1.0, np.inf]), counts=np.array([1, 1]),
+                      probs=np.array([0.5, 0.5]))
+        with pytest.raises(DomainError, match="finite width"):  # the one width overflows
+            Histogram(edges=np.array([-1.7e308, 1.7e308]), counts=np.array([1]),
+                      probs=np.array([1.0]))
 
 
 def test_histogram_rejects_nan_edges():

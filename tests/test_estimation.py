@@ -242,7 +242,10 @@ def test_bfgs_backtracks_from_a_wall_and_returns_an_accepted_point():
 def test_bfgs_slides_along_a_curved_wall_to_the_constrained_minimum():
     # minimise |x - (2, 2)|^2 inside the unit disc, starting below the line
     # to the minimum: the path meets the circle and must follow it
+    seen = []  # every point fun is asked for
+
     def fun(x):
+        seen.append(x.copy())
         if x @ x > 1.0 + 1e-12:
             return math.inf, None
         return float((x - 2.0) @ (x - 2.0)), 2.0 * (x - 2.0)
@@ -255,6 +258,8 @@ def test_bfgs_slides_along_a_curved_wall_to_the_constrained_minimum():
     x, f, r, iters = _bfgs(fun, np.array([0.0, -0.5]), max_iters=200, tol=1e-14, wall=wall)
     assert iters < 200
     assert_allclose(x, [math.sqrt(0.5)] * 2, atol=1e-6)
+    # the wall moves a point before fun sees it: fun is never asked outside the disc
+    assert seen and all(v @ v <= 1.0 + 1e-12 for v in seen)
     assert np.linalg.norm(r) < 1e-6 and np.linalg.norm(fun(x)[1]) > 1.0
 
 
@@ -792,6 +797,22 @@ def test_returns_that_overflow_the_transform_at_every_start_name_the_returns(fam
         else:
             with pytest.raises(DomainError, match="returns too large: the ARCH"):
                 fit(r, config)
+
+
+_Z = np.random.default_rng(0).standard_normal(300)
+
+
+@pytest.mark.parametrize("family", [GARCH, IGARCH, FIGARCH])
+@pytest.mark.parametrize("r", [np.full(100, 0.5), np.zeros(100), 1e-154 * _Z, 1e-156 * _Z,
+                               1e-170 * _Z],
+                         ids=["constant", "zeros", "1e-154", "1e-156", "1e-170"])
+def test_constant_or_tiny_returns_name_the_returns(family, r):
+    # their mean squared deviation is 0 or subnormal, and the warm start
+    # scales omega to it: the error names the returns before any start
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="returns constant or too small"):
+            fit(r, FitConfig(family, restarts=0))
 
 
 @pytest.mark.parametrize("config", [

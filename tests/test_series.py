@@ -124,6 +124,24 @@ def test_returns_file_loads_directly(tmp_path):
     assert rs.source == path
 
 
+def test_a_byte_order_mark_does_not_hide_the_first_column(tmp_path):
+    # spreadsheets save "CSV UTF-8" with a leading byte-order mark
+    prices = "date,close\n2002-06-03,1000.0\n2002-06-04,1010.0\n"
+    returns = "date,return\n2002-06-04,0.01\n2002-06-03,-0.02\n"
+    for text, load in ((prices, load_prices), (returns, load_returns)):
+        plain = load(write(tmp_path, "plain.csv", text))
+        p = tmp_path / "bom.csv"
+        p.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            marked = load(str(p))
+        if load is load_prices:
+            assert marked == plain
+        else:
+            assert marked.dates == plain.dates
+            np.testing.assert_array_equal(marked.returns, plain.returns)
+
+
 def test_returns_file_bad_value(tmp_path):
     path = write(tmp_path, "r.csv", "date,return\n2002-06-04,oops\n")
     with pytest.raises(ParseError, match="line 2"):
