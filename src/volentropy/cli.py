@@ -307,7 +307,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    # MemoryError: a size flag (--n, --bins, --truncation) too large to allocate
+    # MemoryError: a size flag without a cap (--burn-in, --truncation) too large
+    # to allocate
     except (VolentropyError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

@@ -43,6 +43,7 @@ __all__ = [
     "EntropyReport",
     "FiniteVarianceWarning",
     "Histogram",
+    "MAX_BINS",
     "build_histogram",
     "entropy_report",
     "renyi",
@@ -63,6 +64,11 @@ _EQUIDISTANT_RTOL = 1e-12
 # log p > -745 for every positive double p, so alpha * log p cannot overflow
 # at Renyi orders up to this one
 _OVERFLOW_ORDER = float(np.finfo(float).max) / 745.0
+
+# the largest bin count: a histogram takes about 40 bytes a cell while it is
+# built and checked, so this many take about 42 MB, and the default ceil(sqrt(n))
+# reaches it only past 1.1e12 observations
+MAX_BINS = 1 << 20
 
 # sample matrices are binned in blocks of about this many values: 500-point
 # windows bin as fast in blocks of 2**14 to 2**20 values, and larger blocks
@@ -96,7 +102,7 @@ def _check_cells(edges: np.ndarray, probs: np.ndarray) -> None:
     total = probs.sum(axis=-1)
     close = abs(total - 1.0) <= 1e-12
     if not close.all():
-        raise DomainError(f"cell probabilities must sum to 1, got {total[~close][0]!r}")
+        raise DomainError(f"cell probabilities must sum to 1, got {float(total[~close][0])}")
 
 
 @dataclass(frozen=True)
@@ -170,6 +176,14 @@ class EntropyReport:
 
 
 # ------------------------------------------------------------------- binning
+
+def _bin_count(m) -> int:
+    """``m`` as a bin count: :class:`DomainError` unless it is an integer in 1..MAX_BINS."""
+    m = _integer(m, "bin count")
+    if m > MAX_BINS:
+        raise DomainError(f"bin count must be at most MAX_BINS = {MAX_BINS}, got {m}")
+    return m
+
 
 def _unbinnable(lo: float, hi: float, n: int, row: int) -> DomainError | DegenerateSupportError:
     """The error of a support [lo, hi] of ``n`` values with no room for cells."""
@@ -254,10 +268,12 @@ def build_histogram(returns, m: int) -> Histogram:
     All cells are closed on the left and open on the right except the last,
     which also includes the maximum, so every observation lands in exactly
     one cell.  A sample with zero range, or a range that cannot hold ``m``
-    distinct equal cells, raises :class:`DegenerateSupportError`.
+    distinct equal cells, raises :class:`DegenerateSupportError`; an ``m``
+    above ``MAX_BINS`` (2**20) raises :class:`DomainError` before anything
+    is allocated.
     """
     x = _as_returns(returns)
-    return _histogram(x, _integer(m, "bin count"))
+    return _histogram(x, _bin_count(m))
 
 
 # --------------------------------------------------------------------- block
@@ -389,7 +405,7 @@ def _grids(n: int, m: int | None, alpha_grid, q_grid,
     each Tsallis index outside [1, 5/3) warns at ``stacklevel``, counted from here."""
     if len(alpha_grid) == 0 or len(q_grid) == 0:
         raise DomainError("order grids must be nonempty")
-    m = _integer(math.ceil(math.sqrt(n)) if m is None else m, "bin count")
+    m = _bin_count(math.ceil(math.sqrt(n)) if m is None else m)
     alphas = _orders(tuple(alpha_grid), tsallis=False)
     qs = _orders(tuple(q_grid), tsallis=True)
     for q in q_grid:
@@ -447,8 +463,9 @@ def entropy_report(returns, m: int | None = None,
     """Build one histogram and evaluate all three entropy families on it.
 
     ``returns`` is a :class:`ReturnSeries` or a sample vector.  ``m``
-    defaults to ceil(sqrt(n)).  Tsallis indices outside [1, 5/3) emit
-    :class:`FiniteVarianceWarning` but are still evaluated.
+    defaults to ceil(sqrt(n)) and is at most ``MAX_BINS``.  Tsallis indices
+    outside [1, 5/3) emit :class:`FiniteVarianceWarning` but are still
+    evaluated.
     """
     x = _as_returns(returns)
     m, alphas, qs = _grids(x.size, m, alpha_grid, q_grid, stacklevel=3)

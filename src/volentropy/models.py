@@ -26,6 +26,7 @@ evaluate through it.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -226,6 +227,14 @@ def _garch_recursion(omega: float, alpha: float, beta: float,
     return _ar1_filter(x, beta, beta * s_pre)
 
 
+@functools.cache
+def _special():
+    """scipy.special, imported on the first call: --help, entropy and simulate never make one."""
+    from scipy import special
+
+    return special
+
+
 def _student_log_norm(nu: float) -> float:
     """Log normalising constant of the standardized Student-t density.
 
@@ -240,8 +249,7 @@ def _student_log_norm(nu: float) -> float:
         # x * x * x, not x ** 3: a float ** raises OverflowError above nu ~ 1e103
         gamma_ratio = 0.5 * math.log(x) - 1.0 / (8.0 * x) + 1.0 / (192.0 * x * x * x)
     else:
-        from scipy.special import gammaln  # imported here: --help and entropy never need it
-
+        gammaln = _special().gammaln
         gamma_ratio = gammaln((nu + 1.0) / 2.0) - gammaln(nu / 2.0)
     scale = math.pi * (nu - 2.0)
     if scale == math.inf:
@@ -451,8 +459,7 @@ class _Likelihood:
             free_d = self._pinned_d is None and not fixed_d
             grad, s, curv = self._arch_inf_derivatives(params, g, second, free_d)
         if nu is not None:
-            from scipy.special import digamma  # imported here: --help and entropy never need it
-
+            digamma = _special().digamma
             grad.append(0.5 * self.n * (digamma((nu + 1.0) / 2.0) - digamma(nu / 2.0)
                                         - 1.0 / (nu - 2.0))
                         - 0.5 * float(np.log1p(x).sum())
@@ -482,12 +489,10 @@ class _Likelihood:
         H[0, 2] = H[2, 0] = H[0, 2] + inv * grad[0]
         H[1:k, 1:k] = hs @ s.T + curv
         if nu is not None:
-            from scipy.special import polygamma  # imported here: --help and entropy never need it
-
             m = 0.5 * w / sig2 - a / (nu - 2.0)  # d g_t / d nu
             H[0, k] = H[k, 0] = inv * float(m.sum())
             H[1:k, k] = H[k, 1:k] = s @ m
-            trigamma = polygamma(1, [(nu + 1.0) / 2.0, nu / 2.0])
+            trigamma = _special().polygamma(1, [(nu + 1.0) / 2.0, nu / 2.0])
             try:
                 sq = (nu - 2.0) ** 2
             except OverflowError:  # nu above ~1.3e154: each 1/(nu-2)^2 term is 0

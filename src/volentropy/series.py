@@ -11,7 +11,8 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import math
-from collections.abc import Callable
+import operator
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +24,7 @@ from .errors import (
     ParseError,
 )
 
-__all__ = ["PricePoint", "ReturnSeries", "load_prices", "load_returns", "to_log_returns"]
+__all__ = ["Dates", "PricePoint", "ReturnSeries", "load_prices", "load_returns", "to_log_returns"]
 
 
 @dataclass(frozen=True)
@@ -60,24 +61,114 @@ def _as_returns(values) -> np.ndarray:
     return r
 
 
+_LAST_DAY = dt.date.max.toordinal()
+
+
+def _ordinals(dates) -> range | np.ndarray:
+    """The day ordinals of ``datetime.date`` entries: a ``range`` when the days are consecutive."""
+    days = []
+    for d in dates:
+        # a datetime is a date subclass, but its time of day would be dropped
+        if not isinstance(d, dt.date) or isinstance(d, dt.datetime):
+            raise DomainError(f"dates must be datetime.date values, got {d!r}")
+        days.append(d.toordinal())
+    if not days:
+        return range(0)
+    ordinals = np.array(days, dtype=np.int64)
+    if (np.diff(ordinals) == 1).all():
+        return range(days[0], days[-1] + 1)
+    ordinals.flags.writeable = False
+    return ordinals
+
+
+class Dates(Sequence):
+    """An immutable sequence of ``datetime.date``, stored as day ordinals.
+
+    Built from ``datetime.date`` entries, or from a ``range`` of day
+    ordinals (``date.toordinal()``), which stores no per-day data.
+    Consecutive days are kept as a ``range``, any others as a read-only
+    int64 vector.  Indexing gives a ``datetime.date`` and slicing a
+    :class:`Dates`; a :class:`Dates` equals one of the same days and the
+    tuple of the same dates, and hashes as that tuple.  A non-date entry
+    (a ``datetime`` included) or an ordinal outside the calendar raises
+    :class:`DomainError`.
+    """
+
+    __slots__ = ("_days",)
+
+    def __init__(self, dates) -> None:
+        if isinstance(dates, Dates):
+            days = dates._days
+        elif isinstance(dates, range):
+            days = dates
+            if days and not all(1 <= d <= _LAST_DAY for d in (days[0], days[-1])):
+                raise DomainError(f"day ordinals must lie in 1..{_LAST_DAY} "
+                                  f"(0001-01-01 to 9999-12-31), got {days}")
+        else:
+            try:
+                days = _ordinals(dates)
+            except TypeError:
+                raise DomainError(f"dates must be a sequence of datetime.date, "
+                                  f"got {type(dates).__name__}") from None
+        self._days = days
+
+    def __len__(self) -> int:
+        return len(self._days)
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            sliced = object.__new__(Dates)
+            sliced._days = self._days[key]
+            return sliced
+        try:
+            return dt.date.fromordinal(int(self._days[operator.index(key)]))
+        except IndexError:
+            raise IndexError(f"date index {key} out of range for {len(self)} dates") from None
+
+    def __iter__(self):
+        days = self._days
+        return map(dt.date.fromordinal, days if isinstance(days, range) else days.tolist())
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, Dates):
+            a, b = other._days, self._days
+            if isinstance(a, range) and isinstance(b, range):
+                return a == b
+            return len(a) == len(b) and bool(np.array_equal(a, b))
+        if isinstance(other, tuple):
+            return len(other) == len(self) and tuple(self) == other
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        if not self:
+            return "Dates(n=0)"
+        return f"Dates(n={len(self)}, first={self[0]}, last={self[-1]})"
+
+
 @dataclass(frozen=True)
 class ReturnSeries:
     """A timestamped log-return vector with origin metadata.
 
     ``dates[t]`` is the date the return ``returns[t]`` was realised (the later
-    day of each consecutive price pair).  Lengths must agree, and the returns
-    must be a nonempty vector of finite real numbers.
+    day of each consecutive price pair).  ``dates`` is kept as a
+    :class:`Dates`, an immutable sequence of ``datetime.date`` stored as day
+    ordinals; it is given as ``datetime.date`` entries or as a ``range`` of
+    day ordinals, which stores no per-day data.  Lengths must agree, and the
+    returns must be a nonempty vector of finite real numbers.
     """
 
     id: str
-    dates: tuple[dt.date, ...]
+    dates: Dates
     returns: np.ndarray
     source: str = ""
 
     def __post_init__(self) -> None:
         arr = _as_returns(self.returns)
         object.__setattr__(self, "returns", arr)
-        object.__setattr__(self, "dates", tuple(self.dates))
+        object.__setattr__(self, "dates", Dates(self.dates))
         if len(self.dates) != arr.size:
             raise DomainError(f"length mismatch: {len(self.dates)} dates vs {arr.size} returns")
 
@@ -196,7 +287,7 @@ def load_returns(
     dated = _read_dated(path, date_col, value_col, "return")
     return ReturnSeries(
         id=series_id or path,
-        dates=tuple(d for d, _ in dated),
+        dates=[d for d, _ in dated],
         returns=np.array([v for _, v in dated], dtype=float),
         source=path,
     )
@@ -220,5 +311,5 @@ def to_log_returns(
     # ratio-then-log keeps the result invariant (to ~1 ulp) under a common
     # rescaling of all prices, which diff-of-logs does not
     returns = np.log(closes[1:] / closes[:-1])
-    dates = tuple(p.date for p in prices[1:])
+    dates = [p.date for p in prices[1:]]
     return ReturnSeries(id=series_id, dates=dates, returns=returns, source=source)

@@ -20,14 +20,21 @@ from .errors import AutocorrUndefinedError, DomainError, InfeasibleParamsError, 
 from .models import ParamVector, frac_weights, validate_params
 from .series import ReturnSeries, _as_returns
 
-__all__ = ["SimConfig", "simulate_path", "squared_autocorr"]
+__all__ = ["MAX_PATH_LENGTH", "SimConfig", "simulate_path", "squared_autocorr"]
 
 _EPOCH = dt.date(2000, 1, 1)
+
+# simulated days run from _EPOCH, and the calendar ends at 9999-12-31
+MAX_PATH_LENGTH = dt.date.max.toordinal() - _EPOCH.toordinal() + 1
 
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Simulation settings: family, true parameters, length, burn-in, seed."""
+    """Simulation settings: family, true parameters, length, burn-in, seed.
+
+    A path's days run from 2000-01-01, so ``n`` is at most
+    ``MAX_PATH_LENGTH`` (2 921 940, ending at 9999-12-31).
+    """
 
     family: ModelFamily
     params: ParamVector
@@ -37,7 +44,10 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        _integer(self.n, "path length")
+        if _integer(self.n, "path length") > MAX_PATH_LENGTH:
+            raise DomainError(
+                f"path length must be at most {MAX_PATH_LENGTH}, got {self.n}: simulated "
+                f"days run from {_EPOCH} and the calendar ends at {dt.date.max}")
         _integer(self.burn_in, "burn_in", 0)
         _integer(self.T, "truncation horizon")
         _integer(self.seed, "seed", 0)
@@ -97,8 +107,10 @@ def simulate_path(config: SimConfig) -> tuple[ReturnSeries, np.ndarray]:
     """Simulate a return path plus its conditional variances ``sigma2``.
 
     The first ``burn_in`` observations of both are discarded.  Output dates are
-    synthetic consecutive days so the series round-trips through the file
-    loaders.  Identical configs (including seed) give identical output.
+    synthetic consecutive days from 2000-01-01, so the series round-trips
+    through the file loaders; they are a :class:`~volentropy.series.Dates`
+    over a ``range`` of day ordinals, so a path stores no per-day dates.
+    Identical configs (including seed) give identical output.
     """
     p = config.params
     total = config.n + config.burn_in
@@ -111,10 +123,10 @@ def simulate_path(config: SimConfig) -> tuple[ReturnSeries, np.ndarray]:
         e, sig2 = _simulate_arch_inf(p, z, config.T)
 
     e, sig2 = e[config.burn_in:], sig2[config.burn_in:]
-    dates = tuple(_EPOCH + dt.timedelta(days=i) for i in range(config.n))
+    first = _EPOCH.toordinal()
     series = ReturnSeries(
         id=f"sim-{config.family.value}",
-        dates=dates,
+        dates=range(first, first + config.n),
         returns=e,
         source=f"simulated(family={config.family.value}, n={config.n}, seed={config.seed})",
     )

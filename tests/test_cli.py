@@ -485,12 +485,34 @@ def test_input_naming_no_file_exits_1(argv, capsys):
 ])
 def test_size_too_large_to_allocate_exits_1(argv, sim_file, tmp_path, capsys):
     # 10**18 doubles (8 EB) exceed the address space of any 64-bit machine built,
-    # so the allocation fails before any memory is touched
+    # so the allocation fails before any memory is touched; --bins and --n
+    # have documented caps, which name themselves before any allocation
     where = ["--input", str(sim_file)] if argv[0] == "entropy" else ["--output", str(tmp_path / "x")]
     assert main([*argv, *where]) == 1
     out, err = capsys.readouterr()
     assert out == ""
-    assert err.startswith("error: Unable to allocate")
+    flag = argv[argv.index(str(10**18)) - 1]
+    capped = {"--bins": "bin count must be at most MAX_BINS = 1048576",
+              "--n": "path length must be at most 2921940"}
+    assert err.startswith(f"error: {capped.get(flag, 'Unable to allocate')}")
+
+
+def test_bin_count_above_the_cap_names_the_cap(sim_file, capsys):
+    assert main(["entropy", "--input", str(sim_file), "--returns",
+                 "--bins", "1000000000000"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: bin count must be at most MAX_BINS = 1048576, got 1000000000000\n"
+
+
+def test_simulate_past_the_calendar_end_names_the_limit(tmp_path, capsys):
+    out_file = tmp_path / "x.csv"
+    assert main(["simulate", "--family", "garch", "--omega", "1e-6", "--alpha", "0.1",
+                 "--beta", "0.8", "--n", "3000000", "--output", str(out_file)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and not out_file.exists()
+    assert err == ("error: path length must be at most 2921940, got 3000000: simulated days "
+                   "run from 2000-01-01 and the calendar ends at 9999-12-31\n")
 
 
 def test_fit_error_is_recorded_in_its_cell_and_the_other_fits_kept(tmp_path, capsys):

@@ -22,7 +22,14 @@ from volentropy import (
     shannon,
     tsallis,
 )
-from volentropy.entropy import DEFAULT_ORDER_GRID, _BLOCK_VALUES, _ONE_TOL, _bin, _reports
+from volentropy.entropy import (
+    DEFAULT_ORDER_GRID,
+    MAX_BINS,
+    _BLOCK_VALUES,
+    _ONE_TOL,
+    _bin,
+    _reports,
+)
 
 
 def hist(probs) -> Histogram:
@@ -92,6 +99,22 @@ def test_histogram_input_validation():
         build_histogram(np.array([0.0, 1.0]), 0)
 
 
+def test_bin_count_above_the_cap_is_a_domain_error(monkeypatch):
+    x = np.array([0.0, 1.0])
+    # nothing may be allocated for the cells of a refused bin count
+    monkeypatch.setattr(np, "arange", None)
+    for m in (MAX_BINS + 1, 10**12):
+        message = f"bin count must be at most MAX_BINS = 1048576, got {m}"
+        for call in (lambda: build_histogram(x, m), lambda: entropy_report(x, m=m),
+                     lambda: _reports(np.array([x]), m, (1.5,), (1.5,))):
+            with pytest.raises(DomainError) as info:
+                call()
+            assert str(info.value) == message
+    monkeypatch.undo()
+    assert MAX_BINS == 2**20
+    assert build_histogram(x, MAX_BINS).m == MAX_BINS
+
+
 def test_histogram_type_invariants_enforced():
     edges = np.linspace(0.0, 1.0, 4)
     with pytest.raises(DomainError, match="equidistant"):
@@ -99,6 +122,9 @@ def test_histogram_type_invariants_enforced():
                   probs=np.full(3, 1 / 3))
     with pytest.raises(DomainError, match="sum to 1"):
         Histogram(edges=edges, counts=np.array([1, 1, 1]), probs=np.array([0.2, 0.2, 0.2]))
+    with pytest.raises(DomainError) as info:
+        Histogram(edges=[0, 1, 2, 3], counts=[1, 1, 1], probs=[0.2, 0.2, 0.2])
+    assert str(info.value) == "cell probabilities must sum to 1, got 0.6000000000000001"
     with pytest.raises(DomainError, match="nonnegative"):
         Histogram(edges=edges, counts=np.array([1, 1, 1]), probs=np.array([-0.5, 0.75, 0.75]))
     with pytest.raises(DomainError, match="increasing"):

@@ -1,5 +1,6 @@
 import datetime as dt
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -30,6 +31,7 @@ from volentropy import (
     to_log_returns,
     variance_path,
 )
+from volentropy.series import Dates
 
 
 def write(tmp_path, name, text):
@@ -308,3 +310,109 @@ def test_integer_returns_convert_to_float():
     assert np.array_equal(ReturnSeries("x", DATES, ints).returns, ints.astype(float))
     assert entropy_report(ints) == entropy_report(ints.astype(float))
     assert np.array_equal(squared_autocorr(list(ints), 5), squared_autocorr(ints.astype(float), 5))
+
+
+# ------------------------------------------------------------- the date sequence
+
+GAPPED = (dt.date(2002, 6, 3), dt.date(2002, 6, 4), dt.date(2002, 6, 6), dt.date(2002, 6, 10))
+RUN = tuple(dt.date(2002, 6, 3) + dt.timedelta(days=i) for i in range(5))
+
+
+@pytest.mark.parametrize("days", [GAPPED, RUN], ids=["gapped", "consecutive"])
+def test_dates_index_like_their_tuple(days):
+    dates = Dates(days)
+    assert len(dates) == len(days)
+    for i in range(-len(days), len(days)):
+        assert dates[i] == days[i] and type(dates[i]) is dt.date
+    for i in (len(days), len(days) + 7, -len(days) - 1):
+        with pytest.raises(IndexError, match="out of range"):
+            dates[i]
+    with pytest.raises(TypeError):
+        dates[1.0]
+
+
+@pytest.mark.parametrize("days", [GAPPED, RUN], ids=["gapped", "consecutive"])
+def test_dates_slice_and_iterate_like_their_tuple(days):
+    dates = Dates(days)
+    assert tuple(dates) == days and list(reversed(dates)) == list(reversed(days))
+    for key in (slice(1, None), slice(None, -1), slice(None, None, -1), slice(1, 3),
+                slice(0, 0), slice(None, None, 2), slice(10, 20)):
+        part = dates[key]
+        assert isinstance(part, Dates)
+        assert part == days[key] and tuple(part) == days[key] and len(part) == len(days[key])
+    assert days[2] in dates and dt.date(1999, 1, 1) not in dates
+    assert dates.index(days[2]) == 2
+
+
+def test_dates_equal_their_tuple_and_hash_as_it():
+    assert Dates(GAPPED) == GAPPED and GAPPED == Dates(GAPPED)
+    assert Dates(RUN) == RUN and Dates(RUN) == Dates(list(RUN))
+    assert Dates(GAPPED) != RUN and Dates(GAPPED) != GAPPED[:-1] and Dates(GAPPED) != Dates(RUN)
+    assert Dates(GAPPED) != GAPPED[::-1]
+    assert Dates(GAPPED) != list(GAPPED)  # a tuple's equal, as the tuple was
+    # a gapped sequence equals the consecutive one it slices to
+    assert Dates(GAPPED)[:2] == Dates(RUN)[:2] == RUN[:2]
+    assert hash(Dates(GAPPED)) == hash(GAPPED) and hash(Dates(RUN)) == hash(RUN)
+    assert {Dates(RUN): 1}[RUN] == 1
+    assert Dates(()) == () and len(Dates(())) == 0
+
+
+def test_dates_are_immutable():
+    dates = Dates(GAPPED)
+    with pytest.raises(TypeError):
+        dates[0] = dt.date(2000, 1, 1)
+    with pytest.raises(AttributeError):
+        dates.extra = 1
+    with pytest.raises(ValueError):
+        dates._days[0] = 0  # a gapped sequence's ordinals are read-only
+
+
+@pytest.mark.parametrize("bad", [
+    [dt.date(2000, 1, 1), "2000-01-02"],
+    [730120],
+    [dt.datetime(2000, 1, 1)],
+    [None],
+    None,
+    range(0, 3),
+    range(dt.date.max.toordinal(), dt.date.max.toordinal() + 2),
+])
+def test_a_non_date_entry_raises_domain_error(bad):
+    with pytest.raises(DomainError):
+        Dates(bad)
+    with pytest.raises(DomainError):
+        ReturnSeries("x", bad, np.zeros(2))
+
+
+def test_a_range_of_day_ordinals_reaches_the_calendar_end():
+    last = dt.date.max.toordinal()
+    dates = Dates(range(last - 2, last + 1))
+    assert dates[-1] == dt.date.max and dates == (dt.date(9999, 12, 29), dt.date(9999, 12, 30),
+                                                  dt.date.max)
+
+
+def test_simulated_dates_round_trip_through_the_cli_csv(tmp_path, capsys):
+    from volentropy.cli import main
+
+    out = tmp_path / "sim.csv"
+    assert main(["simulate", "--family", "garch", "--omega", "1e-5", "--alpha", "0.1",
+                 "--beta", "0.8", "--n", "400", "--seed", "4", "--output", str(out)]) == 0
+    capsys.readouterr()
+    series, _ = simulate_path(SimConfig(GARCH, ParamVector(1e-5, 0.1, 0.8), n=400, seed=4))
+    loaded = load_returns(str(out))
+    assert loaded.dates == series.dates == tuple(series.dates)
+    assert loaded.dates[0] == dt.date(2000, 1, 1) and loaded.dates[-1] == dt.date(2001, 2, 3)
+    assert np.array_equal(loaded.returns, series.returns)
+
+
+def test_a_simulated_path_keeps_no_per_day_storage():
+    config = SimConfig(GARCH, POINT, n=100_000, seed=3)
+    simulate_path(config)  # first-call imports and caches stay outside the count
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        series, sigma2 = simulate_path(config)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(series.dates) == 100_000 and series.dates[-1] == dt.date(2273, 10, 15)
+    assert retained <= series.returns.nbytes + sigma2.nbytes + 64 * 1024

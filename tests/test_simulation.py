@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import datetime as dt
 import warnings
 
 import numpy as np
@@ -20,6 +21,8 @@ from volentropy import (
     simulate_path,
     squared_autocorr,
 )
+from volentropy import simulation
+from volentropy.simulation import MAX_PATH_LENGTH
 
 GARCH, IGARCH, FIGARCH = ModelFamily.GARCH, ModelFamily.IGARCH, ModelFamily.FIGARCH
 
@@ -142,6 +145,24 @@ def test_bad_lengths_rejected():
         SimConfig(GARCH, p, n=0)
     with pytest.raises(DomainError):
         SimConfig(GARCH, p, n=10, burn_in=-1)
+
+
+def test_paths_past_the_calendar_end_rejected_at_config_time():
+    # simulated days run from 2000-01-01; 9999-12-31 is day 2 921 940
+    p = ParamVector(1e-5, 0.1, 0.7)
+    assert MAX_PATH_LENGTH == 2_921_940
+    assert SimConfig(GARCH, p, n=MAX_PATH_LENGTH).n == MAX_PATH_LENGTH
+    for n in (MAX_PATH_LENGTH + 1, 3_000_000, 10**18):
+        with pytest.raises(DomainError, match=f"at most 2921940, got {n}: .*9999-12-31"):
+            SimConfig(GARCH, p, n=n)
+
+
+def test_the_longest_path_ends_on_the_calendar_end(monkeypatch):
+    # the recursion is replaced by a constant path: only the dates are under test
+    monkeypatch.setattr(simulation, "_simulate_garch", lambda p, z: (z * 0.0, z * 0.0 + 1.0))
+    series, _ = simulate_path(SimConfig(GARCH, ParamVector(1e-5, 0.1, 0.7),
+                                        n=MAX_PATH_LENGTH, burn_in=0))
+    assert series.dates[0] == dt.date(2000, 1, 1) and series.dates[-1] == dt.date.max
 
 
 @pytest.mark.parametrize("T", [0, -5])
