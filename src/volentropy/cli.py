@@ -182,33 +182,27 @@ def cmd_fit(args) -> int:
     if not families:
         raise DomainError("at least one family is required")
 
-    if args.d_fixed is not None:
-        if ModelFamily.FIGARCH not in families:
-            raise DomainError("--d-fixed applies only to --family figarch")
-        if args.d_fixed >= 1.0:
-            raise DomainError(
-                "--d-fixed 1 selects the integrated boundary; request --family igarch instead")
-        if args.d_fixed <= 0.0:
-            raise DomainError(
-                "--d-fixed 0 removes the fractional term; request --family garch instead")
+    if args.d_fixed is not None and ModelFamily.FIGARCH not in families:
+        raise DomainError("--d-fixed applies only to --family figarch")
+    # built before any input is read, so a bad flag fails first; --d-fixed
+    # constrains the FIGARCH fits only
+    configs = [FitConfig(
+        family=family,
+        innovation=args.innovation,
+        T=args.truncation,
+        max_iters=args.max_iters,
+        tol=args.tol,
+        restarts=args.restarts,
+        seed=args.seed,
+        d_fixed=args.d_fixed if family.pinned_d is None else None,
+    ) for family in families]
 
     series_list = _load_series(args)
 
     results: list[dict] = []
     all_converged = True
-    for family in families:
-        # --d-fixed constrains the FIGARCH fits only
-        d_fixed = args.d_fixed if family.pinned_d is None else None
-        config = FitConfig(
-            family=family,
-            innovation=args.innovation,
-            T=args.truncation,
-            max_iters=args.max_iters,
-            tol=args.tol,
-            restarts=args.restarts,
-            seed=args.seed,
-            d_fixed=d_fixed,
-        )
+    for config in configs:
+        family = config.family
         for series in series_list:
             try:
                 result = fit(series, config)
@@ -266,8 +260,6 @@ def cmd_entropy(args) -> int:
                     reports = _reports(sliding_window_view(series.returns, args.window)[::step],
                                        args.bins, alpha_grid, q_grid)
                 except DegenerateSupportError as exc:
-                    if exc.row is None:
-                        raise
                     first, last = spans[exc.row]
                     raise DegenerateSupportError(
                         f"series {series.id!r}, window {first} to {last}: {exc}") from exc

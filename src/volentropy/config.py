@@ -89,7 +89,8 @@ class FitConfig:
             if self.family.pinned_d is not None:
                 raise DomainError("d_fixed applies only to the FIGARCH family")
             if not (0.0 < self.d_fixed < 1.0):
+                hint = (": d = 1 is the IGARCH family (--family igarch)" if self.d_fixed >= 1.0
+                        else ": d = 0 is plain GARCH (--family garch)" if self.d_fixed <= 0.0
+                        else "")
                 raise DomainError(
-                    "d_fixed must lie strictly inside (0,1); the d=1 boundary is "
-                    "the IGARCH family and d=0 is plain GARCH"
-                )
+                    f"d_fixed must lie strictly inside (0,1), got {self.d_fixed}{hint}")

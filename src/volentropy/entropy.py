@@ -245,12 +245,12 @@ def _bin(x: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return edges, counts, counts / n
 
 
-def _too_narrow(m: int, exc: DomainError) -> DegenerateSupportError:
+def _too_narrow(m: int, exc: DomainError, row: int) -> DegenerateSupportError:
     # binned probabilities always hold, so the edges failed the Histogram
     # invariants: rounding at the magnitude of the data leaves no room for m
     # equal cells
     return DegenerateSupportError(
-        f"support is too narrow for {m} equal cells at the magnitude of its values ({exc})")
+        f"support is too narrow for {m} equal cells at the magnitude of its values ({exc})", row)
 
 
 def _histogram(x: np.ndarray, m: int) -> Histogram:
@@ -259,7 +259,7 @@ def _histogram(x: np.ndarray, m: int) -> Histogram:
     try:
         return Histogram(edges=edges, counts=counts, probs=probs)
     except DomainError as exc:
-        raise _too_narrow(m, exc) from exc
+        raise _too_narrow(m, exc, 0) from exc
 
 
 def build_histogram(returns, m: int) -> Histogram:
@@ -434,9 +434,10 @@ def _reports(x: np.ndarray, m: int | None, alpha_grid, q_grid,
 
     Each row, such as one rolling window of a series, gets its own histogram
     over its own range; ``m`` defaults to ceil(sqrt(row length)).  A row
-    of zero or overflowing width raises :class:`DegenerateSupportError`
-    with its index in ``x``.  ``stacklevel`` is that of the
-    :class:`FiniteVarianceWarning`, counted from here: 2 points at the caller.
+    of zero or overflowing width, or too narrow for ``m`` equal cells,
+    raises :class:`DegenerateSupportError` with its index in ``x``.
+    ``stacklevel`` is that of the :class:`FiniteVarianceWarning`, counted
+    from here: 2 points at the caller.
     """
     n = x.shape[1]
     m, alphas, qs = _grids(n, m, alpha_grid, q_grid, stacklevel + 1)
@@ -449,8 +450,13 @@ def _reports(x: np.ndarray, m: int | None, alpha_grid, q_grid,
             raise DegenerateSupportError(str(exc), first + exc.row) from None
         try:
             _check_cells(edges, probs)
-        except DomainError as exc:
-            raise _too_narrow(m, exc) from exc
+        except DomainError:
+            for i in range(edges.shape[0]):  # each invariant holds row by row: find the first
+                try:
+                    _check_cells(edges[i], probs[i])
+                except DomainError as exc:
+                    raise _too_narrow(m, exc, first + i) from exc
+            raise
         empty = (counts == 0).sum(axis=1).tolist()
         width = ((edges[:, -1] - edges[:, 0]) / m).tolist()
         out.extend(_report(p, n, e, w, alphas, qs) for p, e, w in zip(probs, empty, width))

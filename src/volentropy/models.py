@@ -159,11 +159,15 @@ def validate_params(family: ModelFamily, params: ParamVector,
     """Check the family invariants, raising DomainError naming the violation.
 
     ``alpha``, ``beta`` and ``d`` must be finite.  GARCH requires
-    ``alpha, beta >= 0`` and ``alpha + beta < 1``; IGARCH pins ``d = 1``;
-    FIGARCH requires ``d`` in [0,1] and every ARCH(inf) weight
-    ``lambda_j >= 0`` up to the truncation horizon (checked numerically).
-    The ARCH(inf) engine additionally needs ``beta < 1`` for the
-    :math:`(1-\\beta L)^{-1}` inversion.
+    ``alpha, beta >= 0`` and ``alpha + beta < 1``.  IGARCH pins ``d = 1``
+    and requires ``alpha >= -1``: its weights are ``lambda_1 = 1 + alpha``
+    and ``lambda_j = -alpha (1-beta) beta^(j-2)`` beyond, all nonnegative
+    for alpha in [-1, 0], where IGARCH(1,1) is the point ``alpha = -beta``;
+    alpha > 0 is accepted too, and a simulated or evaluated path then
+    fails wherever its sigma2 turns non-positive.  FIGARCH requires ``d``
+    in [0,1] and every ARCH(inf) weight ``lambda_j >= 0`` up to the
+    truncation horizon (checked numerically).  Both need ``beta`` in [0, 1)
+    for the :math:`(1-\\beta L)^{-1}` inversion.
     """
     if not (math.isfinite(params.omega) and params.omega > 0):
         raise DomainError(f"omega must be positive, got {params.omega}")
@@ -176,8 +180,10 @@ def validate_params(family: ModelFamily, params: ParamVector,
     if family.pinned_d is not None:
         if params.d != family.pinned_d:
             raise DomainError(f"d is fixed at {family.pinned_d:g} for {family.name}, got {params.d}")
-        if params.alpha < 0 or params.beta < 0:
-            raise DomainError(f"alpha and beta must be nonnegative for {family.name}")
+        least = -1.0 if family is ModelFamily.IGARCH else 0.0  # IGARCH: lambda_1 = 1 + alpha
+        if params.alpha < least or params.beta < 0:
+            raise DomainError(f"alpha must be at least {least:g} and beta nonnegative for "
+                              f"{family.name}, got alpha={params.alpha}, beta={params.beta}")
     elif not (0.0 <= params.d <= 1.0):
         raise DomainError(f"d must lie in [0,1], got {params.d}")
     if family is ModelFamily.GARCH:

@@ -106,7 +106,8 @@ def _simulate_arch_inf(p: ParamVector, z: np.ndarray, T: int) -> tuple[np.ndarra
 def simulate_path(config: SimConfig) -> tuple[ReturnSeries, np.ndarray]:
     """Simulate a return path plus its conditional variances ``sigma2``.
 
-    The first ``burn_in`` observations of both are discarded.  Output dates are
+    The first ``burn_in`` observations of both are discarded, and the two
+    vectors own their memory, holding none of the burn-in.  Output dates are
     synthetic consecutive days from 2000-01-01, so the series round-trips
     through the file loaders; they are a :class:`~volentropy.series.Dates`
     over a ``range`` of day ordinals, so a path stores no per-day dates.
@@ -122,7 +123,12 @@ def simulate_path(config: SimConfig) -> tuple[ReturnSeries, np.ndarray]:
     else:  # validate_params holds p.d at the family's pinned d
         e, sig2 = _simulate_arch_inf(p, z, config.T)
 
-    e, sig2 = e[config.burn_in:], sig2[config.burn_in:]
+    # copies: views past the burn-in would keep the whole burn-in alive.  With
+    # the innovations freed and one copy made at a time, no more memory is
+    # held than while simulating.
+    del z
+    e = e[config.burn_in:].copy()
+    sig2 = sig2[config.burn_in:].copy()
     first = _EPOCH.toordinal()
     series = ReturnSeries(
         id=f"sim-{config.family.value}",

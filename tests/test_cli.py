@@ -290,6 +290,21 @@ def test_entropy_zero_width_window_names_series_and_dates(tmp_path):
         "equal 0.0; histogram support has zero width\n")
 
 
+def test_entropy_too_narrow_window_names_series_and_dates(tmp_path):
+    # days 11-14 hold 1.0 and the next double up: no room for 2 equal cells
+    path = tmp_path / "tight.csv"
+    returns = [1.0 + 0.1 * day for day in range(1, 11)] + [1.0, 1.0 + 2.0 ** -52] * 2
+    rows = [f"2020-01-{day:02d},{r!r}" for day, r in enumerate(returns, start=1)]
+    path.write_text("date,return\n" + "\n".join(rows) + "\n")
+    proc = run("entropy", "--input", str(path), "--returns", "--window", "4", "--step", "1",
+               "--bins", "2")
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        "error: series 'tight', window 2020-01-11 to 2020-01-14: support is too narrow for 2 "
+        "equal cells at the magnitude of its values (edges must be strictly increasing)\n")
+
+
 def test_entropy_windowed_report(sim_file):
     proc = run("entropy", "--input", str(sim_file), "--returns",
                "--window", "500", "--step", "250", "--format", "tree")
@@ -503,6 +518,44 @@ def test_bin_count_above_the_cap_names_the_cap(sim_file, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "error: bin count must be at most MAX_BINS = 1048576, got 1000000000000\n"
+
+
+def test_a_non_numeric_entropy_order_is_a_usage_error(sim_file, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["entropy", "--input", str(sim_file), "--returns", "--alpha", "1.5,x"])
+    assert info.value.code == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "argument --alpha: expected comma-separated numbers, got '1.5,x'" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["fit", "--family", ","], "at least one family is required"),
+    (["entropy", "--window", "1"], "--window must be >= 2, got 1"),
+    (["entropy", "--window", "10", "--step", "0"], "--step must be >= 1, got 0"),
+    (["entropy", "--window", "1501"],
+     "--window 1501 exceeds the 1500 observations of series 'sim'"),
+])
+def test_a_bad_fit_or_entropy_flag_exits_1(argv, message, sim_file, capsys):
+    assert main([*argv, "--input", str(sim_file), "--returns"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["fit", "--family", "garch", "--innovation", "gaussian", "--restarts", "0"],
+    ["entropy"],
+])
+def test_a_price_file_without_returns_is_read_as_prices(argv, tmp_path, capsys):
+    path = tmp_path / "px.csv"
+    r = 0.01 * np.random.default_rng(3).standard_normal(200)
+    closes = 100.0 * np.exp(np.concatenate(([0.0], np.cumsum(r))))
+    start = datetime.date(2001, 1, 1)
+    path.write_text("date,close\n" + "".join(
+        f"{start + datetime.timedelta(days=i)},{c!r}\n" for i, c in enumerate(closes.tolist())))
+    assert main([*argv, "--input", str(path), "--format", "tree"]) in (0, 2)
+    (result,) = json.loads(capsys.readouterr().out)["results"]
+    assert result["series"] == "px" and result["n_obs"] == 200
 
 
 def test_simulate_past_the_calendar_end_names_the_limit(tmp_path, capsys):

@@ -144,6 +144,23 @@ def test_histogram_type_invariants_enforced():
                       probs=np.array([1.0]))
 
 
+@pytest.mark.parametrize("edges, counts, probs, message", [
+    (np.zeros((2, 2)), [1], [1.0], "1-D vector of at least two boundaries"),
+    ([0.0], [], [], "1-D vector of at least two boundaries"),
+    ([0.0, 0.5, 1.0], [1, 1, 1], [0.5, 0.5], "must have length 2 to match 3 edges"),
+    ([0.0, 0.5, 1.0], [1, 1], [1.0], "must have length 2 to match 3 edges"),
+])
+def test_histogram_rejects_malformed_shapes(edges, counts, probs, message):
+    with pytest.raises(DomainError, match=message):
+        Histogram(edges=np.asarray(edges), counts=np.asarray(counts), probs=np.asarray(probs))
+
+
+@pytest.mark.parametrize("counts", [[0, 0, 0], []])
+def test_histogram_from_counts_rejects_a_zero_total(counts):
+    with pytest.raises(DomainError, match="positive total"):
+        Histogram.from_counts(counts)
+
+
 def test_histogram_rejects_nan_edges():
     with pytest.raises(DomainError, match="increasing"):
         Histogram(edges=np.array([0.0, np.nan, 1.0]), counts=np.array([1, 1]),

@@ -655,6 +655,28 @@ def test_validate_rejects_non_finite_coefficients(family, params, name):
         validate_params(family, params)
 
 
+@pytest.mark.parametrize("family, params, message", [
+    (GARCH, ParamVector(1e-6, -0.01, 0.5), "alpha must be at least 0"),
+    (GARCH, ParamVector(1e-6, 0.05, -0.01), "beta nonnegative for GARCH"),
+    (IGARCH, ParamVector(1e-6, -1.01, 0.5, d=1.0), "alpha must be at least -1"),
+    (IGARCH, ParamVector(1e-6, -0.5, -0.01, d=1.0), "beta nonnegative for IGARCH"),
+    (FIGARCH, ParamVector(1e-6, 0.05, -0.01, d=0.6), r"beta must lie in \[0,1\)"),
+    (FIGARCH, ParamVector(1e-6, 0.05, 1.0, d=0.6), r"beta must lie in \[0,1\)"),
+])
+def test_validate_rejects_coefficients_outside_their_family_range(family, params, message):
+    with pytest.raises(DomainError, match=message):
+        validate_params(family, params)
+
+
+@pytest.mark.parametrize("alpha", [-1.0, -0.9, -1e-9, 0.0, 0.3])
+def test_validate_accepts_igarch_alpha_from_minus_one(alpha):
+    # lambda = (1 + alpha, -alpha (1-beta), ...): all nonnegative on [-1, 0];
+    # alpha > 0 stays a valid input, as acceptance criterion 1 reads it
+    validate_params(IGARCH, ParamVector(1e-6, alpha, 0.9, d=1.0))
+    lam = frac_weights(1.0, 50, alpha, 0.9).lam
+    assert bool(lam.min() >= -models._LAMBDA_TOL) is (alpha <= 0.0)  # the recursion's rounding
+
+
 def test_validate_rejects_d_outside_unit_interval():
     with pytest.raises(DomainError, match=r"\[0,1\]"):
         validate_params(FIGARCH, ParamVector(1e-6, 0.05, 0.5, d=1.2))

@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import importlib
+import os
 import pickle
+import subprocess
+import sys
 
 import pytest
 
@@ -67,6 +70,17 @@ def test_a_name_rebound_in_its_submodule_is_seen_through_the_package(monkeypatch
     assert volentropy.renyi is stand_in
     monkeypatch.undo()
     assert volentropy.renyi is original
+
+
+def test_a_submodule_is_an_attribute_after_a_bare_import():
+    # a fresh interpreter: here the test session has already imported the submodules
+    code = ("import sys, volentropy; assert 'volentropy.models' not in sys.modules; "
+            "m = volentropy.models; assert m is sys.modules['volentropy.models']; "
+            "print(m.ParamVector.__module__)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "volentropy.models\n"
 
 
 def test_unknown_name_raises_attribute_error():

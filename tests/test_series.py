@@ -144,6 +144,22 @@ def test_a_byte_order_mark_does_not_hide_the_first_column(tmp_path):
             np.testing.assert_array_equal(marked.returns, plain.returns)
 
 
+def test_blank_lines_are_skipped(tmp_path):
+    path = write(tmp_path, "r.csv", "date,return\n\n2002-06-03,0.01\n , \n2002-06-04,0.02\n\n")
+    rs = load_returns(path)
+    assert rs.dates == (dt.date(2002, 6, 3), dt.date(2002, 6, 4))
+    assert rs.returns.tolist() == [0.01, 0.02]
+
+
+@pytest.mark.parametrize("text", ["inf", "-inf", "nan", "NaN", "Infinity"])
+def test_a_non_finite_value_names_its_line(tmp_path, text):
+    rows = f"2002-06-03,0.01\n2002-06-04,{text}\n"
+    with pytest.raises(ParseError, match=f"line 3: non-finite return '{text}'"):
+        load_returns(write(tmp_path, "r.csv", "date,return\n" + rows))
+    with pytest.raises(ParseError, match=f"line 3: non-finite price '{text}'"):
+        load_prices(write(tmp_path, "px.csv", "date,close\n" + rows.replace("0.0", "1.0")))
+
+
 def test_returns_file_bad_value(tmp_path):
     path = write(tmp_path, "r.csv", "date,return\n2002-06-04,oops\n")
     with pytest.raises(ParseError, match="line 2"):
@@ -381,6 +397,16 @@ def test_a_non_date_entry_raises_domain_error(bad):
         Dates(bad)
     with pytest.raises(DomainError):
         ReturnSeries("x", bad, np.zeros(2))
+
+
+def test_dates_of_dates_share_their_days_and_repr_names_the_span():
+    for days in (GAPPED, RUN):
+        dates = Dates(days)
+        again = Dates(dates)
+        assert again == dates and again._days is dates._days
+    assert repr(Dates(())) == "Dates(n=0)"
+    assert repr(Dates(GAPPED)) == "Dates(n=4, first=2002-06-03, last=2002-06-10)"
+    assert repr(Dates(RUN)[1:]) == "Dates(n=4, first=2002-06-04, last=2002-06-07)"
 
 
 def test_a_range_of_day_ordinals_reaches_the_calendar_end():

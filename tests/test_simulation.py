@@ -115,6 +115,17 @@ def test_burn_in_discards_exactly_the_prefix(family, params):
     assert np.array_equal(kept.returns, full.returns[k:])
 
 
+@pytest.mark.parametrize("family,params", [
+    (GARCH, ParamVector(1e-6, 0.08, 0.91, nu=8.0)),
+    (FIGARCH, ParamVector(1e-6, 0.2, 0.4, d=0.6)),
+])
+def test_kept_vectors_hold_none_of_the_burn_in(family, params):
+    # a view past the burn-in would keep all 10 100 simulated steps alive
+    series, sigma2 = simulate_path(SimConfig(family, params, n=100, burn_in=10_000, seed=7))
+    assert series.returns.base is None and sigma2.base is None
+    assert series.returns.nbytes == sigma2.nbytes == 800
+
+
 # ----------------------------------------------------------------- output form
 
 def test_output_lengths_dates_and_metadata():
