@@ -242,8 +242,11 @@ def cmd_entropy(args) -> int:
     results: list[dict] = []
     with warnings.catch_warnings():
         for series in series_list:
-            rep = entropy_report(series.returns, m=args.bins,
-                                 alpha_grid=alpha_grid, q_grid=q_grid)
+            try:
+                rep = entropy_report(series.returns, m=args.bins,
+                                     alpha_grid=alpha_grid, q_grid=q_grid)
+            except DegenerateSupportError as exc:
+                raise DegenerateSupportError(f"series {series.id!r}: {exc}") from exc
             # every series and window has the same orders: say it once per run
             warnings.simplefilter("ignore", FiniteVarianceWarning)
             windows = None

@@ -26,6 +26,7 @@ evaluate through it.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from dataclasses import dataclass, replace
@@ -100,6 +101,33 @@ class FracWeights:
     T: int
 
 
+def _weight_inputs(d: float, T: int, alpha: float, beta: float) -> tuple[np.ndarray, np.ndarray]:
+    """``pi`` and the input ``x`` of the weight recursion ``lambda_j = beta*lambda_{j-1} + x_j``.
+
+    Every build of the ARCH(inf) weights starts here, in :func:`frac_weights`
+    and in the likelihood engine; see :func:`frac_weights` for the domain.
+    """
+    if not (0.0 <= d <= 1.0):
+        raise DomainError(f"d must lie in [0,1], got {d}")
+    T = _integer(T, "truncation horizon")
+    if not math.isfinite(alpha + beta):  # NaN or inf in either, or a sum that overflows
+        raise DomainError(f"alpha and beta must be finite, got alpha={alpha}, beta={beta}")
+
+    j = np.arange(1, T + 1, dtype=float)
+    pi = np.concatenate(([1.0], np.cumprod((j - 1.0 - d) / j)))
+    if 0.0 < d < 1.0 and abs(pi[-1]) < _SMALLEST_NORMAL:
+        # |pi_j| falls with j, so the tail is subnormal (d below about
+        # T * 2.2e-308); there cumprod's rounding order drifts from the stated
+        # recursion by whole ulps, so replay the recursion in its own order.
+        for k in range(1, T + 1):
+            pi[k] = pi[k - 1] * (k - 1 - d) / k
+
+    phi = alpha + beta
+    x = phi * pi[:-1] - pi[1:]
+    x[0] -= beta  # folds the leading beta*lambda_0 term out of the recursion
+    return pi, x
+
+
 def frac_weights(d: float, T: int, alpha: float = 0.0, beta: float = 0.0) -> FracWeights:
     """Fractional-differencing coefficients and ARCH(:math:`\\infty`) weights.
 
@@ -128,30 +156,16 @@ def frac_weights(d: float, T: int, alpha: float = 0.0, beta: float = 0.0) -> Fra
 
     which reduces to :math:`\\lambda_j = \\alpha\\beta^{j-1}` at ``d = 0``.
     """
-    if not (0.0 <= d <= 1.0):
-        raise DomainError(f"d must lie in [0,1], got {d}")
-    T = _integer(T, "truncation horizon")
-    if not math.isfinite(alpha + beta):  # NaN or inf in either, or a sum that overflows
-        raise DomainError(f"alpha and beta must be finite, got alpha={alpha}, beta={beta}")
-
-    j = np.arange(1, T + 1, dtype=float)
-    pi = np.concatenate(([1.0], np.cumprod((j - 1.0 - d) / j)))
-    if 0.0 < d < 1.0 and abs(pi[-1]) < _SMALLEST_NORMAL:
-        # |pi_j| falls with j, so the tail is subnormal (d below about
-        # T * 2.2e-308); there cumprod's rounding order drifts from the stated
-        # recursion by whole ulps, so replay the recursion in its own order.
-        for k in range(1, T + 1):
-            pi[k] = pi[k - 1] * (k - 1 - d) / k
-
-    phi = alpha + beta
-    x = phi * pi[:-1] - pi[1:]
-    x[0] -= beta  # folds the leading beta*lambda_0 term out of the recursion
+    pi, x = _weight_inputs(d, T, alpha, beta)
     # lambda_j = beta*lambda_{j-1} + x_j in plain Python: the same product and
     # sum, in the same order, as scipy.signal.lfilter([1], [1, -beta], x), so
     # the weights are bit for bit lfilter's without importing scipy.signal.
+    # The likelihood engine, which loads scipy.signal anyway, filters the same
+    # x with lfilter instead (`_Likelihood._entry`): at T = 1000 that takes
+    # about 11 us, against 75 us for this recursion.
     y, b = 0.0, float(beta)  # a Python float: numpy scalars are slower and warn on overflow
     lam = np.fromiter([y := b * y + xi for xi in x.tolist()], float, x.size)
-    return FracWeights(pi=pi, lam=lam, T=T)
+    return FracWeights(pi=pi, lam=lam, T=x.size)
 
 
 def validate_params(family: ModelFamily, params: ParamVector,
@@ -280,12 +294,45 @@ def student_logpdf(z: np.ndarray | float, nu: float) -> np.ndarray | float:
     return out if out.ndim else float(out)
 
 
+# Transform lengths of the IGARCH/FIGARCH engine from 1024 to 129600: each
+# 5-smooth length at which an rfft+irfft pair took less time than at every
+# longer 5-smooth length up to 140000 (scipy.fft of scipy 1.17.1 on one pinned
+# core of a 2-core x86-64 VM, the least of 56 rounds per length).  The engine
+# takes the first at or above n + T, so no longer length would be faster.  The
+# smallest 5-smooth length at or above n + T is often slower than a longer
+# one: at n + T = 11000, a pair took 156 us at 11250 and 136 us at 11520.
+# Outside the table the engine takes that smallest 5-smooth length.
+_FFT_LENGTHS = (
+    1024, 1280, 1296, 1440, 1536, 1600, 1620, 1728, 1920, 2048, 2304, 2560, 2880, 3072,
+    3200, 3840, 4096, 4800, 5120, 5184, 5760, 6400, 6480, 6912, 7200, 7680, 8000, 8192,
+    8640, 9216, 9600, 10240, 10368, 11520, 12288, 12800, 12960, 13824, 15360, 16384,
+    17280, 18432, 19200, 20480, 20736, 23040, 24000, 25600, 25920, 27648, 28800, 30720,
+    32000, 32768, 34560, 36864, 38400, 40960, 43200, 46080, 49152, 51200, 51840, 57600,
+    61440, 65536, 69120, 76800, 81920, 82944, 84375, 86400, 92160, 96000, 102400,
+    103680, 110592, 115200, 122880, 128000, 129600,
+)
+
+
+def _transform_length(n: int, T: int) -> int:
+    """The rFFT length of an engine over ``n`` returns at horizon ``T``: at least ``n + T``."""
+    i = bisect.bisect_left(_FFT_LENGTHS, n + T)
+    if n + T < _FFT_LENGTHS[0] or i == len(_FFT_LENGTHS):
+        from scipy import fft
+
+        return fft.next_fast_len(n + T, True)
+    return _FFT_LENGTHS[i]
+
+
 class _Likelihood:
     """Log-likelihood of one return series under one family and horizon.
 
     The returns are validated and demeaned once.  For IGARCH and FIGARCH the
     engine also keeps the rFFT of the backcast-padded e^2, so each evaluation
-    transforms only the kernel.  Since
+    transforms only the kernel.  Every transform is circular, of a length of
+    at least n + T (`_transform_length`): shorter than the n + 2T of the full
+    linear convolution, but no product the engine reads wraps around (the
+    sigma2 slice, the score's correlation at lags 1..T and the rows of
+    d sigma2 / d theta).  Since
     ``sigma2 = omega/(1-beta) + conv``, the convolution slice and its weights
     are kept for the exact floats (alpha, beta, d) last evaluated: points
     that move only omega or nu reuse them, and the lambda weights are built
@@ -329,8 +376,12 @@ class _Likelihood:
 
         self._fft = fft
         e2_ext = np.concatenate((np.full(T, self.backcast), self.e2))
-        # full linear-convolution length of e2_ext (n+T) and the kernel (T+1)
-        self._fft_size = fft.next_fast_len(self.n + 2 * T, True)
+        # e2_ext (n+T) convolved with a kernel of lags 0..T has n+2T terms; a
+        # circular length L adds term t+L to term t, and t + L >= n + 2T for
+        # each t >= T read back when L >= n + T.  The score's correlation
+        # pairs g_t (at T+t) with e2_ext at T+t-j; a wrapped pair needs
+        # j >= L - n + 1 > T.
+        self._fft_size = _transform_length(self.n, T)
         self._e2_fft = fft.rfft(e2_ext, self._fft_size)
 
     @property
@@ -352,7 +403,10 @@ class _Likelihood:
     def _entry(self, params: ParamVector) -> list:
         key = (params.alpha, params.beta, self._d(params))
         if self._memo is None or self._memo[0] != key:
-            self._memo = (key, [frac_weights(key[2], self.T, key[0], key[1]), None])
+            # frac_weights' inputs, filtered by lfilter: the same bits as its
+            # Python recursion, in about a sixth of the time
+            pi, x = _weight_inputs(key[2], self.T, key[0], key[1])
+            self._memo = (key, [FracWeights(pi, _ar1_filter(x, key[1]), self.T), None])
         return self._memo[1]
 
     def weights(self, params: ParamVector) -> FracWeights:
@@ -373,11 +427,20 @@ class _Likelihood:
             entry[1] = full[self.T:self.T + self.n].copy()
         return entry[1]
 
+    def variance_path(self, params: ParamVector) -> VariancePath:
+        return self._evaluate(params)[0]
+
     # one extreme return can overflow sigma2 (the transform product, for IGARCH
     # and FIGARCH) or its log-likelihood, and a product with sigma2 can
     # underflow to 0 and divide by it: all are rejected below
     @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-    def variance_path(self, params: ParamVector) -> VariancePath:
+    def _evaluate(self, params: ParamVector) -> tuple[VariancePath, np.ndarray, float | None]:
+        """The path, with the terms its derivatives reuse.
+
+        Those are ``x_t = e2_t / sigma2_t`` (Gaussian) or
+        ``e2_t / ((nu-2) sigma2_t)`` (Student-t), and for Student-t the sum of
+        ``log1p(x_t)`` (None for Gaussian).
+        """
         if params.nu is not None and not 2.0 < params.nu < math.inf:
             raise InfeasibleParamsError(f"nu = {params.nu} outside (2, inf)")
         if params.beta >= 1.0 - 1e-12:
@@ -396,19 +459,21 @@ class _Likelihood:
                 f"non-positive conditional variance encountered (min sigma2 = {worst:.3e})"
             )
 
-        nu, e2 = params.nu, self.e2
+        nu = params.nu
         if nu is None:
-            ll = -0.5 * (self.n * math.log(2.0 * math.pi)
-                         + np.log(sig2).sum()
-                         + (e2 / sig2).sum())
+            x = self.e2 / sig2
+            log1p_sum = None
+            ll = -0.5 * (self.n * math.log(2.0 * math.pi) + np.log(sig2).sum() + x.sum())
         else:
+            x = self.e2 / ((nu - 2.0) * sig2)
+            log1p_sum = float(np.log1p(x).sum())
             ll = (self.n * _student_log_norm(nu)
                   - 0.5 * np.log(sig2).sum()
-                  - ((nu + 1.0) / 2.0) * np.log1p(e2 / ((nu - 2.0) * sig2)).sum())
+                  - ((nu + 1.0) / 2.0) * log1p_sum)
         ll = float(ll)
         if not math.isfinite(ll):
             raise DataQualityError("log-likelihood is not finite on this series")
-        return VariancePath(sigma2=sig2, loglik=ll)
+        return VariancePath(sigma2=sig2, loglik=ll), x, log1p_sum
 
     def loglik(self, params: ParamVector) -> float:
         return self.variance_path(params).loglik
@@ -451,12 +516,11 @@ class _Likelihood:
     @np.errstate(over="ignore", invalid="ignore", divide="ignore")  # non-finite: rejected below
     def _derivatives(self, params: ParamVector, fixed_d: bool, second: bool):
         """(log-likelihood, gradient, Hessian or None): see :meth:`score` and :meth:`hessian`."""
-        vp = self.variance_path(params)
-        sig2, e2, nu = vp.sigma2, self.e2, params.nu
+        vp, x, log1p_sum = self._evaluate(params)
+        sig2, nu = vp.sigma2, params.nu
         if nu is None:
-            g = 0.5 * (e2 / sig2 - 1.0) / sig2
+            g = 0.5 * (x - 1.0) / sig2
         else:
-            x = e2 / ((nu - 2.0) * sig2)
             w = x / (1.0 + x)
             g = 0.5 * ((nu + 1.0) * w - 1.0) / sig2
         if self.family is ModelFamily.GARCH:
@@ -468,7 +532,7 @@ class _Likelihood:
             digamma = _special().digamma
             grad.append(0.5 * self.n * (digamma((nu + 1.0) / 2.0) - digamma(nu / 2.0)
                                         - 1.0 / (nu - 2.0))
-                        - 0.5 * float(np.log1p(x).sum())
+                        - 0.5 * log1p_sum
                         + (nu + 1.0) / (2.0 * (nu - 2.0)) * float(w.sum()))
         if not all(map(math.isfinite, grad)):  # overflowed at an extreme return
             raise InfeasibleParamsError("the score is not finite at this point")
@@ -478,7 +542,7 @@ class _Likelihood:
         # h_t = d g_t / d sigma2_t; for Student-t, with v_t = w_t (1 - w_t),
         # dw_t/d sigma2_t = -v_t/sigma2_t and dw_t/d nu = -v_t/(nu-2)
         if nu is None:
-            h = (0.5 - e2 / sig2) / sig2 / sig2
+            h = (0.5 - x) / sig2 / sig2
         else:
             v = w * (1.0 - w)
             a = (0.5 * (nu + 1.0)) * v / sig2
@@ -498,12 +562,13 @@ class _Likelihood:
             m = 0.5 * w / sig2 - a / (nu - 2.0)  # d g_t / d nu
             H[0, k] = H[k, 0] = inv * float(m.sum())
             H[1:k, k] = H[k, 1:k] = s @ m
-            trigamma = _special().polygamma(1, [(nu + 1.0) / 2.0, nu / 2.0])
+            zeta = _special().zeta  # trigamma(y) = zeta(2, y), as polygamma(1, y) computes it
             try:
                 sq = (nu - 2.0) ** 2
             except OverflowError:  # nu above ~1.3e154: each 1/(nu-2)^2 term is 0
                 sq = math.inf
-            H[k, k] = (self.n * (0.25 * (trigamma[0] - trigamma[1]) + 0.5 / sq)
+            H[k, k] = (self.n * (0.25 * (zeta(2.0, (nu + 1.0) / 2.0) - zeta(2.0, nu / 2.0))
+                                 + 0.5 / sq)
                        + (0.5 / (nu - 2.0) - 1.5 / sq) * float(w.sum())
                        - (nu + 1.0) / (2.0 * sq) * float(v.sum()))
         return vp.loglik, np.array(grad), H

@@ -305,6 +305,21 @@ def test_entropy_too_narrow_window_names_series_and_dates(tmp_path):
         "equal cells at the magnitude of its values (edges must be strictly increasing)\n")
 
 
+def test_entropy_of_a_flat_series_names_it_among_several_inputs(tmp_path, capsys):
+    paths = []
+    for name, returns in (("moving", [0.001 * (-1) ** day * day for day in range(1, 11)]),
+                          ("flat", [0.001] * 10)):
+        rows = [f"2020-01-{day:02d},{r!r}" for day, r in enumerate(returns, start=1)]
+        (tmp_path / f"{name}.csv").write_text("date,return\n" + "\n".join(rows) + "\n")
+        paths.append(str(tmp_path / f"{name}.csv"))
+    capsys.readouterr()
+    assert main(["entropy", "--input", ",".join(paths), "--returns"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("error: series 'flat': all 10 observations equal 0.001; "
+                   "histogram support has zero width\n")
+
+
 def test_entropy_windowed_report(sim_file):
     proc = run("entropy", "--input", str(sim_file), "--returns",
                "--window", "500", "--step", "250", "--format", "tree")

@@ -336,8 +336,8 @@ def test_default_figarch_fit_builds_no_weights_for_its_standard_errors(monkeypat
     # the engine keeps the last (alpha, beta, d): the optimum's, whose
     # log-likelihood the fit evaluates just before its standard errors
     calls, built = [], []
-    real = models.frac_weights
-    monkeypatch.setattr(models, "frac_weights", lambda *a: calls.append(a) or real(*a))
+    real = models._weight_inputs
+    monkeypatch.setattr(models, "_weight_inputs", lambda *a: calls.append(a) or real(*a))
     real_se = estimation._standard_errors
 
     def recording(*args):
@@ -406,10 +406,10 @@ def test_wall_builds_no_weights_at_a_point_the_engine_just_evaluated_or_rejected
     config = FitConfig(FIGARCH)
     engine = _make_engine(series.returns, config)
     calls = []
-    real = models.frac_weights
+    real = models._weight_inputs
     for module in (models, estimation):  # wherever the weights may be built from
-        if hasattr(module, "frac_weights"):
-            monkeypatch.setattr(module, "frac_weights", lambda *a: calls.append(a) or real(*a))
+        if hasattr(module, "_weight_inputs"):
+            monkeypatch.setattr(module, "_weight_inputs", lambda *a: calls.append(a) or real(*a))
 
     inside = transform_to_unconstrained(ParamVector(1e-6, 0.3, 0.4, d=0.3, nu=8.0), FIGARCH)
     _unconstrained_score(engine, inside, config)
@@ -623,8 +623,8 @@ def test_memoised_figarch_score_equals_a_fresh_engine(n, monkeypatch):
     _, _, H = _make_engine(series.returns, config).hessian(true)
 
     calls = []
-    real = models.frac_weights
-    monkeypatch.setattr(models, "frac_weights", lambda *a: calls.append(a) or real(*a))
+    real = models._weight_inputs
+    monkeypatch.setattr(models, "_weight_inputs", lambda *a: calls.append(a) or real(*a))
     engine = _make_engine(series.returns, config)
     got_ll, got = engine.score(true)
     assert np.isfinite(got).all()
@@ -706,8 +706,8 @@ def test_figarch_t_standard_errors_take_one_weight_build_and_eleven_transforms(m
     true = ParamVector(1e-6, 0.2, 0.5, d=0.6, nu=8.0)
     series, _ = simulate_path(SimConfig(FIGARCH, true, n=3000, seed=1))
     weights, transforms = [], []
-    real_weights = models.frac_weights
-    monkeypatch.setattr(models, "frac_weights", lambda *a: weights.append(a) or real_weights(*a))
+    real_weights = models._weight_inputs
+    monkeypatch.setattr(models, "_weight_inputs", lambda *a: weights.append(a) or real_weights(*a))
     for name in ("rfft", "irfft"):
         def counting(x, *args, _real=getattr(scipy.fft, name), **kwargs):
             x = np.asarray(x)

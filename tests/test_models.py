@@ -224,6 +224,42 @@ def test_figarch_fft_path_matches_loop_reference():
     assert_allclose(vp.sigma2, ref_figarch_path(5e-5, 0.2, 0.4, 0.6, r, 100), rtol=1e-12)
 
 
+def _ref_student_loglik(p, r, T):
+    """The Student-t log-likelihood of the loop reference path."""
+    sig2 = ref_figarch_path(p.omega, p.alpha, p.beta, p.d, r, T)
+    z = (r - r.mean()) / np.sqrt(sig2)
+    return float(np.sum(student_logpdf(z, p.nu) - 0.5 * np.log(sig2)))
+
+
+@pytest.mark.parametrize("n, T, exact", [(1, 15, True), (2, 14, True), (1000, 24, True),
+                                         (1001, 24, False)])
+def test_transform_of_length_n_plus_T_wraps_nothing_the_engine_reads(n, T, exact, monkeypatch):
+    # the circular transform is at least n + T long, not the n + 2T of the
+    # full convolution; at n + T - 1 (15 for the first two rows, 1024 for
+    # the last) the last weight would wrap the last e^2 onto sigma2_0 and
+    # the score's correlation at lag T
+    r = rng_returns(n=n, seed=5)
+    p = ParamVector(1e-5, 0.2, 0.4, d=0.6, nu=7.0)
+    names = ["omega", "alpha", "beta", "d", "nu"]
+    engine = _Likelihood(FIGARCH, r, T=T)
+    assert (engine._fft_size == n + T) is exact and engine._fft_size >= n + T
+    assert_allclose(engine.variance_path(p).sigma2,
+                    ref_figarch_path(p.omega, p.alpha, p.beta, p.d, r, T), rtol=1e-12)
+    ll, score, H = engine.hessian(p)
+    x0 = np.array([getattr(p, name) for name in names])
+    ref = lambda x: _ref_student_loglik(ParamVector(*x), r, T)
+    assert ll == pytest.approx(ref(x0), rel=1e-12)
+    assert_allclose(score, [_central_difference(ref, x0, i) for i in range(5)], rtol=1e-6)
+    # the Hessian against differences of the score of an engine whose
+    # transform holds the whole linear convolution (at n = 1, where e^2 is 0,
+    # the cross terms of omega are 0 and their differences rounding)
+    monkeypatch.setattr(models, "_transform_length", lambda n, T: n + 2 * T)
+    full = _Likelihood(FIGARCH, r, T=T)
+    f = lambda x: full.score(p.with_(**dict(zip(names, x.tolist()))))[1]
+    assert_allclose(H, np.column_stack([_central_difference(f, x0, i) for i in range(5)]),
+                    rtol=1e-6, atol=1e-12 * np.abs(H).max())
+
+
 def test_figarch_path_with_extreme_return_matches_loop_reference():
     r = rng_returns(n=300, seed=9)
     r[150] *= 1000.0
@@ -396,8 +432,8 @@ def test_engine_rejects_negative_weights_on_first_and_memoised_call(monkeypatch)
     r = rng_returns()
     assert math.isfinite(log_likelihood(FIGARCH, p, r))  # public path: no weight check
     calls = []
-    real = models.frac_weights
-    monkeypatch.setattr(models, "frac_weights", lambda *a: calls.append(a) or real(*a))
+    real = models._weight_inputs
+    monkeypatch.setattr(models, "_weight_inputs", lambda *a: calls.append(a) or real(*a))
     engine = _Likelihood(FIGARCH, r, reject_negative_weights=True)
     for _ in range(2):
         with pytest.raises(InfeasibleParamsError, match="negative ARCH"):
