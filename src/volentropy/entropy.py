@@ -105,7 +105,7 @@ def _check_cells(edges: np.ndarray, probs: np.ndarray) -> None:
         raise DomainError(f"cell probabilities must sum to 1, got {float(total[~close][0])}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Histogram:
     """Counts and probabilities over equidistant cells.
 
@@ -399,10 +399,9 @@ def tsallis(h: Histogram, q: float) -> float:
 
 # ------------------------------------------------------------------- reports
 
-def _grids(n: int, m: int | None, alpha_grid, q_grid,
-           stacklevel: int) -> tuple[int, _Orders, _Orders]:
+def _grids(n: int, m: int | None, alpha_grid, q_grid) -> tuple[int, _Orders, _Orders]:
     """Bin count (ceil(sqrt(n)) by default) and order grids of reports on ``n``-value samples;
-    each Tsallis index outside [1, 5/3) warns at ``stacklevel``, counted from here."""
+    each Tsallis index outside [1, 5/3) warns at the caller of the report function."""
     if len(alpha_grid) == 0 or len(q_grid) == 0:
         raise DomainError("order grids must be nonempty")
     m = _bin_count(math.ceil(math.sqrt(n)) if m is None else m)
@@ -414,7 +413,7 @@ def _grids(n: int, m: int | None, alpha_grid, q_grid,
                 f"Tsallis index q={q:g} lies outside [1, 5/3), the index window "
                 f"for finite-variance data",
                 FiniteVarianceWarning,
-                stacklevel=stacklevel,
+                stacklevel=3,  # 1 is here, 2 the report function, 3 its caller
             )
     return m, alphas, qs
 
@@ -428,19 +427,17 @@ def _report(probs: np.ndarray, n: int, empty: int, width: float,
                          n_obs=n, empty_cells=empty, cell_width=width)
 
 
-def _reports(x: np.ndarray, m: int | None, alpha_grid, q_grid,
-             stacklevel: int = 2) -> tuple[EntropyReport, ...]:
+def _reports(x: np.ndarray, m: int | None, alpha_grid, q_grid) -> tuple[EntropyReport, ...]:
     """:func:`entropy_report` of each row of a 2-D sample matrix.
 
     Each row, such as one rolling window of a series, gets its own histogram
     over its own range; ``m`` defaults to ceil(sqrt(row length)).  A row
     of zero or overflowing width, or too narrow for ``m`` equal cells,
-    raises :class:`DegenerateSupportError` with its index in ``x``.
-    ``stacklevel`` is that of the :class:`FiniteVarianceWarning`, counted
-    from here: 2 points at the caller.
+    raises :class:`DegenerateSupportError` with its index in ``x``.  A
+    :class:`FiniteVarianceWarning` points at the caller.
     """
     n = x.shape[1]
-    m, alphas, qs = _grids(n, m, alpha_grid, q_grid, stacklevel + 1)
+    m, alphas, qs = _grids(n, m, alpha_grid, q_grid)
     out = []
     per_block = max(1, _BLOCK_VALUES // n)
     for first in range(0, x.shape[0], per_block):
@@ -474,7 +471,7 @@ def entropy_report(returns, m: int | None = None,
     evaluated.
     """
     x = _as_returns(returns)
-    m, alphas, qs = _grids(x.size, m, alpha_grid, q_grid, stacklevel=3)
+    m, alphas, qs = _grids(x.size, m, alpha_grid, q_grid)
     h = _histogram(x, m)
     return _report(h.probs, x.size, m - int(np.count_nonzero(h.counts)),
                    float(h.edges[-1] - h.edges[0]) / m, alphas, qs)

@@ -53,6 +53,7 @@ from .models import (
     _SMALLEST_NORMAL,
     ParamVector,
     _Likelihood,
+    frac_weights,
     validate_params,
 )
 
@@ -88,7 +89,7 @@ _PERSISTENCE_FLAG = 0.98    # strict threshold on alpha + beta
 _MIN_EIGEN_RATIO = 1e3 * float(np.finfo(float).eps)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StdErrReport:
     """Standard errors, p-values and significance flags for one optimum.
 
@@ -104,7 +105,7 @@ class StdErrReport:
     hessian_pd: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FitResult:
     """Outcome of one maximum-likelihood fit."""
 
@@ -447,6 +448,12 @@ def _initial_params(returns: np.ndarray, config: FitConfig,
     d = config.d_fixed if config.family.pinned_d is None else config.family.pinned_d
     if "d" in layout:
         d = min(max(_D0 * factors[3], 0.05), 0.95)
+    elif config.family is ModelFamily.FIGARCH and not jitter:
+        # The free d starts at 0.5, where the warm start's weights are all
+        # nonnegative; at a fixed d above about 0.615 some are not.  As alpha
+        # and beta go to 0, each lambda_j goes to -pi_j >= 0.
+        while (frac_weights(d, config.T, alpha, beta).lam < -_LAMBDA_TOL).any():
+            alpha, beta = 0.5 * alpha, 0.5 * beta
     nu = max(_NU0 * factors[4], 2.5) if "nu" in layout else None
     return ParamVector(omega=omega, alpha=alpha, beta=beta, d=d, nu=nu)
 

@@ -29,6 +29,7 @@ from __future__ import annotations
 import bisect
 import functools
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -79,7 +80,7 @@ class ParamVector:
                 "d": self.d, "nu": self.nu}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VariancePath:
     """Conditional variances plus the total log-likelihood (nats) of the path."""
 
@@ -87,7 +88,7 @@ class VariancePath:
     loglik: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FracWeights:
     """Expansion weights of the fractional machinery.
 
@@ -99,33 +100,6 @@ class FracWeights:
     pi: np.ndarray
     lam: np.ndarray
     T: int
-
-
-def _weight_inputs(d: float, T: int, alpha: float, beta: float) -> tuple[np.ndarray, np.ndarray]:
-    """``pi`` and the input ``x`` of the weight recursion ``lambda_j = beta*lambda_{j-1} + x_j``.
-
-    Every build of the ARCH(inf) weights starts here, in :func:`frac_weights`
-    and in the likelihood engine; see :func:`frac_weights` for the domain.
-    """
-    if not (0.0 <= d <= 1.0):
-        raise DomainError(f"d must lie in [0,1], got {d}")
-    T = _integer(T, "truncation horizon")
-    if not math.isfinite(alpha + beta):  # NaN or inf in either, or a sum that overflows
-        raise DomainError(f"alpha and beta must be finite, got alpha={alpha}, beta={beta}")
-
-    j = np.arange(1, T + 1, dtype=float)
-    pi = np.concatenate(([1.0], np.cumprod((j - 1.0 - d) / j)))
-    if 0.0 < d < 1.0 and abs(pi[-1]) < _SMALLEST_NORMAL:
-        # |pi_j| falls with j, so the tail is subnormal (d below about
-        # T * 2.2e-308); there cumprod's rounding order drifts from the stated
-        # recursion by whole ulps, so replay the recursion in its own order.
-        for k in range(1, T + 1):
-            pi[k] = pi[k - 1] * (k - 1 - d) / k
-
-    phi = alpha + beta
-    x = phi * pi[:-1] - pi[1:]
-    x[0] -= beta  # folds the leading beta*lambda_0 term out of the recursion
-    return pi, x
 
 
 def frac_weights(d: float, T: int, alpha: float = 0.0, beta: float = 0.0) -> FracWeights:
@@ -155,17 +129,37 @@ def frac_weights(d: float, T: int, alpha: float = 0.0, beta: float = 0.0) -> Fra
         \\quad (j \\ge 2),
 
     which reduces to :math:`\\lambda_j = \\alpha\\beta^{j-1}` at ``d = 0``.
+    This is the one builder of the weights: the likelihood engine,
+    :func:`validate_params`, simulation and a fit's starting point call it.
     """
-    pi, x = _weight_inputs(d, T, alpha, beta)
-    # lambda_j = beta*lambda_{j-1} + x_j in plain Python: the same product and
-    # sum, in the same order, as scipy.signal.lfilter([1], [1, -beta], x), so
-    # the weights are bit for bit lfilter's without importing scipy.signal.
-    # The likelihood engine, which loads scipy.signal anyway, filters the same
-    # x with lfilter instead (`_Likelihood._entry`): at T = 1000 that takes
-    # about 11 us, against 75 us for this recursion.
-    y, b = 0.0, float(beta)  # a Python float: numpy scalars are slower and warn on overflow
-    lam = np.fromiter([y := b * y + xi for xi in x.tolist()], float, x.size)
-    return FracWeights(pi=pi, lam=lam, T=x.size)
+    if not (0.0 <= d <= 1.0):
+        raise DomainError(f"d must lie in [0,1], got {d}")
+    T = _integer(T, "truncation horizon")
+    if not math.isfinite(alpha + beta):  # NaN or inf in either, or a sum that overflows
+        raise DomainError(f"alpha and beta must be finite, got alpha={alpha}, beta={beta}")
+
+    j = np.arange(1, T + 1, dtype=float)
+    pi = np.concatenate(([1.0], np.cumprod((j - 1.0 - d) / j)))
+    if 0.0 < d < 1.0 and abs(pi[-1]) < _SMALLEST_NORMAL:
+        # |pi_j| falls with j, so the tail is subnormal (d below about
+        # T * 2.2e-308); there cumprod's rounding order drifts from the stated
+        # recursion by whole ulps, so replay the recursion in its own order.
+        for k in range(1, T + 1):
+            pi[k] = pi[k - 1] * (k - 1 - d) / k
+
+    x = (alpha + beta) * pi[:-1] - pi[1:]
+    x[0] -= beta  # folds the leading beta*lambda_0 term out of the recursion
+    # lambda_j = beta*lambda_{j-1} + x_j.  lfilter runs it in about 11 us at
+    # T = 1000, the plain-Python loop in about 75 us; both form the same
+    # product and sum in the same order, so the bits agree.  The loop serves
+    # processes that have not loaded scipy.signal, an import of over a
+    # second: a simulation never loads it, and a fit does for its first score.
+    if "scipy.signal" in sys.modules:
+        lam = _ar1_filter(x, beta)
+    else:
+        y, b = 0.0, float(beta)  # a Python float: numpy scalars are slower and warn on overflow
+        lam = np.fromiter([y := b * y + xi for xi in x.tolist()], float, T)
+    return FracWeights(pi=pi, lam=lam, T=T)
 
 
 def validate_params(family: ModelFamily, params: ParamVector,
@@ -227,8 +221,9 @@ def _ar1_filter(x: np.ndarray, beta: float,
     """
     # Imported here: scipy.signal costs over a second of import time that
     # only a fit needs, for the n-term variance recursion and its derivative
-    # rows.  --help, entropy and simulate never load it: frac_weights runs
-    # its T-term weight recursion in Python for that reason.
+    # rows.  --help, entropy and simulate never load it: frac_weights calls
+    # this filter only once scipy.signal is loaded, and otherwise runs its
+    # T-term weight recursion in Python.
     from scipy.signal import lfilter
 
     if state is None:
@@ -403,10 +398,7 @@ class _Likelihood:
     def _entry(self, params: ParamVector) -> list:
         key = (params.alpha, params.beta, self._d(params))
         if self._memo is None or self._memo[0] != key:
-            # frac_weights' inputs, filtered by lfilter: the same bits as its
-            # Python recursion, in about a sixth of the time
-            pi, x = _weight_inputs(key[2], self.T, key[0], key[1])
-            self._memo = (key, [FracWeights(pi, _ar1_filter(x, key[1]), self.T), None])
+            self._memo = (key, [frac_weights(key[2], self.T, key[0], key[1]), None])
         return self._memo[1]
 
     def weights(self, params: ParamVector) -> FracWeights:

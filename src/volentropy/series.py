@@ -148,7 +148,7 @@ class Dates(Sequence):
         return f"Dates(n={len(self)}, first={self[0]}, last={self[-1]})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReturnSeries:
     """A timestamped log-return vector with origin metadata.
 

@@ -177,6 +177,16 @@ def test_fit_d_fixed_boundary_suggests_family(sim_file):
     assert "--family garch" in proc.stderr
 
 
+def test_fit_at_a_high_fixed_d_exits_0(sim_file):
+    # the warm start has negative weights at d = 0.95; the fit starts inside
+    proc = run("fit", "--input", str(sim_file), "--returns", "--family", "figarch",
+               "--d-fixed", "0.95", "--restarts", "0", "--format", "tree")
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)["results"][0]
+    assert result["error"] is None and result["converged"] is True
+    assert result["params"]["d"] == 0.95
+
+
 @pytest.mark.parametrize("family,d_fixed", [("garch", "0.5"), ("garch", "0"),
                                              ("garch,igarch", "1")])
 def test_fit_d_fixed_without_figarch_exits_1(sim_file, family, d_fixed):

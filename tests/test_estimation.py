@@ -36,6 +36,7 @@ from volentropy import (
 from volentropy.estimation import (
     _bfgs,
     _covariance_from_hessian,
+    _initial_params,
     _jacobian,
     _make_engine,
     _off_face,
@@ -336,8 +337,8 @@ def test_default_figarch_fit_builds_no_weights_for_its_standard_errors(monkeypat
     # the engine keeps the last (alpha, beta, d): the optimum's, whose
     # log-likelihood the fit evaluates just before its standard errors
     calls, built = [], []
-    real = models._weight_inputs
-    monkeypatch.setattr(models, "_weight_inputs", lambda *a: calls.append(a) or real(*a))
+    real = models.frac_weights
+    monkeypatch.setattr(models, "frac_weights", lambda *a: calls.append(a) or real(*a))
     real_se = estimation._standard_errors
 
     def recording(*args):
@@ -406,10 +407,9 @@ def test_wall_builds_no_weights_at_a_point_the_engine_just_evaluated_or_rejected
     config = FitConfig(FIGARCH)
     engine = _make_engine(series.returns, config)
     calls = []
-    real = models._weight_inputs
-    for module in (models, estimation):  # wherever the weights may be built from
-        if hasattr(module, "_weight_inputs"):
-            monkeypatch.setattr(module, "_weight_inputs", lambda *a: calls.append(a) or real(*a))
+    real = models.frac_weights
+    for module in (models, estimation):  # both call the weights' one builder
+        monkeypatch.setattr(module, "frac_weights", lambda *a: calls.append(a) or real(*a))
 
     inside = transform_to_unconstrained(ParamVector(1e-6, 0.3, 0.4, d=0.3, nu=8.0), FIGARCH)
     _unconstrained_score(engine, inside, config)
@@ -573,6 +573,26 @@ def test_fit_figarch_with_pinned_d():
     assert res.converged
 
 
+@pytest.mark.parametrize("d_fixed", [0.3, 0.62, 0.7, 0.95, 0.99])
+def test_unjittered_figarch_start_at_a_fixed_d_has_nonnegative_weights(d_fixed):
+    # the warm start (alpha, beta) = (0.05, 0.9) has a negative weight at
+    # every fixed d above about 0.615; the start halves both until it has none
+    config = FitConfig(FIGARCH, d_fixed=d_fixed)
+    returns = np.random.default_rng(0).standard_normal(100)
+    p = _initial_params(returns, config, np.random.default_rng(0), jitter=False)
+    validate_params(FIGARCH, p, config.T)
+    halvings = round(math.log2(0.05 / p.alpha))
+    assert (p.alpha, p.beta) == (0.05 / 2 ** halvings, 0.9 / 2 ** halvings)
+    assert (halvings == 0) == (d_fixed < 0.615)
+
+
+@pytest.mark.parametrize("d_fixed", [0.62, 0.95, 0.99])
+def test_figarch_fit_at_a_high_fixed_d_starts_feasible_and_converges(d_fixed):
+    res = fit(sim_garch(n=2000, seed=1, nu=8.0), FitConfig(FIGARCH, restarts=0, d_fixed=d_fixed))
+    assert res.diagnostics["starts"][0]["feasible"]
+    assert res.converged and res.params.d == d_fixed
+
+
 @pytest.mark.parametrize("seed", [1, 2, 3, 4])
 def test_fit_igarch_recovers_igarch_1_1(seed):
     # IGARCH(1,1) with beta = 0.9 is the d = 1 point alpha = -beta: sigma2 =
@@ -623,8 +643,8 @@ def test_memoised_figarch_score_equals_a_fresh_engine(n, monkeypatch):
     _, _, H = _make_engine(series.returns, config).hessian(true)
 
     calls = []
-    real = models._weight_inputs
-    monkeypatch.setattr(models, "_weight_inputs", lambda *a: calls.append(a) or real(*a))
+    real = models.frac_weights
+    monkeypatch.setattr(models, "frac_weights", lambda *a: calls.append(a) or real(*a))
     engine = _make_engine(series.returns, config)
     got_ll, got = engine.score(true)
     assert np.isfinite(got).all()
@@ -706,8 +726,8 @@ def test_figarch_t_standard_errors_take_one_weight_build_and_eleven_transforms(m
     true = ParamVector(1e-6, 0.2, 0.5, d=0.6, nu=8.0)
     series, _ = simulate_path(SimConfig(FIGARCH, true, n=3000, seed=1))
     weights, transforms = [], []
-    real_weights = models._weight_inputs
-    monkeypatch.setattr(models, "_weight_inputs", lambda *a: weights.append(a) or real_weights(*a))
+    real_weights = models.frac_weights
+    monkeypatch.setattr(models, "frac_weights", lambda *a: weights.append(a) or real_weights(*a))
     for name in ("rfft", "irfft"):
         def counting(x, *args, _real=getattr(scipy.fft, name), **kwargs):
             x = np.asarray(x)

@@ -163,21 +163,37 @@ def lfilter_lambda(w, alpha, beta):
     return lfilter([1.0], [1.0, -beta], x)
 
 
+def frac_weights_on_path(lfilter_path, d, T, alpha, beta):
+    """frac_weights through lfilter (scipy.signal loaded) or its plain-Python loop (not loaded)."""
+    filtered = []
+    real = models._ar1_filter
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(models, "_ar1_filter", lambda *a: filtered.append(a) or real(*a))
+        if not lfilter_path:
+            mp.delitem(sys.modules, "scipy.signal")
+        w = frac_weights(d, T, alpha, beta)
+    assert len(filtered) == lfilter_path
+    return w
+
+
+@pytest.mark.parametrize("lfilter_path", [False, True])
 @pytest.mark.parametrize("T", [1, 2, 1000])
 @pytest.mark.parametrize("d", [0.0, 5e-324, 0.4, 1.0])
 @pytest.mark.parametrize("beta", [0.0, 0.5, 1.0 - 1e-6])
-def test_lambda_is_lfilter_bit_for_bit(beta, d, T):
-    # the weight recursion runs in plain Python; lfilter is its bit-for-bit reference
+def test_lambda_is_lfilter_bit_for_bit(beta, d, T, lfilter_path):
+    # with scipy.signal out of sys.modules the weight recursion runs in plain
+    # Python; lfilter is its bit-for-bit reference
     for alpha in (0.2, -0.05, 1e-9):
-        w = frac_weights(d, T, alpha, beta)
+        w = frac_weights_on_path(lfilter_path, d, T, alpha, beta)
         assert np.array_equal(w.lam, lfilter_lambda(w, alpha, beta))
 
 
+@pytest.mark.parametrize("lfilter_path", [False, True])
 @given(d=st.floats(0.0, 1.0), alpha=st.floats(-1.0, 1.0), beta=st.floats(0.0, 1.0),
        T=st.integers(1, 300))
 @settings(max_examples=200, deadline=None)
-def test_lambda_is_lfilter_bit_for_bit_on_random_draws(d, alpha, beta, T):
-    w = frac_weights(d, T, alpha, beta)
+def test_lambda_is_lfilter_bit_for_bit_on_random_draws(lfilter_path, d, alpha, beta, T):
+    w = frac_weights_on_path(lfilter_path, d, T, alpha, beta)
     assert np.array_equal(w.lam, lfilter_lambda(w, alpha, beta))
 
 
@@ -432,8 +448,8 @@ def test_engine_rejects_negative_weights_on_first_and_memoised_call(monkeypatch)
     r = rng_returns()
     assert math.isfinite(log_likelihood(FIGARCH, p, r))  # public path: no weight check
     calls = []
-    real = models._weight_inputs
-    monkeypatch.setattr(models, "_weight_inputs", lambda *a: calls.append(a) or real(*a))
+    real = models.frac_weights
+    monkeypatch.setattr(models, "frac_weights", lambda *a: calls.append(a) or real(*a))
     engine = _Likelihood(FIGARCH, r, reject_negative_weights=True)
     for _ in range(2):
         with pytest.raises(InfeasibleParamsError, match="negative ARCH"):

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import ast
 import importlib
 import os
 import pickle
 import subprocess
 import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 import volentropy
@@ -95,3 +98,88 @@ def test_fit_config_and_model_family_round_trip_through_pickle():
     assert pickle.loads(pickle.dumps(config)) == config
     for family in volentropy.ModelFamily:
         assert pickle.loads(pickle.dumps(family)) is family
+
+
+# ------------------------------------------------------------- import guard
+
+def _load_time_imports(path: Path) -> set[str]:
+    """The modules a source file imports when it loads, package modules as ``volentropy.<name>``.
+
+    Function bodies and ``if TYPE_CHECKING:`` blocks do not run at load time
+    and are skipped; class bodies, ``try`` and other blocks are walked.
+    """
+    names = set()
+
+    def visit(node):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if isinstance(child, ast.If) and ast.unparse(child.test) == "TYPE_CHECKING":
+                visit(ast.Module(child.orelse, []))
+                continue
+            if isinstance(child, ast.Import):
+                names.update(alias.name for alias in child.names)
+            elif isinstance(child, ast.ImportFrom) and child.level:  # within the package
+                names.add(f"volentropy.{child.module}" if child.module else "volentropy")
+            elif isinstance(child, ast.ImportFrom):
+                names.add(child.module)
+            visit(child)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")))
+    return names
+
+
+_SOURCES = {p.stem: _load_time_imports(p) for p in Path(volentropy.__file__).parent.glob("*.py")}
+
+
+def _loaded_with(module: str) -> set[str]:
+    """Every module outside the package that loading ``volentropy.<module>`` imports."""
+    seen, todo, outside = set(), [module], set()
+    while todo:
+        name = todo.pop()
+        if name not in seen:
+            seen.add(name)
+            for imported in _SOURCES[name]:
+                if imported == "volentropy":
+                    todo.append("__init__")
+                elif imported.startswith("volentropy."):
+                    todo.append(imported.split(".")[1])
+                else:
+                    outside.add(imported.split(".")[0])
+    return outside
+
+
+@pytest.mark.parametrize("module", sorted(_SOURCES))
+def test_no_module_imports_scipy_when_it_loads(module):
+    # scipy.signal alone takes over a second to import: each use imports it where it is needed
+    assert "scipy" not in _loaded_with(module)
+
+
+@pytest.mark.parametrize("module", ["__init__", "config", "errors", "cli"])
+def test_parser_modules_import_no_numpy_when_they_load(module):
+    # --help, every usage error and `import volentropy` load only these
+    assert "numpy" not in _loaded_with(module)
+
+
+# ------------------------------------------------------- records with arrays
+
+_GARCH_POINT = volentropy.ParamVector(1e-5, 0.1, 0.8)
+_RETURNS = 0.01 * np.random.default_rng(0).standard_normal(200)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: volentropy.ReturnSeries("s", range(1, 201), _RETURNS),
+    lambda: volentropy.Histogram.from_counts([1, 2, 3]),
+    lambda: volentropy.variance_path(volentropy.ModelFamily.GARCH, _GARCH_POINT, _RETURNS),
+    lambda: volentropy.frac_weights(0.4, 10, 0.2, 0.3),
+    lambda: volentropy.StdErrReport(None, None, None, np.eye(3), True),
+    lambda: volentropy.FitResult(_GARCH_POINT, None, None, None, 1.0, True, 1, 200,
+                                 volentropy.ModelFamily.GARCH, "gaussian", 0.0,
+                                 ("omega", "alpha", "beta"), cov=np.eye(3)),
+], ids=["ReturnSeries", "Histogram", "VariancePath", "FracWeights", "StdErrReport", "FitResult"])
+def test_records_holding_arrays_compare_by_identity_and_hash(make):
+    # field-wise == would compare the arrays elementwise, whose truth value numpy refuses
+    a, b = make(), make()
+    assert a == a and not a != a
+    assert a != b and not a == b
+    assert len({a, b, a}) == 2
