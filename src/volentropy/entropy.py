@@ -11,8 +11,13 @@ Binning writes out numpy's histogram rule for ``m`` equal bins over
 maximum kept in the last cell; a one-ulp correction against the edges (a value
 below its cell's left edge moves down, one at or above its right edge moves up
 unless its cell is the last); counts by ``bincount``.  One sample is binned as
-a vector, a matrix of samples (one per row, such as rolling windows) in blocks
-of rows, and every histogram passes the :class:`Histogram` invariants.
+a vector, whose last cell takes +inf as its right edge in that correction, and
+a matrix of samples (one per row, such as rolling windows) in blocks of rows.
+Every histogram passes the :class:`Histogram` invariants: a report checks the
+cells of one sample as it checks those of a block of rows, with the same
+``_check_cells`` and no :class:`Histogram`, which only :func:`build_histogram`
+(and :meth:`Histogram.from_counts`) builds.  A certain event, one occupied
+cell, is +0 in every family.
 
 All entropies of one histogram come out of one block over the occupied-cell
 probabilities ``p``: ``log p`` once, then the Renyi orders and the Tsallis
@@ -28,6 +33,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -206,7 +212,10 @@ def _bin_one(x: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     edges[-1] = hi
     cell = np.minimum(((x - lo) / width * m).astype(np.intp), m - 1)
     cell -= x < edges[cell]
-    cell += (x >= edges[cell + 1]) & (cell != m - 1)
+    # right edges with +inf for the last cell, which keeps the maximum
+    right = edges[1:].copy()
+    right[-1] = math.inf
+    cell += x >= right[cell]
     counts = np.bincount(cell, minlength=m)
     return edges, counts, counts / x.size
 
@@ -253,15 +262,6 @@ def _too_narrow(m: int, exc: DomainError, row: int) -> DegenerateSupportError:
         f"support is too narrow for {m} equal cells at the magnitude of its values ({exc})", row)
 
 
-def _histogram(x: np.ndarray, m: int) -> Histogram:
-    """The histogram of a validated return vector in ``m`` cells."""
-    edges, counts, probs = _bin_one(x, m)
-    try:
-        return Histogram(edges=edges, counts=counts, probs=probs)
-    except DomainError as exc:
-        raise _too_narrow(m, exc, 0) from exc
-
-
 def build_histogram(returns, m: int) -> Histogram:
     """Bin a sample into ``m`` equidistant cells spanning [min, max].
 
@@ -273,7 +273,12 @@ def build_histogram(returns, m: int) -> Histogram:
     is allocated.
     """
     x = _as_returns(returns)
-    return _histogram(x, _bin_count(m))
+    m = _bin_count(m)
+    edges, counts, probs = _bin_one(x, m)
+    try:
+        return Histogram(edges=edges, counts=counts, probs=probs)
+    except DomainError as exc:
+        raise _too_narrow(m, exc, 0) from exc
 
 
 # --------------------------------------------------------------------- block
@@ -287,6 +292,7 @@ class _Orders(NamedTuple):
     shannon: tuple            # rows within _ONE_TOL of 1: report the Shannon value
     exact: tuple              # (row, ufunc) pairs, see _EXACT_POWERS
     overflow: bool            # a Renyi order above _OVERFLOW_ORDER
+    outside: tuple            # Tsallis indices outside [1, 5/3), each warned of per report
 
 
 # numpy evaluates p ** 2.0 and p ** 0.5 with a scalar exponent as square and
@@ -295,12 +301,18 @@ class _Orders(NamedTuple):
 _EXACT_POWERS = {2.0: np.square, 0.5: np.sqrt}
 
 
+# what an order grid's errors call it, by its ``tsallis`` flag
+_GRID_NAMES = ("Renyi orders (alpha_grid)", "Tsallis indices (q_grid)")
+
+
 @functools.lru_cache(maxsize=64)
 def _orders(grid: tuple, tsallis: bool) -> _Orders:
     # cached: scalar calls and rolling windows validate the same grids again
     # and again; the cached arrays are read-only
     denominator, shannon, exact = [], [], []
     for row, v in enumerate(grid):
+        if not isinstance(v, numbers.Real):
+            raise DomainError(f"{_GRID_NAMES[tsallis]} must be real numbers, got {v!r}")
         if tsallis and not 0.0 <= v < math.inf:
             raise DomainError(f"Tsallis index must be nonnegative, got {v}")
         if not tsallis and not 0.0 < v < math.inf:
@@ -315,9 +327,20 @@ def _orders(grid: tuple, tsallis: bool) -> _Orders:
     column = np.array(grid, dtype=float).reshape(-1, 1)
     denominator = np.array(denominator)
     column.flags.writeable = denominator.flags.writeable = False
-    overflow = not tsallis and any(v > _OVERFLOW_ORDER for v in grid)
-    return _Orders(tuple(column[:, 0].tolist()), column, denominator, tuple(shannon),
-                   tuple(exact), overflow)
+    values = tuple(column[:, 0].tolist())
+    overflow = not tsallis and any(v > _OVERFLOW_ORDER for v in values)
+    outside = tuple(v for v in values if not _Q_LOW <= v < _Q_HIGH) if tsallis else ()
+    return _Orders(values, column, denominator, tuple(shannon), tuple(exact), overflow, outside)
+
+
+def _validated(grid: tuple, tsallis: bool) -> _Orders:
+    """:func:`_orders` of ``grid``; an entry that cannot be hashed, such as a
+    list or an array, is no real number either: :class:`DomainError`."""
+    try:
+        return _orders(grid, tsallis)
+    except TypeError:
+        raise DomainError(f"{_GRID_NAMES[tsallis]} must be real numbers, "
+                          f"got {grid!r}") from None
 
 
 _NONE = _orders((), tsallis=False)
@@ -339,8 +362,11 @@ def _block(p: np.ndarray, alphas: _Orders, qs: _Orders, shannon: bool = True
 
     ``p`` holds the probabilities of the occupied cells only.  The Shannon
     value is computed when ``shannon`` asks for it or an order within
-    ``_ONE_TOL`` of 1 reports it, and is NaN otherwise.
+    ``_ONE_TOL`` of 1 reports it, and is NaN otherwise.  A certain event (one
+    occupied cell) is +0 in every family, where the sums would give -0.0.
     """
+    if p.size == 1:
+        return 0.0, np.zeros(alphas.column.shape[0]), np.zeros(qs.column.shape[0])
     shannon = shannon or bool(alphas.shannon or qs.shannon)
     logp = np.log(p) if shannon or alphas.column.size else None
     s = float(-(p * logp).sum()) if shannon else math.nan
@@ -368,6 +394,8 @@ def _block(p: np.ndarray, alphas: _Orders, qs: _Orders, shannon: bool = True
 
 def _positive_probs(h: Histogram) -> np.ndarray:
     # empty cells contribute 0 to every entropy sum
+    if not isinstance(h, Histogram):
+        raise DomainError(f"entropies are taken of a Histogram, got {type(h).__name__}")
     p = h.probs
     return p[p > 0.0]
 
@@ -383,7 +411,7 @@ def renyi(h: Histogram, alpha: float) -> float:
     Orders within 1e-8 of 1 are evaluated as Shannon entropy, the analytic
     limit at alpha = 1.
     """
-    return float(_block(_positive_probs(h), _orders((alpha,), tsallis=False), _NONE,
+    return float(_block(_positive_probs(h), _validated((alpha,), tsallis=False), _NONE,
                         shannon=False)[1][0])
 
 
@@ -393,28 +421,37 @@ def tsallis(h: Histogram, q: float) -> float:
     Indices within 1e-8 of 1 are evaluated as Shannon entropy, the analytic
     limit at q = 1.
     """
-    return float(_block(_positive_probs(h), _NONE, _orders((q,), tsallis=True),
+    return float(_block(_positive_probs(h), _NONE, _validated((q,), tsallis=True),
                         shannon=False)[2][0])
 
 
 # ------------------------------------------------------------------- reports
 
+def _as_grid(grid, tsallis: bool) -> tuple:
+    """An order grid as a tuple (a generator works); :class:`DomainError`
+    naming the grid unless it is iterable."""
+    try:
+        return tuple(grid)
+    except TypeError:
+        raise DomainError(f"{_GRID_NAMES[tsallis]} must be an iterable of real numbers, "
+                          f"got {grid!r}") from None
+
+
 def _grids(n: int, m: int | None, alpha_grid, q_grid) -> tuple[int, _Orders, _Orders]:
     """Bin count (ceil(sqrt(n)) by default) and order grids of reports on ``n``-value samples;
     each Tsallis index outside [1, 5/3) warns at the caller of the report function."""
-    if len(alpha_grid) == 0 or len(q_grid) == 0:
+    alpha_grid, q_grid = _as_grid(alpha_grid, tsallis=False), _as_grid(q_grid, tsallis=True)
+    if not alpha_grid or not q_grid:
         raise DomainError("order grids must be nonempty")
     m = _bin_count(math.ceil(math.sqrt(n)) if m is None else m)
-    alphas = _orders(tuple(alpha_grid), tsallis=False)
-    qs = _orders(tuple(q_grid), tsallis=True)
-    for q in q_grid:
-        if not (_Q_LOW <= q < _Q_HIGH):
-            warnings.warn(
-                f"Tsallis index q={q:g} lies outside [1, 5/3), the index window "
-                f"for finite-variance data",
-                FiniteVarianceWarning,
-                stacklevel=3,  # 1 is here, 2 the report function, 3 its caller
-            )
+    alphas, qs = _validated(alpha_grid, tsallis=False), _validated(q_grid, tsallis=True)
+    for q in qs.outside:
+        warnings.warn(
+            f"Tsallis index q={q:g} lies outside [1, 5/3), the index window "
+            f"for finite-variance data",
+            FiniteVarianceWarning,
+            stacklevel=3,  # 1 is here, 2 the report function, 3 its caller
+        )
     return m, alphas, qs
 
 
@@ -472,6 +509,10 @@ def entropy_report(returns, m: int | None = None,
     """
     x = _as_returns(returns)
     m, alphas, qs = _grids(x.size, m, alpha_grid, q_grid)
-    h = _histogram(x, m)
-    return _report(h.probs, x.size, m - int(np.count_nonzero(h.counts)),
-                   float(h.edges[-1] - h.edges[0]) / m, alphas, qs)
+    edges, counts, probs = _bin_one(x, m)
+    try:
+        _check_cells(edges, probs)
+    except DomainError as exc:
+        raise _too_narrow(m, exc, 0) from exc
+    return _report(probs, x.size, m - int(np.count_nonzero(counts)),
+                   float(edges[-1] - edges[0]) / m, alphas, qs)

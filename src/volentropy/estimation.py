@@ -565,6 +565,10 @@ def fit(series, config: FitConfig) -> FitResult:
         "hessian_pd": se.hessian_pd,
         "starts": starts,
     }
+    if _layout(config.family, config.innovation, config.d_fixed)[1][1] is _LOG:
+        # the log map flattens the slope at alpha -> 0 (see `_off_face`): an
+        # optimum there may lie past the face, and its Wald errors mean little
+        diagnostics["alpha_boundary_suspect"] = params.alpha < _FACE
     if "d" in names:
         diagnostics["d_boundary_suspect"] = min(params.d, 1.0 - params.d) < _FACE
     if params.nu is not None and params.nu > 100.0:

@@ -234,7 +234,7 @@ def test_unknown_flag_exits_1():
 
 # -------------------------------------------------------------------- entropy
 
-def test_entropy_single_cell_is_all_zero(sim_file):
+def test_entropy_single_cell_is_all_zero(sim_file, capsys):
     proc = run("entropy", "--input", str(sim_file), "--returns", "--bins", "1",
                "--format", "tree")
     assert proc.returncode == 0
@@ -242,6 +242,14 @@ def test_entropy_single_cell_is_all_zero(sim_file):
     assert result["shannon"] == 0.0
     assert all(item["value"] == 0.0 for item in result["renyi"])
     assert all(item["value"] == 0.0 for item in result["tsallis"])
+    # the text report prints +0, not -0
+    code, text = _report(["entropy", "--input", str(sim_file), "--returns", "--bins", "1"],
+                         "text", capsys)
+    assert code == 0
+    rows = _cells(text.split("manifest:")[0])
+    values = [float(c) for row in rows if row[0] == "shannon" or row[0][:1].isdigit()
+              for c in row[1:]]
+    assert len(values) == 7 and all(v == 0.0 and math.copysign(1.0, v) == 1.0 for v in values)
 
 
 def test_entropy_default_grid_and_layout(sim_file):

@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+import volentropy.entropy as entropy_module
 from volentropy import (
     DegenerateSupportError,
     DomainError,
@@ -406,6 +407,13 @@ def test_tsallis_certain_event_is_zero():
         assert tsallis(hist([1.0, 0.0]), q) == 0.0
 
 
+def test_certain_event_is_plus_zero_in_every_family():
+    h = Histogram.from_counts([5, 0, 0])
+    values = [shannon(h), *(renyi(h, a) for a in (0.5, 1.0, 2.0, 1e306)),
+              *(tsallis(h, q) for q in (0.0, 0.5, 1.0, 2.0))]
+    assert all(v == 0.0 and math.copysign(1.0, v) == 1.0 for v in values)
+
+
 def test_tsallis_uniform_two_cells_q2():
     assert tsallis(hist([0.5, 0.5]), 2.0) == pytest.approx(0.5, rel=1e-15)
 
@@ -517,6 +525,9 @@ def test_report_on_single_cell_histogram_is_all_zero():
     assert all(v == 0.0 for _, v in rep.renyi)
     assert all(v == 0.0 for _, v in rep.tsallis)
     assert rep.bins == 1 and rep.n_obs == 4
+    # +0, where the sums give -0.0 (Shannon, and Renyi orders above 1)
+    assert all(math.copysign(1.0, v) == 1.0
+               for v in (rep.shannon, *(v for _, v in rep.renyi + rep.tsallis)))
 
 
 def test_report_default_bins_is_ceil_sqrt_n():
@@ -546,10 +557,12 @@ def test_report_values_consistent_with_histogram():
 def test_q_outside_finite_variance_window_warns():
     rng = np.random.default_rng(12)
     x = rng.standard_normal(100)
-    with pytest.warns(FiniteVarianceWarning, match=r"5/3"):
-        entropy_report(x, q_grid=(2.0,))
-    with pytest.warns(FiniteVarianceWarning):
-        entropy_report(x, q_grid=(0.9, 1.4))
+    for _ in range(2):  # a grid's indices outside the window are found once; each call warns
+        with pytest.warns(FiniteVarianceWarning, match=r"5/3"):
+            entropy_report(x, q_grid=(2.0,))
+        with pytest.warns(FiniteVarianceWarning) as caught:
+            entropy_report(x, q_grid=(0.9, 1.4, 2.0))
+        assert [str(w.message).split()[2] for w in caught] == ["q=0.9", "q=2"]
 
 
 def test_finite_variance_warning_points_at_the_caller():
@@ -568,6 +581,66 @@ def test_invalid_tsallis_index_raises_before_any_warning(q):
         with pytest.raises(DomainError, match="Tsallis index must be nonnegative"):
             entropy_report(x, q_grid=(q,))
     assert caught == []
+
+
+@pytest.mark.parametrize("grid", [1.4, ["a"], [None], [1.4 + 1j], [[1.4]],
+                                  np.array([[1.4, 1.5]]), "1.4"])
+@pytest.mark.parametrize("name", ["alpha_grid", "q_grid"])
+def test_hostile_order_grids_raise_a_domain_error_naming_the_grid(grid, name):
+    x = np.random.default_rng(12).standard_normal(100)
+    grids = {"alpha_grid": DEFAULT_ORDER_GRID, "q_grid": DEFAULT_ORDER_GRID, name: grid}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=name):
+            entropy_report(x, **grids)
+        with pytest.raises(DomainError, match=name):
+            _reports(np.array([x, x]), None, grids["alpha_grid"], grids["q_grid"])
+
+
+def test_order_grids_may_be_generators():
+    x = np.random.default_rng(12).standard_normal(100)
+    rep = entropy_report(x, alpha_grid=(a for a in (1.4, 2.0)), q_grid=iter([1.2]))
+    assert rep == entropy_report(x, alpha_grid=(1.4, 2.0), q_grid=(1.2,))
+
+
+@pytest.mark.parametrize("estimator", [shannon, lambda h: renyi(h, 2.0),
+                                       lambda h: tsallis(h, 2.0)])
+@pytest.mark.parametrize("h", [None, np.array([0.5, 0.5]), {"probs": [0.5, 0.5]}])
+def test_estimators_of_anything_but_a_histogram_raise_domain_error(estimator, h):
+    with pytest.raises(DomainError, match="Histogram"):
+        estimator(h)
+
+
+def test_unhashable_scalar_orders_raise_domain_error():
+    h = hist([0.25, 0.75])
+    with pytest.raises(DomainError, match="Renyi orders"):
+        renyi(h, [2.0])
+    with pytest.raises(DomainError, match="Tsallis indices"):
+        tsallis(h, np.array(2.0))
+
+
+def test_a_sample_report_checks_its_cells_once_and_builds_no_histogram(monkeypatch):
+    # the cells of one sample are checked as _reports checks a block of
+    # rows, without a Histogram; build_histogram is the one that builds one
+    checked, built = [], []
+    check = entropy_module._check_cells
+    monkeypatch.setattr(entropy_module, "_check_cells",
+                        lambda edges, probs: checked.append(edges.shape) or check(edges, probs))
+    post_init = Histogram.__post_init__
+    monkeypatch.setattr(Histogram, "__post_init__",
+                        lambda self: built.append(self) or post_init(self))
+    rng = np.random.default_rng(14)
+    m = math.ceil(math.sqrt(500))
+    entropy_report(rng.standard_normal(500))
+    assert checked == [(m + 1,)] and built == []
+    checked.clear()
+    per_block = _BLOCK_VALUES // 500
+    _reports(rng.standard_normal((3 * per_block + 4, 500)), None,
+             DEFAULT_ORDER_GRID, DEFAULT_ORDER_GRID)
+    assert checked == [(per_block, m + 1)] * 3 + [(4, m + 1)] and built == []
+    checked.clear()
+    build_histogram(rng.standard_normal(500), m)
+    assert checked == [(m + 1,)] and len(built) == 1
 
 
 def test_default_grid_does_not_warn():

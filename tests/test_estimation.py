@@ -444,6 +444,25 @@ def test_figarch_fit_stopped_just_inside_a_weight_wall_is_converged():
     assert res.loglik == pytest.approx(12942.375779999227, rel=1e-12, abs=0.0)
 
 
+def test_figarch_fit_ending_on_the_alpha_face_is_flagged():
+    # the same series at d = 0.95: the fit ends at alpha near 1e-7 with the
+    # likelihood still rising as alpha falls, converged and with Wald errors
+    # as if the optimum were interior; the diagnostic says it is not
+    series, _ = simulate_path(SimConfig(FIGARCH, ParamVector(1e-6, 0.2, 0.5, d=0.6, nu=8.0),
+                                        n=3000, seed=2155371359))
+    fixed = fit(series, FitConfig(FIGARCH, restarts=0, d_fixed=0.95))
+    assert fixed.converged and fixed.params.alpha < estimation._FACE
+    assert fixed.diagnostics["alpha_boundary_suspect"] is True
+    assert "d_boundary_suspect" not in fixed.diagnostics
+    free = fit(series, FitConfig(FIGARCH, restarts=0))
+    assert free.diagnostics["alpha_boundary_suspect"] is False
+    assert free.diagnostics["d_boundary_suspect"] is False
+    # GARCH's softmax pair and IGARCH's alpha on (-1, 0) have no such face
+    for family in (GARCH, IGARCH):
+        res = fit(sim_garch(n=600, seed=8), FitConfig(family, restarts=0))
+        assert "alpha_boundary_suspect" not in res.diagnostics
+
+
 def test_off_face_restarts_a_search_stopped_on_a_face_whose_slope_points_inside():
     config = FitConfig(FIGARCH)
     at = lambda **kw: transform_to_unconstrained(
