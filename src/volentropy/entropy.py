@@ -313,6 +313,10 @@ def _orders(grid: tuple, tsallis: bool) -> _Orders:
     for row, v in enumerate(grid):
         if not isinstance(v, numbers.Real):
             raise DomainError(f"{_GRID_NAMES[tsallis]} must be real numbers, got {v!r}")
+        try:
+            float(v)  # an integer past the largest double overflows
+        except OverflowError:
+            raise DomainError(f"{_GRID_NAMES[tsallis]} must fit in a double") from None
         if tsallis and not 0.0 <= v < math.inf:
             raise DomainError(f"Tsallis index must be nonnegative, got {v}")
         if not tsallis and not 0.0 < v < math.inf:

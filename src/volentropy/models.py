@@ -11,9 +11,9 @@ truncated ARCH(:math:`\\infty`) form
 with weights generated by
 :math:`\\lambda(L) = 1 - (1-\\beta L)^{-1}\\,\\Phi(L)\\,(1-L)^d`, where
 :math:`\\Phi(L) = 1-(\\alpha+\\beta)L`.  IGARCH is the ``d = 1`` slice of the
-same machinery, and GARCH (the ``d = 0`` slice) is evaluated by its ordinary
-one-lag recursion seeded so that it coincides with the ARCH(:math:`\\infty`)
-form under the shared backcast convention.
+same machinery, and GARCH the untruncated ``d = 0`` slice:
+:math:`\\sigma_t^2 = \\omega/(1-\\beta) + \\alpha D_t`, where the filter
+:math:`D_t = \\sum_{j \\ge 1} \\beta^{j-1} e_{t-j}^2` depends on :math:`\\beta` alone.
 
 Innovations are demeaned returns, :math:`e_t = y_t - \\bar y`; pre-sample
 :math:`e^2` values are backcast with the sample mean of the squared demeaned
@@ -55,6 +55,9 @@ __all__ = [
 _LAMBDA_TOL = 1e-12
 
 _SMALLEST_NORMAL = float(np.finfo(float).tiny)
+
+# upper-triangle indices of the 2x2 and 3x3 weight Hessians but (alpha, alpha), which is 0
+_UPPER = {k: tuple(i[1:] for i in np.triu_indices(k)) for k in (2, 3)}
 
 
 @dataclass(frozen=True)
@@ -231,17 +234,6 @@ def _ar1_filter(x: np.ndarray, beta: float,
     return lfilter([1.0], [1.0, -beta], x, zi=np.asarray(state, dtype=float)[..., None])[0]
 
 
-def _garch_recursion(omega: float, alpha: float, beta: float,
-                     e2_lag: np.ndarray, backcast: float) -> np.ndarray:
-    # sigma2_t = omega + alpha*e2_{t-1} + beta*sigma2_{t-1}, seeded at the
-    # ARCH(inf)-implied pre-sample level so the d=0 slice of the fractional
-    # engine reproduces this path to machine precision.  ``e2_lag`` is e2
-    # shifted one step, with the backcast in front.
-    x = omega + alpha * e2_lag
-    s_pre = (omega + alpha * backcast) / (1.0 - beta)
-    return _ar1_filter(x, beta, beta * s_pre)
-
-
 @functools.cache
 def _special():
     """scipy.special, imported on the first call: --help, entropy and simulate never make one."""
@@ -332,6 +324,8 @@ class _Likelihood:
     are kept for the exact floats (alpha, beta, d) last evaluated: points
     that move only omega or nu reuse them, and the lambda weights are built
     once per change of key, rejected keys included (:meth:`weights`).
+    GARCH's ``sigma2 = omega/(1-beta) + alpha D`` keeps ``D = d sigma2 / d alpha``
+    the same way, for the exact beta last evaluated.
 
     With ``reject_negative_weights`` a FIGARCH point whose ARCH(inf) weights
     fall below ``-_LAMBDA_TOL`` raises :class:`InfeasibleParamsError` (the
@@ -348,36 +342,40 @@ class _Likelihood:
                  T: int = DEFAULT_TRUNCATION, reject_negative_weights: bool = False):
         T = _integer(T, "truncation horizon")
         r = _as_returns(returns)
+        n = r.size
+        # e^2 goes behind its backcast: GARCH's lagged e^2, or the padded transform input
+        lead, buf = (1, np.empty(n + 1)) if family is ModelFamily.GARCH else (
+            T, np.zeros(_transform_length(n, T)))
         with np.errstate(over="ignore", invalid="ignore"):  # checked just below
-            e = r - r.mean()
-            self.e2 = e * e
+            self.e2 = np.subtract(r, r.mean(), out=buf[lead:lead + n])
+            self.e2 *= self.e2
             self.backcast = float(self.e2.mean())
         if not math.isfinite(self.backcast):
             raise DomainError("returns too large: their squares overflow a double")
-        self.family, self.T, self.returns, self.n = family, T, r, r.size
+        buf[:lead] = self.backcast
+        self.family, self.T, self.returns, self.n = family, T, r, n
         self._pinned_d = family.pinned_d  # looked up once: `_d` reads it on every evaluation
         self.checks_weights = reject_negative_weights and family is ModelFamily.FIGARCH
-        # (key, [weights, convolution or None until one is asked for]) of the
-        # last (alpha, beta, d) evaluated.  Callers only come back to that key:
-        # a score or Hessian pass asks for it twice (sigma2, then the weight
-        # derivatives), a fit's wall check asks again for the point just
-        # evaluated, and its standard errors for the optimum whose
-        # log-likelihood was just evaluated.
-        self._memo: tuple[tuple[float, float, float], list] | None = None
+        # (key, value) of the last key evaluated: (beta, D) for GARCH, else
+        # ((alpha, beta, d), [weights, convolution or None until asked for]).
+        # Callers only come back to that key: a score or Hessian pass asks for
+        # it twice (sigma2, then the derivatives), a fit's wall check asks
+        # again for the point just evaluated, and its standard errors for the
+        # optimum whose log-likelihood was just evaluated.
+        self._memo: tuple | None = None
         if family is ModelFamily.GARCH:
-            self._e2_lag = np.concatenate(([self.backcast], self.e2[:-1]))
+            self._e2_lag = buf[:n]
             return
         from scipy import fft  # imported here: --help and entropy never build an engine
 
         self._fft = fft
-        e2_ext = np.concatenate((np.full(T, self.backcast), self.e2))
-        # e2_ext (n+T) convolved with a kernel of lags 0..T has n+2T terms; a
-        # circular length L adds term t+L to term t, and t + L >= n + 2T for
-        # each t >= T read back when L >= n + T.  The score's correlation
-        # pairs g_t (at T+t) with e2_ext at T+t-j; a wrapped pair needs
-        # j >= L - n + 1 > T.
-        self._fft_size = _transform_length(self.n, T)
-        self._e2_fft = fft.rfft(e2_ext, self._fft_size)
+        # the padded e2 (n+T) convolved with a kernel of lags 0..T has n+2T
+        # terms; a circular length L adds term t+L to term t, and
+        # t + L >= n + 2T for each t >= T read back when L >= n + T.  The
+        # score's correlation pairs g_t (at T+t) with the padded e2 at T+t-j;
+        # a wrapped pair needs j >= L - n + 1 > T.
+        self._fft_size = buf.size
+        self._e2_fft = fft.rfft(buf)
 
     @property
     def transform_may_overflow(self) -> bool:
@@ -405,6 +403,21 @@ class _Likelihood:
         """The ARCH(inf) weights at an IGARCH/FIGARCH point, memoised for the last (alpha, beta, d)."""
         return self._entry(params)[0]
 
+    def _alpha_row(self, beta: float) -> np.ndarray:
+        """GARCH's ``D = d sigma2 / d alpha``, memoised for the last beta (read-only):
+        ``D_t = e2_{t-1} + beta D_{t-1}`` from the pre-sample level ``backcast/(1-beta)``."""
+        if self._memo is None or self._memo[0] != beta:
+            row = _ar1_filter(self._e2_lag, beta, beta / (1.0 - beta) * self.backcast)
+            row.flags.writeable = False
+            self._memo = (beta, row)
+        return self._memo[1]
+
+    def _filtered(self, kernel: np.ndarray) -> np.ndarray:
+        """The padded e^2 convolved with ``kernel`` (of transform length), at t = 0..n-1: a view."""
+        spec = self._fft.rfft(kernel)
+        np.multiply(self._e2_fft, spec, out=spec)
+        return self._fft.irfft(spec, self._fft_size)[self.T:self.T + self.n]
+
     def _convolution(self, params: ParamVector) -> np.ndarray:
         """``sum_j lambda_j e2_{t-j}`` for t = 0..n-1, memoised with the weights."""
         entry = self._entry(params)
@@ -412,11 +425,10 @@ class _Likelihood:
             lam = entry[0].lam
             if self.checks_weights and (lam < -_LAMBDA_TOL).any():
                 raise InfeasibleParamsError("negative ARCH(inf) weight")
-            kernel = np.concatenate(([0.0], lam))
-            size, fft = self._fft_size, self._fft
-            full = fft.irfft(self._e2_fft * fft.rfft(kernel, size), size)
-            # a copy, so the memo does not pin the padded buffer
-            entry[1] = full[self.T:self.T + self.n].copy()
+            kernel = np.zeros(self._fft_size)
+            kernel[1:self.T + 1] = lam
+            # a copy, so the memo does not pin the transform
+            entry[1] = self._filtered(kernel).copy()
         return entry[1]
 
     def variance_path(self, params: ParamVector) -> VariancePath:
@@ -440,12 +452,15 @@ class _Likelihood:
                 f"beta = {params.beta} too close to 1 for the ARCH(inf) engine"
             )
         if self.family is ModelFamily.GARCH:
-            sig2 = _garch_recursion(params.omega, params.alpha, params.beta,
-                                    self._e2_lag, self.backcast)
+            sig2 = params.alpha * self._alpha_row(params.beta)
+            sig2 += params.omega / (1.0 - params.beta)
         else:
             sig2 = params.omega / (1.0 - params.beta) + self._convolution(params)
 
-        if not np.isfinite(sig2).all() or (sig2 <= 0.0).any():
+        # the logs sum to a finite value exactly when every sigma2 is positive and finite
+        x = np.log(sig2)
+        log_sum = float(x.sum())
+        if not math.isfinite(log_sum):
             worst = float(np.min(sig2))
             raise InfeasibleParamsError(
                 f"non-positive conditional variance encountered (min sigma2 = {worst:.3e})"
@@ -453,16 +468,15 @@ class _Likelihood:
 
         nu = params.nu
         if nu is None:
-            x = self.e2 / sig2
+            x = np.divide(self.e2, sig2, out=x)
             log1p_sum = None
-            ll = -0.5 * (self.n * math.log(2.0 * math.pi) + np.log(sig2).sum() + x.sum())
+            ll = -0.5 * (self.n * math.log(2.0 * math.pi) + log_sum + float(x.sum()))
         else:
-            x = self.e2 / ((nu - 2.0) * sig2)
+            x = np.divide(self.e2, np.multiply(sig2, nu - 2.0, out=x), out=x)
             log1p_sum = float(np.log1p(x).sum())
             ll = (self.n * _student_log_norm(nu)
-                  - 0.5 * np.log(sig2).sum()
+                  - 0.5 * log_sum
                   - ((nu + 1.0) / 2.0) * log1p_sum)
-        ll = float(ll)
         if not math.isfinite(ll):
             raise DataQualityError("log-likelihood is not finite on this series")
         return VariancePath(sigma2=sig2, loglik=ll), x, log1p_sum
@@ -478,8 +492,9 @@ class _Likelihood:
         innovations.  Infeasible points raise as in :meth:`variance_path`.
 
         With ``g_t`` the derivative of the t-th log-density in sigma2_t, each
-        component is ``sum_t g_t d sigma2_t / d theta``.  GARCH filters the
-        derivatives of sigma2 with the variance recursion.  For IGARCH and
+        component is ``sum_t g_t d sigma2_t / d theta``.  GARCH reads
+        ``d sigma2 / d alpha = D`` from the memo and filters
+        ``d sigma2 / d beta`` with the variance recursion.  For IGARCH and
         FIGARCH the score is linear in the ARCH(inf) weights, so it is
         ``d lambda / d theta . c`` with ``c_j = sum_t g_t e2_{t-j}``: one
         correlation of g with the padded e^2 through the cached rFFT, and the
@@ -510,11 +525,15 @@ class _Likelihood:
         """(log-likelihood, gradient, Hessian or None): see :meth:`score` and :meth:`hessian`."""
         vp, x, log1p_sum = self._evaluate(params)
         sig2, nu = vp.sigma2, params.nu
+        # in place, in the order of 0.5 (x - 1) / sigma2, or of
+        # 0.5 ((nu+1) w - 1) / sigma2 with w = x / (1 + x) in the buffer of x
         if nu is None:
-            g = 0.5 * (x - 1.0) / sig2
+            g = x - 1.0
         else:
-            w = x / (1.0 + x)
-            g = 0.5 * ((nu + 1.0) * w - 1.0) / sig2
+            g = x + 1.0
+            w = np.divide(x, g, out=x)
+            g = np.subtract(np.multiply(w, nu + 1.0, out=g), 1.0, out=g)
+        g = np.divide(np.multiply(g, 0.5, out=g), sig2, out=g)
         if self.family is ModelFamily.GARCH:
             grad, s, curv = self._garch_derivatives(params, sig2, g, second)
         else:
@@ -532,13 +551,16 @@ class _Likelihood:
             return vp.loglik, np.array(grad), None
 
         # h_t = d g_t / d sigma2_t; for Student-t, with v_t = w_t (1 - w_t),
-        # dw_t/d sigma2_t = -v_t/sigma2_t and dw_t/d nu = -v_t/(nu-2)
+        # dw_t/d sigma2_t = -v_t/sigma2_t and dw_t/d nu = -v_t/(nu-2).  In place:
+        # h = (0.5 - x) / sigma2 / sigma2, or -(g + a) / sigma2 with a = 0.5 (nu+1) v / sigma2
         if nu is None:
-            h = (0.5 - x) / sig2 / sig2
+            h = np.divide(np.subtract(0.5, x, out=x), sig2, out=x)
         else:
-            v = w * (1.0 - w)
-            a = (0.5 * (nu + 1.0)) * v / sig2
-            h = -(g + a) / sig2
+            w_sum, v = float(w.sum()), 1.0 - w
+            v_sum = float(np.multiply(w, v, out=v).sum())
+            a = np.divide(np.multiply(v, 0.5 * (nu + 1.0), out=v), sig2, out=v)
+            h = np.negative(np.add(g, a, out=g), out=g)  # in the buffer of g
+        h /= sig2
         # s holds d sigma2_t / d theta past omega, whose derivative is 1/(1-beta)
         # at every t; curv holds sum_t g_t d2 sigma2_t / d theta2 past omega, and in
         # omega only d2 sigma2_t / d omega d beta = 1/(1-beta)^2 is not 0
@@ -551,7 +573,9 @@ class _Likelihood:
         H[0, 2] = H[2, 0] = H[0, 2] + inv * grad[0]
         H[1:k, 1:k] = hs @ s.T + curv
         if nu is not None:
-            m = 0.5 * w / sig2 - a / (nu - 2.0)  # d g_t / d nu
+            # d g_t / d nu = 0.5 w_t / sigma2_t - a_t / (nu-2), in the buffer of w
+            m = np.subtract(np.divide(np.multiply(w, 0.5, out=w), sig2, out=w),
+                            np.divide(a, nu - 2.0, out=a), out=w)
             H[0, k] = H[k, 0] = inv * float(m.sum())
             H[1:k, k] = H[k, 1:k] = s @ m
             zeta = _special().zeta  # trigamma(y) = zeta(2, y), as polygamma(1, y) computes it
@@ -561,40 +585,36 @@ class _Likelihood:
                 sq = math.inf
             H[k, k] = (self.n * (0.25 * (zeta(2.0, (nu + 1.0) / 2.0) - zeta(2.0, nu / 2.0))
                                  + 0.5 / sq)
-                       + (0.5 / (nu - 2.0) - 1.5 / sq) * float(w.sum())
-                       - (nu + 1.0) / (2.0 * sq) * float(v.sum()))
+                       + (0.5 / (nu - 2.0) - 1.5 / sq) * w_sum
+                       - (nu + 1.0) / (2.0 * sq) * v_sum)
         return vp.loglik, np.array(grad), H
 
     def _garch_derivatives(self, params: ParamVector, sig2: np.ndarray, g: np.ndarray,
                            second: bool) -> tuple[list, np.ndarray | None, np.ndarray | None]:
-        # From the pre-sample level s = (omega + alpha*backcast)/(1-beta),
-        # d sigma2_t/d omega is 1/(1-beta) at every t.  d sigma2/d alpha and
-        # d sigma2/d beta follow the variance recursion with inputs e2_{t-1}
-        # and sigma2_{t-1}, from d s/d alpha = backcast/(1-beta) and
-        # d s/d beta = s/(1-beta).
+        # sigma2_t = omega/(1-beta) + alpha D_t, with D = d sigma2/d alpha from
+        # the memo, so d sigma2_t/d omega is 1/(1-beta) at every t.
+        # d sigma2/d beta follows the variance recursion with input
+        # sigma2_{t-1}, from d s/d beta = s/(1-beta) at the pre-sample level
+        # s = (omega + alpha*backcast)/(1-beta).
         beta = params.beta
+        D = self._alpha_row(beta)
         s_pre = (params.omega + params.alpha * self.backcast) / (1.0 - beta)
-        x = np.empty((2, self.n))
-        x[0] = self._e2_lag
-        x[1, 0] = s_pre
-        x[1, 1:] = sig2[:-1]
-        state = beta / (1.0 - beta) * np.array([self.backcast, s_pre])
-        ds = _ar1_filter(x, beta, state)
-        d_alpha, d_beta = ds @ g
-        g_sum = float(g.sum())
-        grad = [g_sum / (1.0 - beta), float(d_alpha), float(d_beta)]
+        state = beta / (1.0 - beta) * s_pre
+        d_beta = _ar1_filter(np.concatenate(([s_pre], sig2[:-1])), beta, state)
+        grad = [float(g.sum()) / (1.0 - beta), float(D @ g), float(d_beta @ g)]
         if not second:
             return grad, None, None
         # sigma2 is linear in alpha and omega enters only through 1/(1-beta),
         # so the second derivatives left are d2/d alpha d beta and d2/d beta2:
-        # the recursion again, with inputs d sigma2_{t-1}/d alpha and
-        # 2 d sigma2_{t-1}/d beta, from the pre-sample levels of both
-        # (backcast and 2 s, over (1-beta)^2)
+        # the recursion again, with inputs D_{t-1} and 2 d sigma2_{t-1}/d beta,
+        # from the pre-sample levels of both (backcast and 2 s, over (1-beta)^2)
+        x = np.empty((2, self.n))
         x[:, 0] = [self.backcast / (1.0 - beta), 2.0 * s_pre / (1.0 - beta)]
-        x[0, 1:] = ds[0, :-1]
-        x[1, 1:] = 2.0 * ds[1, :-1]
+        x[0, 1:] = D[:-1]
+        np.multiply(d_beta[:-1], 2.0, out=x[1, 1:])
         d_alpha_beta, d_beta_beta = _ar1_filter(x, beta, beta / (1.0 - beta) * x[:, 0]) @ g
-        return grad, ds, np.array([[0.0, d_alpha_beta], [d_alpha_beta, d_beta_beta]])
+        x[0], x[1] = D, d_beta  # the input buffer now holds the rows of s
+        return grad, x, np.array([[0.0, d_alpha_beta], [d_alpha_beta, d_beta_beta]])
 
     def weight_jacobian(self, params: ParamVector, free_d: bool, second: bool = False):
         """d lambda / d (alpha, beta[, d]) at an IGARCH/FIGARCH point, one row each.
@@ -647,8 +667,8 @@ class _Likelihood:
             x2[1, 2] = d_pi[:-1]
             x2[1, 2, 1:] += jac[2, :-1]
             x2[2, 2] = (alpha + beta) * d2_pi[:-1] - d2_pi[1:]
-        upper = np.triu_indices(k)
-        hess = np.empty((k, k, T))
+        upper = _UPPER[k]
+        hess = np.zeros((k, k, T))  # d2 lambda / d alpha2 = 0: lambda is linear in alpha
         hess[upper] = _ar1_filter(x2[upper], beta)
         hess[upper[::-1]] = hess[upper]
         return jac, hess
@@ -656,9 +676,10 @@ class _Likelihood:
     def _arch_inf_derivatives(self, params: ParamVector, g: np.ndarray, second: bool,
                               free_d: bool) -> tuple[list, np.ndarray | None, np.ndarray | None]:
         T, n, size, beta, fft = self.T, self.n, self._fft_size, params.beta, self._fft
-        padded = np.zeros(size)
-        padded[T:T + n] = g
-        c = fft.irfft(fft.rfft(padded) * self._e2_fft.conj(), size)[1:T + 1]
+        kernel = np.zeros(size)  # g behind T zeros here; below, each row of the Jacobian
+        kernel[T:T + n] = g
+        # a copy, so that c does not pin the transform
+        c = fft.irfft(fft.rfft(kernel) * self._e2_fft.conj(), size)[1:T + 1].copy()
         if second:
             jac, hess = self.weight_jacobian(params, free_d, second=True)
         else:
@@ -676,10 +697,10 @@ class _Likelihood:
         # row at a time: a batched transform measured slower, its larger
         # temporaries taking fresh pages from the system on every call.
         s = np.empty((jac.shape[0], n))
-        kernel = np.zeros(T + 1)
+        kernel[T + 1:] = 0.0  # lags 1..T are written for each row
         for row, jac_row in zip(s, jac):
-            kernel[1:] = jac_row
-            row[:] = fft.irfft(self._e2_fft * fft.rfft(kernel, size), size)[T:T + n]
+            kernel[1:T + 1] = jac_row
+            row[:] = self._filtered(kernel)
         s[1] += params.omega / (1.0 - beta) ** 2
         curv = hess @ c
         curv[1, 1] += 2.0 * params.omega / (1.0 - beta) ** 3 * g_sum

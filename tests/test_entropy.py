@@ -584,7 +584,7 @@ def test_invalid_tsallis_index_raises_before_any_warning(q):
 
 
 @pytest.mark.parametrize("grid", [1.4, ["a"], [None], [1.4 + 1j], [[1.4]],
-                                  np.array([[1.4, 1.5]]), "1.4"])
+                                  np.array([[1.4, 1.5]]), "1.4", [10**400]])
 @pytest.mark.parametrize("name", ["alpha_grid", "q_grid"])
 def test_hostile_order_grids_raise_a_domain_error_naming_the_grid(grid, name):
     x = np.random.default_rng(12).standard_normal(100)

@@ -1,5 +1,6 @@
 import math
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -23,6 +24,7 @@ from volentropy import (
     log_likelihood,
     simulate_path,
     squared_autocorr,
+    standard_errors,
     student_logpdf,
     validate_params,
     variance_path,
@@ -223,7 +225,8 @@ def test_constant_variance_degenerate_case():
 
 def test_garch_path_matches_loop_reference():
     r = rng_returns()
-    for omega, a, b in [(1e-5, 0.08, 0.91), (2e-4, 0.3, 0.0), (1e-4, 0.0, 0.7)]:
+    for omega, a, b in [(1e-5, 0.08, 0.91), (2e-4, 0.3, 0.0), (1e-4, 0.0, 0.7),
+                        (1e-5, 1e-9, 0.9), (1e-6, 5e-4, 0.999)]:
         vp = variance_path(GARCH, ParamVector(omega, a, b), r)
         assert_allclose(vp.sigma2, ref_garch_path(omega, a, b, r), rtol=1e-13)
 
@@ -483,9 +486,9 @@ def score_series():
     return out
 
 
-def _central_difference(f, x, i):
-    # fourth-order central difference, step 1e-5 relative to x_i
-    h = 1e-5 * abs(x[i])
+def _central_difference(f, x, i, h=None):
+    # fourth-order central difference, by default of step 1e-5 relative to x_i
+    h = 1e-5 * abs(x[i]) if h is None else h
 
     def at(k):
         y = x.copy()
@@ -534,20 +537,93 @@ def test_score_matches_central_differences_of_the_loglik(score_series, family, f
 
 
 @pytest.mark.parametrize("nu", [7.0, None])
-@pytest.mark.parametrize("family,fixed_d", [(GARCH, False), (IGARCH, False),
-                                            (FIGARCH, False), (FIGARCH, True)])
-def test_hessian_matches_central_differences_of_the_score(score_series, family, fixed_d, nu):
+@pytest.mark.parametrize("family,fixed_d,garch_ab", [
+    pytest.param(GARCH, False, None, id="garch-False"),
+    pytest.param(GARCH, False, (1e-9, 0.9), id="garch-alpha-1e-9"),
+    pytest.param(GARCH, False, (5e-4, 0.999), id="garch-beta-0.999"),
+    pytest.param(IGARCH, False, None, id="igarch-False"),
+    pytest.param(FIGARCH, False, None, id="figarch-False"),
+    pytest.param(FIGARCH, True, None, id="figarch-True")])
+def test_hessian_matches_central_differences_of_the_score(score_series, family, fixed_d,
+                                                          garch_ab, nu):
     # the same fourth-order differences, of the exact score: within 1e-6 of
-    # each entry (5e-9 seen); the Hessian pass returns the score pass's values
+    # each entry (5e-9 seen); the Hessian pass returns the score pass's values.
+    # GARCH also at a tiny alpha and at a beta near 1 (``garch_ab``).
     r, p, names = _off_truth(score_series, family, fixed_d, nu, 3000)
+    if garch_ab is not None:
+        p = p.with_(alpha=garch_ab[0], beta=garch_ab[1])
     engine = _Likelihood(family, r, reject_negative_weights=True)
     ll, score, H = engine.hessian(p, fixed_d=fixed_d)
     ll_score, score_again = engine.score(p, fixed_d=fixed_d)
     assert ll == ll_score and np.array_equal(score, score_again)
     x0 = np.array([getattr(p, name) for name in names])
     f = lambda x: engine.score(p.with_(**dict(zip(names, x.tolist()))), fixed_d=fixed_d)[1]
-    fd = np.column_stack([_central_difference(f, x0, i) for i in range(x0.size)])
+    # a step relative to each parameter, but never below alpha = 0.07's: at
+    # alpha = 1e-9 a relative step drowns in the rounding of the score
+    steps = [1e-5 * max(abs(v), 0.07 if name == "alpha" else 0.0) for name, v in zip(names, x0)]
+    fd = np.column_stack([_central_difference(f, x0, i, steps[i]) for i in range(x0.size)])
     assert_allclose(H, fd, rtol=1e-6)
+
+
+def _filtered_rows(monkeypatch, n):
+    """A list that counts the n-length rows each later call of ``models._ar1_filter`` filters."""
+    rows = []
+    real = models._ar1_filter
+    monkeypatch.setattr(models, "_ar1_filter", lambda x, *a: rows.append(
+        np.size(x) // n if np.shape(x)[-1] == n else 0) or real(x, *a))
+    return rows
+
+
+@pytest.mark.parametrize("nu", [7.0, None])
+def test_garch_score_filters_two_rows_and_its_hessian_four(monkeypatch, nu):
+    # sigma2 = omega/(1-beta) + alpha D with D = d sigma2/d alpha filtered once
+    # per beta: a score adds d sigma2/d beta, a Hessian the two second
+    # derivatives that are not 0
+    r = rng_returns(n=2000, seed=9)
+    p = ParamVector(1e-5, 0.08, 0.9, nu=nu)
+    rows = _filtered_rows(monkeypatch, r.size)
+    _Likelihood(GARCH, r).score(p)
+    assert sum(rows) == 2
+    rows.clear()
+    engine = _Likelihood(GARCH, r)
+    engine.hessian(p)
+    assert sum(rows) == 4
+    rows.clear()
+    engine.score(p.with_(omega=2e-5, alpha=0.1, nu=None))  # D from the memo
+    engine.loglik(p.with_(alpha=0.05))
+    assert sum(rows) == 1
+
+
+@pytest.mark.parametrize("family", [GARCH, IGARCH, FIGARCH])
+def test_returned_sigma2_owns_its_memory(family):
+    r = rng_returns(n=500, seed=9)
+    p = ENGINE_POINTS[family][0]
+    engine = _Likelihood(family, r)
+    vp = engine.variance_path(p)
+    kept = vp.sigma2.copy()
+    vp.sigma2[:] = -1.0  # no memo entry shares it
+    again = engine.variance_path(p)
+    assert again.loglik == vp.loglik and np.array_equal(again.sigma2, kept)
+
+
+@pytest.mark.parametrize("family, bound", [(GARCH, 13.0), (FIGARCH, 17.0)])
+def test_standard_errors_peak_working_set_in_rows(score_series, family, bound):
+    # the traced peak of one Student-t standard_errors call at n = 10 000, in
+    # n-length float rows: 10.2 for GARCH and 14.3 for FIGARCH with numpy
+    # 2.4.6 and scipy 1.17.1.  A third filtered GARCH row, or FIGARCH
+    # transforms held through the Hessian's rows, take it to 16.0 and 19.4.
+    r = score_series[family, 10_000]
+    p = (ParamVector(1e-6, 0.08, 0.91, nu=8.0) if family is GARCH
+         else ParamVector(1e-6, 0.2, 0.5, d=0.6, nu=8.0))
+    config = FitConfig(family, innovation="student")
+    standard_errors(p, r, config)  # plans and imports are made outside the trace
+    tracemalloc.start()
+    try:
+        assert standard_errors(p, r, config).stderr is not None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (8 * r.size) < bound
 
 
 @given(
