@@ -21,12 +21,11 @@ invariant; reported log-likelihoods are totals.
 
 The optimizer's gradient is the likelihood engine's exact score (see
 :meth:`models._Likelihood.score`), carried to the unconstrained coordinates
-by the analytic Jacobian of the inverse transform.  Standard errors take the
-engine's exact Hessian (:meth:`models._Likelihood.hessian`, one pass), carried
-there by the same Jacobian plus the transform's curvature; the Jacobian maps
-the inverse Hessian back to the constrained space (the delta method).  A
-Hessian that is not negative definite, or is singular to working precision,
-gives no standard errors.
+by the analytic Jacobian of the inverse transform.  Standard errors invert
+the engine's exact Hessian in the constrained parameters
+(:meth:`models._Likelihood.hessian`, one pass); the maps play no part in
+them.  A Hessian that is not negative definite, or is singular to working
+precision, gives no standard errors.
 """
 
 from __future__ import annotations
@@ -95,7 +94,8 @@ class StdErrReport:
 
     All three dictionaries are ``None`` when the negative Hessian is not
     positive definite (``hessian_pd`` records which case applies);
-    ``cov`` is the delta-method covariance in the constrained space.
+    ``cov`` is the inverse of the negative Hessian in the constrained
+    parameters.
     """
 
     stderr: dict[str, float] | None
@@ -138,23 +138,22 @@ class PersistenceCheck:
 # ------------------------------------------------------------------ transforms
 
 class _Map(NamedTuple):
-    """``theta = to_theta(u)`` onto (lo, hi); ``slope`` is d theta/du, ``bend`` d slope/d theta."""
+    """The search's ``theta = to_theta(u)`` onto (lo, hi); ``slope`` is d theta/du."""
 
     lo: float
     hi: float
     to_theta: Callable[[float], float] | None
     to_u: Callable[[float], float] | None
     slope: Callable[[float], float]
-    bend: Callable[[float], float]
 
 
-_LOG = _Map(0.0, math.inf, math.exp, math.log, lambda t: t, lambda t: 1.0)
+_LOG = _Map(0.0, math.inf, math.exp, math.log, lambda t: t)
 _NU = _Map(2.0, math.inf, lambda u: 2.0 + math.exp(u), lambda t: math.log(t - 2.0),
-           lambda t: t - 2.0, lambda t: 1.0)
+           lambda t: t - 2.0)
 # GARCH's (alpha, beta) = (e^a, e^b) / (1 + e^a + e^b), keeping alpha + beta < 1,
 # is the one map of two coordinates (no to_theta, to_u of one): its derivative
 # in its own coordinate is the logistic's, and -alpha beta couples the pair.
-_SOFTMAX = _Map(0.0, 1.0, None, None, lambda t: t * (1.0 - t), lambda t: 1.0 - 2.0 * t)
+_SOFTMAX = _Map(0.0, 1.0, None, None, lambda t: t * (1.0 - t))
 
 
 @functools.lru_cache(maxsize=16)
@@ -167,7 +166,7 @@ def _layout(family: ModelFamily, innovation: str,
                                  to_u=lambda t: float(logit(t)))
     # IGARCH's alpha = -expit(u), on (-1, 0) where every d = 1 weight is nonnegative
     negative = _Map(-1.0, 0.0, lambda u: -float(expit(u)), lambda t: float(logit(-t)),
-                    lambda t: t * (1.0 + t), lambda t: 1.0 + 2.0 * t)
+                    lambda t: t * (1.0 + t))
     alpha, beta = {ModelFamily.GARCH: (_SOFTMAX, _SOFTMAX),
                    ModelFamily.IGARCH: (negative, logistic)}.get(family, (_LOG, logistic))
     layout = [("omega", _LOG), ("alpha", alpha), ("beta", beta)]
@@ -215,9 +214,16 @@ def transform_to_unconstrained(params: ParamVector, family: ModelFamily,
 def transform_from_unconstrained(u: np.ndarray, family: ModelFamily,
                                  innovation: str,
                                  d_fixed: float | None = None) -> ParamVector:
-    """Inverse of :func:`transform_to_unconstrained`."""
+    """Inverse of :func:`transform_to_unconstrained`.
+
+    ``u`` must be one-dimensional with one entry per free parameter (see
+    :func:`param_names`), else :class:`DomainError`.
+    """
     layout = _layout(family, innovation, d_fixed)
     u = np.asarray(u, dtype=float)
+    if u.shape != (len(layout),):
+        raise DomainError(f"u has shape {u.shape}; it takes one entry for each of "
+                          f"{', '.join(name for name, _ in layout)}")
     theta = {name: m.to_theta(x) for (name, m), x in zip(layout, u) if m is not _SOFTMAX}
     if layout[1][1] is _SOFTMAX:
         a, b = u[1], u[2]
@@ -375,15 +381,15 @@ def _off_face(u: np.ndarray, g: np.ndarray, config: FitConfig) -> np.ndarray | N
 def _covariance_from_hessian(H: np.ndarray) -> np.ndarray | None:
     """Inverse of -H when -H is positive definite and not singular to working precision.
 
-    -H is judged scaled to a unit diagonal, ``S (-H) S``: the diagonal
-    Jacobian of the log and logit maps rescales rows and columns, so a
-    parameter near its bound (alpha about 1e-9 under the log map) shrinks
-    an eigenvalue of -H without making the fit any less identified.  An
+    -H is judged scaled to a unit diagonal, ``S (-H) S``: theta mixes
+    scales (omega about 1e-6, nu about 8), which stretch the eigenvalues of
+    -H by as many orders without making the fit any less identified.  An
     eigenvalue of the scaled matrix at or below ``_MIN_EIGEN_RATIO`` of its
     largest is within the rounding of the Hessian's sums, so the covariance
-    would carry no digits.  Identified optima sit far above that: the
-    converged GARCH, IGARCH and FIGARCH Student-t fits of twelve simulated
-    FIGARCH-t series (n = 3000) have ratios of 5.6e-9 and above.
+    would carry no digits.  Identified optima sit far above that: the 36
+    converged GARCH, IGARCH and FIGARCH Student-t fits (``restarts=0``) of
+    twelve FIGARCH-t series (omega 1e-6, alpha 0.2, beta 0.5, d 0.6, nu 8;
+    n = 3000, seeds 600-611) have ratios of 4.3e-3 and above.
     """
     A = -np.asarray(H, dtype=float)
     if not np.isfinite(A).all() or (np.diag(A) <= 0.0).any():
@@ -409,25 +415,6 @@ def _unconstrained_score(engine: _Likelihood, u: np.ndarray,
     params = transform_from_unconstrained(u, config.family, config.innovation, config.d_fixed)
     loglik, grad = engine.score(params, config.d_fixed is not None)
     return loglik, _jacobian(params, config.family, config.d_fixed).T @ grad
-
-
-def _unconstrained_hessian(engine: _Likelihood, params: ParamVector,
-                           config: FitConfig) -> np.ndarray:
-    """Hessian of the total log-likelihood in the unconstrained coordinates of ``params``.
-
-    From one engine pass: ``J' H_theta J`` plus the maps' curvature ``C =
-    sum_i grad_i d^2 theta_i / du du'``, which does not vanish off an
-    optimum.  Its diagonal is each map's ``bend`` times the gradient in u;
-    only the GARCH softmax has cross terms.
-    """
-    _, grad, H = engine.hessian(params, config.d_fixed is not None)
-    layout = _params_layout(params, config.family, config.d_fixed)
-    J = _jacobian(params, config.family, config.d_fixed)
-    C = np.diag(np.array([m.bend(getattr(params, name)) for name, m in layout]) * (J.T @ grad))
-    if layout[1][1] is _SOFTMAX:
-        a, b = params.alpha, params.beta
-        C[1, 2] = C[2, 1] = -a * b * ((1.0 - 2.0 * a) * grad[1] + (1.0 - 2.0 * b) * grad[2])
-    return J.T @ H @ J + C
 
 
 def _initial_params(returns: np.ndarray, config: FitConfig,
@@ -595,39 +582,39 @@ def _significance(p: float) -> str:
 
 
 def standard_errors(params: ParamVector, series, config: FitConfig) -> StdErrReport:
-    """Delta-method standard errors at an optimum.
+    """Standard errors at an optimum: the inverse of the negative Hessian.
 
-    The Hessian of the total log-likelihood in the unconstrained coordinates
-    is exact: the likelihood engine's analytic Hessian in the constrained
-    parameters (see :meth:`models._Likelihood.hessian`), mapped through the
-    analytic Jacobian of the inverse transform plus the curvature of that
-    transform weighted by the score, all from one engine pass.  The same
-    Jacobian maps the negative inverse Hessian back to the constrained space.
+    The Hessian is the likelihood engine's exact one in the constrained
+    parameters (see :meth:`models._Likelihood.hessian`), from one pass.
     An infeasible point, a Hessian that is not negative definite or is
     singular to working precision (see `_covariance_from_hessian`), or a
-    constrained covariance that overflows a double yields an
-    absent-but-flagged report; a point on a bound of the transform raises
-    :class:`BoundaryError`.
+    covariance that overflows a double yields an absent-but-flagged
+    report; a point on a bound of the transform raises
+    :class:`BoundaryError`, and a point that disagrees with ``config`` (a
+    ``nu`` that its innovation law does not take, or a ``d`` other than
+    its ``d_fixed``) raises :class:`DomainError`.
     """
-    return _standard_errors(_make_engine(series, config), params, config)
+    engine = _make_engine(series, config)  # first, so that bad returns are named as such
+    if (params.nu is None) != (config.innovation == "gaussian"):
+        raise DomainError(f"nu = {params.nu} does not fit {config.innovation} innovations: "
+                          f"Student-t innovations need a nu, Gaussian ones none")
+    if config.d_fixed is not None and params.d != config.d_fixed:
+        raise DomainError(f"d = {params.d} is not the config's d_fixed = {config.d_fixed}")
+    return _standard_errors(engine, params, config)
 
 
 def _standard_errors(engine: _Likelihood, params: ParamVector, config: FitConfig) -> StdErrReport:
     transform_to_unconstrained(params, config.family, config.d_fixed)  # BoundaryError on a bound
     absent = StdErrReport(None, None, None, None, False)
     # At the omega near 1e200 that one extreme return drives a fit to, the
-    # Hessian or the delta-method product can overflow: a covariance that is
-    # not finite is absent (_covariance_from_hessian checks the Hessian).
+    # Hessian or its inverse can overflow: a covariance that is not finite
+    # is absent (_covariance_from_hessian checks the Hessian).
     with np.errstate(over="ignore", invalid="ignore"):
         try:
-            cov_u = _covariance_from_hessian(_unconstrained_hessian(engine, params, config))
+            cov = _covariance_from_hessian(engine.hessian(params, config.d_fixed is not None)[2])
         except (InfeasibleParamsError, DataQualityError):
             return absent
-        if cov_u is None:
-            return absent
-        J = _jacobian(params, config.family, config.d_fixed)
-        cov = J @ cov_u @ J.T
-    if not np.isfinite(cov).all():
+    if cov is None or not np.isfinite(cov).all():
         return absent
 
     names = param_names(config.family, config.innovation, config.d_fixed)

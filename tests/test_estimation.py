@@ -40,7 +40,6 @@ from volentropy.estimation import (
     _jacobian,
     _make_engine,
     _off_face,
-    _unconstrained_hessian,
     _unconstrained_score,
     _wall,
 )
@@ -122,6 +121,17 @@ def test_inverse_transform_always_lands_in_garch_region(u):
     assert p.alpha + p.beta < 1
 
 
+@pytest.mark.parametrize("u,family,innovation", [
+    (np.zeros(2), GARCH, "gaussian"),
+    (np.zeros((2, 3)), IGARCH, "gaussian"),
+    (np.zeros(3), FIGARCH, "student"),
+    (np.zeros(5), GARCH, "gaussian"),
+], ids=["short", "two-dimensional", "figarch-t-short", "long"])
+def test_inverse_transform_of_u_of_the_wrong_shape_is_domain_error(u, family, innovation):
+    with pytest.raises(DomainError, match="one entry for each of omega, alpha, beta"):
+        transform_from_unconstrained(u, family, innovation)
+
+
 def test_param_names_layouts():
     assert param_names(GARCH, "gaussian") == ("omega", "alpha", "beta")
     assert param_names(GARCH, "student") == ("omega", "alpha", "beta", "nu")
@@ -187,35 +197,6 @@ def test_config_rejects_nonpositive_truncation(family, T):
 
 
 # ------------------------------------------------------- numerical derivatives
-
-def _fd_hessian(f, x: np.ndarray) -> np.ndarray:
-    """Central finite-difference Hessian with steps max(1e-5, 1e-4*|x_i|).
-
-    The reference for the analytic Hessian of ``standard_errors``.
-    """
-    x = np.asarray(x, dtype=float)
-    n = x.size
-    h = np.maximum(1e-5, 1e-4 * np.abs(x))
-    H = np.empty((n, n))
-    f0 = f(x)
-
-    def at(*shifts):
-        xs = x.copy()
-        for i, s in shifts:
-            xs[i] += s
-        return f(xs)
-
-    for i in range(n):
-        H[i, i] = (at((i, h[i])) - 2.0 * f0 + at((i, -h[i]))) / h[i] ** 2
-        for j in range(i + 1, n):
-            H[i, j] = H[j, i] = (
-                at((i, h[i]), (j, h[j]))
-                - at((i, h[i]), (j, -h[j]))
-                - at((i, -h[i]), (j, h[j]))
-                + at((i, -h[i]), (j, -h[j]))
-            ) / (4.0 * h[i] * h[j])
-    return H
-
 
 def test_quadratic_objective_gives_exact_half_stderr():
     # log-likelihood -(theta-2)^2 / (2*0.25): Hessian -1/0.25, stderr 0.5
@@ -296,8 +277,8 @@ def test_hessian_singular_to_working_precision_has_no_covariance():
 
 
 def test_covariance_ignores_a_diagonal_rescaling():
-    # a parameter near its bound (alpha about 1e-9 under the log map) shrinks
-    # a row and a column of -H, not the information in the fit
+    # theta's mixed scales (omega about 1e-6, nu about 8) scale the rows and
+    # columns of -H, not the information in the fit
     H = np.array([[-2.0, 0.5], [0.5, -6.0]])
     D = np.diag([1.0, 1e-9])
     assert np.linalg.eigvalsh(-D @ H @ D).min() < 1e-15
@@ -678,61 +659,18 @@ def test_memoised_figarch_score_equals_a_fresh_engine(n, monkeypatch):
     assert len(calls) == 1
 
 
-@pytest.mark.parametrize("family,true", [
-    (GARCH, ParamVector(1e-6, 0.08, 0.91, nu=8.0)),
-    (FIGARCH, ParamVector(1e-6, 0.2, 0.5, d=0.6, nu=8.0)),
-])
-def test_score_hessian_agrees_with_the_loglik_stencil(family, true):
-    series, _ = simulate_path(SimConfig(family, true, n=10_000, seed=1))
-    config = FitConfig(family)
-    engine = _make_engine(series.returns, config)
-    at = lambda u: transform_from_unconstrained(u, family, "student")
-    u0 = transform_to_unconstrained(true, family)
-    H = _unconstrained_hessian(engine, at(u0), config)
-    reference = _fd_hessian(lambda u: engine.loglik(at(u)), u0)
-    assert np.abs(H - reference).max() <= 1e-3 * np.abs(reference).max()
-
-
-@pytest.fixture(scope="module")
-def hessian_series():
-    """n = 2000 series: GARCH-t for GARCH and IGARCH fits, FIGARCH-t for FIGARCH."""
-    garch = sim_garch(n=2000, seed=5, nu=8.0, beta=0.9)
-    figarch, _ = simulate_path(SimConfig(FIGARCH, ParamVector(1e-6, 0.2, 0.5, d=0.6, nu=8.0),
-                                         n=2000, seed=5))
-    return {GARCH: garch, IGARCH: garch, FIGARCH: figarch}
-
-
-@pytest.mark.parametrize("at_optimum", [True, False])
-@pytest.mark.parametrize("innovation", ["student", "gaussian"])
-@pytest.mark.parametrize("family,d_fixed", [(GARCH, None), (IGARCH, None),
-                                            (FIGARCH, None), (FIGARCH, 0.6)])
-def test_analytic_hessian_matches_central_differences_of_the_score(
-        hessian_series, family, d_fixed, innovation, at_optimum):
-    # fourth-order central differences of the exact score in u, steps
-    # 1e-3 * max(1, |u_i|), within 1e-6 of the largest entry (2e-9 seen)
-    series = hessian_series[family]
-    config = FitConfig(family, innovation=innovation, restarts=0, d_fixed=d_fixed)
-    params = fit(series, config).params
-    if not at_optimum:
-        params = params.with_(omega=1.2 * params.omega, alpha=0.9 * params.alpha,
-                              beta=0.95 * params.beta,
-                              d=0.55 if family is FIGARCH and d_fixed is None else params.d)
-    if not at_optimum and params.nu is not None:
-        params = params.with_(nu=1.1 * params.nu)
-    engine = _make_engine(series.returns, config)
-    H = _unconstrained_hessian(engine, params, config)
-    u0 = transform_to_unconstrained(params, family, d_fixed)
-    reference = np.empty_like(H)
-    for i in range(u0.size):
-        h = 1e-3 * max(1.0, abs(u0[i]))
-
-        def at(k):
-            u = u0.copy()
-            u[i] += k * h
-            return _unconstrained_score(engine, u, config)[1]
-
-        reference[:, i] = (8.0 * (at(1) - at(-1)) - (at(2) - at(-2))) / (12.0 * h)
-    assert np.abs(H - reference).max() <= 1e-6 * np.abs(reference).max()
+def test_standard_errors_invert_the_engine_hessian_off_the_optimum():
+    # a GARCH-t point off the truth, where no component of the score is near
+    # zero: the covariance is (-H)^-1 of the engine's Hessian in theta,
+    # whatever maps the search uses
+    r = sim_garch(n=3000, seed=4, nu=8.0)
+    point, config = ParamVector(1.2e-6, 0.07, 0.9, nu=7.0), FitConfig(GARCH)
+    _, score, H = _make_engine(r, config).hessian(point)
+    assert (np.abs(score) > 1.0).all()
+    rep = standard_errors(point, r, config)
+    assert rep.hessian_pd
+    assert_allclose(rep.cov, np.linalg.inv(-H), rtol=1e-12)
+    assert_allclose(list(rep.stderr.values()), np.sqrt(np.diag(rep.cov)), rtol=0)
 
 
 def test_figarch_t_standard_errors_take_one_weight_build_and_eleven_transforms(monkeypatch):
@@ -757,6 +695,16 @@ def test_figarch_t_standard_errors_take_one_weight_build_and_eleven_transforms(m
     standard_errors(true, series, FitConfig(FIGARCH))
     assert len(weights) == 1
     assert sum(transforms) <= 11
+
+
+@pytest.mark.parametrize("point,config", [
+    (ParamVector(1e-6, 0.08, 0.91), FitConfig(GARCH)),
+    (ParamVector(1e-6, 0.08, 0.91, nu=8.0), FitConfig(GARCH, innovation="gaussian")),
+    (ParamVector(1e-6, 0.2, 0.5, d=0.6, nu=8.0), FitConfig(FIGARCH, d_fixed=0.4)),
+], ids=["no-nu-student", "nu-gaussian", "d-not-d_fixed"])
+def test_standard_errors_of_a_point_that_disagrees_with_its_config_name_it(point, config):
+    with pytest.raises(DomainError, match="does not fit|is not the config's d_fixed"):
+        standard_errors(point, sim_garch(n=500, seed=1), config)
 
 
 def test_fit_passes_its_engine_to_the_standard_errors(monkeypatch):
@@ -788,8 +736,9 @@ def test_returns_whose_squares_overflow_raise_domain_error(family):
 @pytest.mark.parametrize("family, big", [(FIGARCH, 1e100), (GARCH, 1e150)])
 def test_extreme_return_whose_covariance_overflows_gives_no_stderr(family, big):
     # squares finite, so the fit runs, to omega near 1e200, where the
-    # delta-method product (FIGARCH) or the Hessian pass (GARCH) overflows;
-    # a numpy warning there would fail under the RuntimeWarning filter
+    # Hessian's omega entries underflow to 0 (FIGARCH) or its pass
+    # overflows (GARCH); a numpy warning there would fail under the
+    # RuntimeWarning filter
     r = 0.01 * np.random.default_rng(0).standard_normal(200)
     r[50] = big
     config = FitConfig(family, innovation="gaussian")
