@@ -198,6 +198,45 @@ def test_config_rejects_nonpositive_truncation(family, T):
 
 # ------------------------------------------------------- numerical derivatives
 
+def _fd_hessian(f, x: np.ndarray) -> np.ndarray:
+    """Central finite-difference Hessian with steps max(1e-5, 1e-4*|x_i|).
+
+    The reference for the engine Hessian that ``standard_errors`` inverts.
+    """
+    x = np.asarray(x, dtype=float)
+    n = x.size
+    h = np.maximum(1e-5, 1e-4 * np.abs(x))
+    H = np.empty((n, n))
+    f0 = f(x)
+
+    def at(*shifts):
+        xs = x.copy()
+        for i, s in shifts:
+            xs[i] += s
+        return f(xs)
+
+    for i in range(n):
+        H[i, i] = (at((i, h[i])) - 2.0 * f0 + at((i, -h[i]))) / h[i] ** 2
+        for j in range(i + 1, n):
+            H[i, j] = H[j, i] = (
+                at((i, h[i]), (j, h[j]))
+                - at((i, h[i]), (j, -h[j]))
+                - at((i, -h[i]), (j, h[j]))
+                + at((i, -h[i]), (j, -h[j]))
+            ) / (4.0 * h[i] * h[j])
+    return H
+
+
+def _relative(params: ParamVector, names):
+    """theta0 = ``params``' free parameters ``names`` and the map s -> theta0 (1 + s).
+
+    In s the stencils' steps suit omega near 1e-6 and nu near 8 alike; the
+    Hessian in s is D H D with D = diag(theta0).
+    """
+    theta0 = np.array([getattr(params, name) for name in names])
+    return theta0, lambda s: params.with_(**dict(zip(names, (theta0 * (1.0 + s)).tolist())))
+
+
 def test_quadratic_objective_gives_exact_half_stderr():
     # log-likelihood -(theta-2)^2 / (2*0.25): Hessian -1/0.25, stderr 0.5
     cov = _covariance_from_hessian(np.array([[-4.0]]))
@@ -657,6 +696,62 @@ def test_memoised_figarch_score_equals_a_fresh_engine(n, monkeypatch):
     moved, normal = _wall(engine, config, u)
     assert np.array_equal(moved, u) and normal is None
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("family,true", [
+    (GARCH, ParamVector(1e-6, 0.08, 0.91, nu=8.0)),
+    (FIGARCH, ParamVector(1e-6, 0.2, 0.5, d=0.6, nu=8.0)),
+])
+def test_score_hessian_agrees_with_the_loglik_stencil(family, true):
+    series, _ = simulate_path(SimConfig(family, true, n=10_000, seed=1))
+    engine = _make_engine(series.returns, FitConfig(family))
+    theta0, at = _relative(true, param_names(family, "student"))
+    H = engine.hessian(true)[2] * np.outer(theta0, theta0)
+    reference = _fd_hessian(lambda s: engine.loglik(at(s)), np.zeros(theta0.size))
+    assert np.abs(H - reference).max() <= 1e-3 * np.abs(reference).max()
+
+
+@pytest.fixture(scope="module")
+def hessian_series():
+    """n = 2000 series: GARCH-t for GARCH and IGARCH fits, FIGARCH-t for FIGARCH."""
+    garch = sim_garch(n=2000, seed=5, nu=8.0, beta=0.9)
+    figarch, _ = simulate_path(SimConfig(FIGARCH, ParamVector(1e-6, 0.2, 0.5, d=0.6, nu=8.0),
+                                         n=2000, seed=5))
+    return {GARCH: garch, IGARCH: garch, FIGARCH: figarch}
+
+
+@pytest.mark.parametrize("at_optimum", [True, False])
+@pytest.mark.parametrize("innovation", ["student", "gaussian"])
+@pytest.mark.parametrize("family,d_fixed", [(GARCH, None), (IGARCH, None),
+                                            (FIGARCH, None), (FIGARCH, 0.6)])
+def test_analytic_hessian_matches_central_differences_of_the_score(
+        hessian_series, family, d_fixed, innovation, at_optimum):
+    # the Hessian that standard errors invert, at a fit's optimum and off it:
+    # fourth-order central differences of the exact score in s (see
+    # `_relative`), steps 1e-4, within 1e-6 of the largest entry (1.3e-10 seen)
+    series = hessian_series[family]
+    config = FitConfig(family, innovation=innovation, restarts=0, d_fixed=d_fixed)
+    params = fit(series, config).params
+    if not at_optimum:
+        params = params.with_(omega=1.2 * params.omega, alpha=0.9 * params.alpha,
+                              beta=0.95 * params.beta,
+                              d=0.55 if family is FIGARCH and d_fixed is None else params.d)
+    if not at_optimum and params.nu is not None:
+        params = params.with_(nu=1.1 * params.nu)
+    engine = _make_engine(series.returns, config)
+    fixed_d = d_fixed is not None
+    theta0, at = _relative(params, param_names(family, innovation, d_fixed))
+    H = engine.hessian(params, fixed_d)[2] * np.outer(theta0, theta0)
+    reference = np.empty_like(H)
+    h = 1e-4
+    for i in range(theta0.size):
+        def score(k):
+            s = np.zeros(theta0.size)
+            s[i] = k * h
+            return theta0 * engine.score(at(s), fixed_d)[1]
+
+        reference[:, i] = (8.0 * (score(1) - score(-1)) - (score(2) - score(-2))) / (12.0 * h)
+    assert np.abs(H - reference).max() <= 1e-6 * np.abs(reference).max()
 
 
 def test_standard_errors_invert_the_engine_hessian_off_the_optimum():
