@@ -195,18 +195,24 @@ def transform_to_unconstrained(params: ParamVector, family: ModelFamily,
     omega goes through log; for GARCH (alpha, beta) go through the inverse
     of a softmax-style squash that keeps ``alpha + beta < 1``; elsewhere
     beta/d go through logits and alpha through log, or for IGARCH through
-    ``logit(-alpha)`` onto (-1, 0); nu maps to ``log(nu - 2)``.  Boundary
-    points raise :class:`BoundaryError`.
+    ``logit(-alpha)`` onto (-1, 0); nu maps to ``log(nu - 2)``.  A
+    non-finite parameter raises :class:`DomainError`, and a point on or past
+    a bound :class:`BoundaryError` naming that bound.
     """
+    layout = _params_layout(params, family, d_fixed)
+    for name, _ in layout:  # NaN fails every bound below
+        if not math.isfinite(getattr(params, name)):
+            raise DomainError(f"{name} must be finite, got {getattr(params, name)}")
     rem = 1.0 - params.alpha - params.beta  # the softmax's share of neither alpha nor beta
     u = []
-    for name, m in _params_layout(params, family, d_fixed):
+    for name, m in layout:
         theta = getattr(params, name)
-        if not m.lo < theta < m.hi or (m is _SOFTMAX and not rem > 0):
-            raise BoundaryError(
-                f"{name} = {theta} sits on a constraint boundary; "
-                f"nudge the parameters into the strict interior before transforming"
-            )
+        bound = (f"{name} = {theta} is not above {m.lo:g}" if not theta > m.lo
+                 else f"{name} = {theta} is not below {m.hi:g}" if not theta < m.hi
+                 else f"alpha + beta = {params.alpha + params.beta} is not below 1"
+                 if m is _SOFTMAX and not rem > 0 else None)
+        if bound is not None:
+            raise BoundaryError(f"{bound}: not in the strict interior of the transform")
         u.append(math.log(theta / rem) if m is _SOFTMAX else m.to_u(theta))
     return np.array(u, dtype=float)
 
@@ -590,9 +596,10 @@ def standard_errors(params: ParamVector, series, config: FitConfig) -> StdErrRep
     singular to working precision (see `_covariance_from_hessian`), or a
     covariance that overflows a double yields an absent-but-flagged
     report; a point on a bound of the transform raises
-    :class:`BoundaryError`, and a point that disagrees with ``config`` (a
-    ``nu`` that its innovation law does not take, or a ``d`` other than
-    its ``d_fixed``) raises :class:`DomainError`.
+    :class:`BoundaryError`, and a non-finite point or one that disagrees
+    with ``config`` (a ``nu`` that its innovation law does not take, or a
+    ``d`` other than its ``d_fixed`` or its family's pinned d) raises
+    :class:`DomainError`.
     """
     engine = _make_engine(series, config)  # first, so that bad returns are named as such
     if (params.nu is None) != (config.innovation == "gaussian"):
@@ -600,6 +607,9 @@ def standard_errors(params: ParamVector, series, config: FitConfig) -> StdErrRep
                           f"Student-t innovations need a nu, Gaussian ones none")
     if config.d_fixed is not None and params.d != config.d_fixed:
         raise DomainError(f"d = {params.d} is not the config's d_fixed = {config.d_fixed}")
+    pinned = config.family.pinned_d
+    if pinned is not None and params.d != pinned:
+        raise DomainError(f"d is fixed at {pinned:g} for {config.family.name}, got {params.d}")
     return _standard_errors(engine, params, config)
 
 

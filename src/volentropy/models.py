@@ -56,9 +56,6 @@ _LAMBDA_TOL = 1e-12
 
 _SMALLEST_NORMAL = float(np.finfo(float).tiny)
 
-# upper-triangle indices of the 2x2 and 3x3 weight Hessians but (alpha, alpha), which is 0
-_UPPER = {k: tuple(i[1:] for i in np.triu_indices(k)) for k in (2, 3)}
-
 
 @dataclass(frozen=True)
 class ParamVector:
@@ -216,11 +213,11 @@ def validate_params(family: ModelFamily, params: ParamVector,
             )
 
 
-def _ar1_filter(x: np.ndarray, beta: float,
-                state: float | np.ndarray | None = None) -> np.ndarray:
+def _ar1_filter(x: np.ndarray, beta: float, state: float | None = None) -> np.ndarray:
     """``y_t = x_t + beta*y_{t-1}``, with ``beta*y_{-1} = state`` (0 if None).
 
-    A 2-D ``x`` is filtered row by row, with one state per row.
+    A 2-D ``x`` is filtered row by row.  The adjoint, ``c_hat`` with
+    ``c . y = x . c_hat + state * c_hat_0``, is ``_ar1_filter(c[::-1], beta)[::-1]``.
     """
     # Imported here: scipy.signal costs over a second of import time that
     # only a fit needs, for the n-term variance recursion and its derivative
@@ -231,7 +228,7 @@ def _ar1_filter(x: np.ndarray, beta: float,
 
     if state is None:
         return lfilter([1.0], [1.0, -beta], x)
-    return lfilter([1.0], [1.0, -beta], x, zi=np.asarray(state, dtype=float)[..., None])[0]
+    return lfilter([1.0], [1.0, -beta], x, zi=[state])[0]
 
 
 @functools.cache
@@ -512,11 +509,11 @@ class _Likelihood:
 
             H = sum_t h_t s_t s_t' + sum_t g_t d^2 sigma2_t / d theta^2
 
-        plus the nu terms.  GARCH filters the second derivatives of sigma2
-        with the variance recursion once more.  For IGARCH and FIGARCH,
-        ``s_t`` convolves each row of :meth:`weight_jacobian` with the padded
-        e^2 (a transform pair per row), and the second term is
-        ``d^2 lambda / d theta^2 . c`` with the score's correlation ``c``.
+        plus the nu terms.  Each second derivative of sigma2 (GARCH) or lambda
+        is a recursion's filter of an input row, so the second term sums the
+        inputs against g, or the score's ``c`` (:meth:`weight_curvature`),
+        filtered backwards.  For IGARCH and FIGARCH, ``s_t`` convolves each
+        row of :meth:`weight_jacobian` with e^2 (a transform pair per row).
         """
         return self._derivatives(params, fixed_d, second=True)
 
@@ -606,23 +603,20 @@ class _Likelihood:
             return grad, None, None
         # sigma2 is linear in alpha and omega enters only through 1/(1-beta),
         # so the second derivatives left are d2/d alpha d beta and d2/d beta2:
-        # the recursion again, with inputs D_{t-1} and 2 d sigma2_{t-1}/d beta,
-        # from the pre-sample levels of both (backcast and 2 s, over (1-beta)^2)
-        x = np.empty((2, self.n))
-        x[:, 0] = [self.backcast / (1.0 - beta), 2.0 * s_pre / (1.0 - beta)]
-        x[0, 1:] = D[:-1]
-        np.multiply(d_beta[:-1], 2.0, out=x[1, 1:])
-        d_alpha_beta, d_beta_beta = _ar1_filter(x, beta, beta / (1.0 - beta) * x[:, 0]) @ g
-        x[0], x[1] = D, d_beta  # the input buffer now holds the rows of s
-        return grad, x, np.array([[0.0, d_alpha_beta], [d_alpha_beta, d_beta_beta]])
+        # the recursion again, with inputs D_{t-1} and 2 d sigma2_{t-1}/d beta from the
+        # pre-sample levels backcast and 2 s over (1-beta)^2; their sums against g are
+        # the inputs' against g_hat, g filtered backwards, and the levels' against g_hat_0
+        g_hat = _ar1_filter(g[::-1], beta)[::-1]
+        pre = g_hat[0] / (1.0 - beta) / (1.0 - beta)
+        ab = self.backcast * pre + D[:-1] @ g_hat[1:]
+        bb = 2.0 * (s_pre * pre + d_beta[:-1] @ g_hat[1:])
+        return grad, np.array([D, d_beta]), np.array([[0.0, ab], [ab, bb]])
 
-    def weight_jacobian(self, params: ParamVector, free_d: bool, second: bool = False):
+    def weight_jacobian(self, params: ParamVector, free_d: bool) -> np.ndarray:
         """d lambda / d (alpha, beta[, d]) at an IGARCH/FIGARCH point, one row each.
 
-        With ``second``, also the second derivatives, as a symmetric
-        (k, k, T) array: the pair ``(jacobian, second derivatives)``.  The
-        weights come from :meth:`weights`, so from the memo when the point
-        is there, as it is in a score pass.
+        The weights come from :meth:`weights`, so from the memo when the
+        point is there, as it is in a score pass.
         """
         alpha, beta, d, T = params.alpha, params.beta, self._d(params), self.T
         w = self.weights(params)
@@ -638,40 +632,37 @@ class _Likelihood:
             if not _SMALLEST_NORMAL <= d < 1.0:  # 1/d or 1/(d-1) below is not finite
                 raise InfeasibleParamsError(f"the score in d is not finite at d = {d}")
             # d pi_j / d d = pi_j * S_j with S_j = sum_{k<=j} 1/(d+1-k)
-            j = np.arange(1.0, T + 1.0)
-            inv = np.concatenate(([0.0], 1.0 / (d - (j - 1.0))))
-            S = np.cumsum(inv)
-            d_pi = pi * S
+            d_pi = pi * np.cumsum(np.concatenate(([0.0], 1.0 / (d - np.arange(float(T))))))
             rows.append((alpha + beta) * d_pi[:-1] - d_pi[1:])
-        jac = _ar1_filter(np.array(rows), beta)
-        if not second:
-            return jac
-        # Differentiating lambda_j = x_j + beta*lambda_{j-1} once more filters
-        # the derivative of each first-order input; alpha enters x linearly,
-        # and beta the filter, which adds the first-order row of the other
-        # parameter at lag 1 (twice for beta-beta).
-        k = jac.shape[0]
-        x2 = np.zeros((k, k, T))
-        x2[0, 1, 1:] = jac[0, :-1]
-        x2[1, 1, 1:] = 2.0 * jac[1, :-1]
-        if free_d:
+        return _ar1_filter(np.array(rows), beta)
+
+    def weight_curvature(self, params: ParamVector, jac: np.ndarray, c: np.ndarray) -> np.ndarray:
+        """``sum_j c_j d2 lambda_j / d theta2``, where :meth:`weight_jacobian` is ``jac``: each
+        second derivative filters an input row as lambda does, so its sum against c
+        is the input's against ``c_hat``, c filtered backwards (see :func:`_ar1_filter`)."""
+        alpha, beta, d, T = params.alpha, params.beta, self._d(params), self.T
+        c_hat = _ar1_filter(c[::-1], beta)[::-1]
+        # alpha enters x linearly, and beta the filter, which adds the first-order
+        # row of each parameter at lag 1 to its beta row and column
+        lag = jac[:, :-1] @ c_hat[1:]
+        curv = np.zeros((lag.size, lag.size))  # d2 lambda / d alpha2 = 0
+        curv[1] = lag
+        curv[:, 1] += lag
+        if lag.size == 3:  # d is free
             # d2 pi_j / d d2 = pi_j (S_j^2 - sum_{k<=j} 1/(d+1-k)^2); with the
             # k = 1 terms 1/d and 1/d^2 taken out of both sums (R, P), that is
             # 2 R_j pi_j/d + pi_j (R_j^2 - P_j), which neither cancels nor
             # overflows as d -> 0
-            rest = inv.copy()
+            pi = self.weights(params).pi
+            rest = np.concatenate(([0.0], 1.0 / (d - np.arange(float(T)))))
+            d_pi = pi * np.cumsum(rest)
             rest[1] = 0.0
             R = np.cumsum(rest)
             d2_pi = 2.0 * R * (pi / d) + pi * (R * R - np.cumsum(rest * rest))
-            x2[0, 2] = d_pi[:-1]
-            x2[1, 2] = d_pi[:-1]
-            x2[1, 2, 1:] += jac[2, :-1]
-            x2[2, 2] = (alpha + beta) * d2_pi[:-1] - d2_pi[1:]
-        upper = _UPPER[k]
-        hess = np.zeros((k, k, T))  # d2 lambda / d alpha2 = 0: lambda is linear in alpha
-        hess[upper] = _ar1_filter(x2[upper], beta)
-        hess[upper[::-1]] = hess[upper]
-        return jac, hess
+            curv[2, :2] += d_pi[:-1] @ c_hat  # pi_{j-1} enters x with alpha and beta
+            curv[:2, 2] = curv[2, :2]
+            curv[2, 2] = ((alpha + beta) * d2_pi[:-1] - d2_pi[1:]) @ c_hat
+        return curv
 
     def _arch_inf_derivatives(self, params: ParamVector, g: np.ndarray, second: bool,
                               free_d: bool) -> tuple[list, np.ndarray | None, np.ndarray | None]:
@@ -680,10 +671,7 @@ class _Likelihood:
         kernel[T:T + n] = g
         # a copy, so that c does not pin the transform
         c = fft.irfft(fft.rfft(kernel) * self._e2_fft.conj(), size)[1:T + 1].copy()
-        if second:
-            jac, hess = self.weight_jacobian(params, free_d, second=True)
-        else:
-            jac = self.weight_jacobian(params, free_d)
+        jac = self.weight_jacobian(params, free_d)
         grad = jac @ c
 
         # the intercept omega/(1-beta)
@@ -702,7 +690,7 @@ class _Likelihood:
             kernel[1:T + 1] = jac_row
             row[:] = self._filtered(kernel)
         s[1] += params.omega / (1.0 - beta) ** 2
-        curv = hess @ c
+        curv = self.weight_curvature(params, jac, c)
         curv[1, 1] += 2.0 * params.omega / (1.0 - beta) ** 3 * g_sum
         return grad, s, curv
 

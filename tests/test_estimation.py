@@ -79,6 +79,23 @@ def test_d_boundary_is_boundary_error():
         transform_to_unconstrained(ParamVector(1e-5, 0.2, 0.4, d=1.0), FIGARCH)
 
 
+@pytest.mark.parametrize("point,family,error,message", [
+    (ParamVector(1e-5, 0.5, 0.6), GARCH, BoundaryError, r"^alpha \+ beta = 1.1 is not below 1:"),
+    (ParamVector(1e-5, 0.0, 0.9), GARCH, BoundaryError, "^alpha = 0.0 is not above 0:"),
+    (ParamVector(1e-5, 0.2, 0.4, d=1.0), FIGARCH, BoundaryError, "^d = 1.0 is not below 1:"),
+    (ParamVector(1e-5, 0.08, 0.91, nu=math.nan), GARCH, DomainError, "^nu must be finite, got nan"),
+    (ParamVector(1e-5, math.nan, 0.91), GARCH, DomainError, "^alpha must be finite, got nan"),
+    (ParamVector(1e-5, 0.2, math.nan, 0.4), FIGARCH, DomainError, "^beta must be finite, got nan"),
+], ids=["garch-sum", "alpha-0", "d-1", "nu-nan", "alpha-nan", "figarch-beta-nan"])
+def test_a_point_off_the_interior_names_its_bound_or_its_non_finite_parameter(
+        point, family, error, message):
+    with pytest.raises(error, match=message):
+        transform_to_unconstrained(point, family)
+    config = FitConfig(family, innovation="gaussian" if point.nu is None else "student")
+    with pytest.raises(error, match=message):
+        standard_errors(point, sim_garch(n=500, seed=1), config)
+
+
 interior = st.tuples(
     st.floats(min_value=1e-8, max_value=10.0),      # omega
     st.floats(min_value=1e-4, max_value=0.8),       # alpha
@@ -796,9 +813,12 @@ def test_figarch_t_standard_errors_take_one_weight_build_and_eleven_transforms(m
     (ParamVector(1e-6, 0.08, 0.91), FitConfig(GARCH)),
     (ParamVector(1e-6, 0.08, 0.91, nu=8.0), FitConfig(GARCH, innovation="gaussian")),
     (ParamVector(1e-6, 0.2, 0.5, d=0.6, nu=8.0), FitConfig(FIGARCH, d_fixed=0.4)),
-], ids=["no-nu-student", "nu-gaussian", "d-not-d_fixed"])
+    (ParamVector(1e-6, 0.08, 0.91, d=0.4, nu=8.0), FitConfig(GARCH)),
+    (ParamVector(1e-4, -0.3, 0.6, d=0.3, nu=8.0), FitConfig(IGARCH)),
+], ids=["no-nu-student", "nu-gaussian", "d-not-d_fixed", "garch-d-not-0", "igarch-d-not-1"])
 def test_standard_errors_of_a_point_that_disagrees_with_its_config_name_it(point, config):
-    with pytest.raises(DomainError, match="does not fit|is not the config's d_fixed"):
+    with pytest.raises(DomainError, match="does not fit|is not the config's d_fixed|d is fixed "
+                                          "at (0 for GARCH, got 0.4|1 for IGARCH, got 0.3)$"):
         standard_errors(point, sim_garch(n=500, seed=1), config)
 
 

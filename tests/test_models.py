@@ -355,15 +355,15 @@ def test_weight_jacobian_matches_central_differences_of_the_weights(alpha, beta,
         down = frac_weights((theta - h)[2], 200, *(theta - h)[:2]).lam
         assert_allclose(W[k], (up - down) / (2.0 * h[k]), rtol=1e-5, atol=1e-8)
     assert W.shape == (3 if free_d else 2, 200)
-    # the second derivatives, against differences of the first
-    W_again, W2 = engine.weight_jacobian(ParamVector(1e-4, alpha, beta, d=d), free_d, second=True)
-    assert np.array_equal(W_again, W)
+    # the second derivatives contracted with a fixed c, against differences of c . W
+    c = np.random.default_rng(3).standard_normal(200)
+    W2c = engine.weight_curvature(ParamVector(1e-4, alpha, beta, d=d), W, c)
     for k in range(W.shape[0]):
         h = np.zeros(3)
         h[k] = 1e-6 * max(theta[k], 1e-3)
-        up, down = (engine.weight_jacobian(ParamVector(1e-4, *x[:2], d=x[2]), free_d)
+        up, down = (engine.weight_jacobian(ParamVector(1e-4, *x[:2], d=x[2]), free_d) @ c
                     for x in (theta + h, theta - h))
-        assert_allclose(W2[:, k], (up - down) / (2.0 * h[k]), rtol=1e-5, atol=1e-7)
+        assert_allclose(W2c[:, k], (up - down) / (2.0 * h[k]), rtol=1e-5, atol=1e-7)
 
 
 @pytest.mark.parametrize("T", [0, -5])
@@ -575,10 +575,10 @@ def _filtered_rows(monkeypatch, n):
 
 
 @pytest.mark.parametrize("nu", [7.0, None])
-def test_garch_score_filters_two_rows_and_its_hessian_four(monkeypatch, nu):
+def test_garch_score_filters_two_rows_and_its_hessian_three(monkeypatch, nu):
     # sigma2 = omega/(1-beta) + alpha D with D = d sigma2/d alpha filtered once
-    # per beta: a score adds d sigma2/d beta, a Hessian the two second
-    # derivatives that are not 0
+    # per beta: a score adds d sigma2/d beta, a Hessian g filtered backwards,
+    # against which both second derivatives that are not 0 are sums
     r = rng_returns(n=2000, seed=9)
     p = ParamVector(1e-5, 0.08, 0.9, nu=nu)
     rows = _filtered_rows(monkeypatch, r.size)
@@ -587,7 +587,7 @@ def test_garch_score_filters_two_rows_and_its_hessian_four(monkeypatch, nu):
     rows.clear()
     engine = _Likelihood(GARCH, r)
     engine.hessian(p)
-    assert sum(rows) == 4
+    assert sum(rows) == 3
     rows.clear()
     engine.score(p.with_(omega=2e-5, alpha=0.1, nu=None))  # D from the memo
     engine.loglik(p.with_(alpha=0.05))
